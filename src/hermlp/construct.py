@@ -287,9 +287,8 @@ def saturation_ratio(report: ConstructionReport, nu, r: float,
     lam = report.tube.lam
     grid, feature = _ball_quadrature(lam, r, report.tube.half_width)
     dom = Domain(shape="ball", center=nu, scale=r, quad=grid)
-    measured = local_lp_norm(lambda pts: np.abs(e(pts)), dom, p,
-                             osc_scale=lam, feature_scale=feature,
-                             with_error=False)
+    measured = local_lp_norm(e, dom, p, osc_scale=lam,
+                             feature_scale=feature, with_error=False)
     nu_abs = math.hypot(*nu)
     bound = lambda_lp(n, lam, r, nu_abs, p)
     return (measured.value / e.global_l2_norm()) / bound.value

@@ -7,6 +7,14 @@ repeated runs produce bit-identical sums.  Monte Carlo is allowed only
 in three or more dimensions, where tensor grids stop being affordable,
 and always requires an explicit seed.
 
+Integrands come in two forms.  A point integrand maps a (K, dim) array
+of points to K values.  An axes integrand has a true class attribute
+``takes_axes``; it is called with one 1-D array of nodes per axis and
+returns the tensor tile of values, shape (len(axis_0), ..., len(axis_n-1)).
+The tensor path hands each lead-axis block to an axes integrand as it
+is, so an evaluator with per-axis tables never sees a meshgrid; point
+integrands get the block's nodes flattened in index order.
+
 The grid-spacing guard is the load-bearing contract: an eigenfunction
 at energy lambda^2 oscillates on scale 1/lambda, and concentrated
 examples carry features on a scale delta of their own, so the effective
@@ -147,6 +155,26 @@ def _check_spacing(dom: Domain, m: int, osc_scale: float,
             f"{need:.3e}/4; need at least {m_req} points per axis")
 
 
+def _on_points(f):
+    """Adapt a point integrand to the tensor-axes contract: build the
+    tile's nodes from its axes, evaluate, and fold the values back."""
+
+    def on_axes(*axes):
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=-1)
+        return np.asarray(f(pts), dtype=float).reshape(mesh[0].shape)
+
+    return on_axes
+
+
+def _outer(vectors, op) -> np.ndarray:
+    """Combine 1-D arrays into a tensor tile with op, left to right."""
+    tile = vectors[0]
+    for v in vectors[1:]:
+        tile = op(tile[..., None], v)
+    return tile
+
+
 def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     n = dom.dim
     x, w = _axis_rule(m)
@@ -154,35 +182,30 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     axes = [dom.center[k] + dom.scale * x for k in range(n)]
     wts = dom.scale * w
     r2 = dom.scale * dom.scale
-    center = np.asarray(dom.center, dtype=float)
+    on_axes = f if getattr(f, "takes_axes", False) else _on_points(f)
 
-    # block over leading-axis indices; inner mesh built per block
-    lead = axes[0]
-    inner_nodes = max(1, m ** (n - 1))
-    lead_block = max(1, _BLOCK // inner_nodes)
+    # block over leading-axis indices; each block is one tensor tile
+    lead_block = max(1, _BLOCK // max(1, m ** (n - 1)))
     parts = []
     best = 0.0
     count = 0
     for start in range(0, m, lead_block):
         stop = min(m, start + lead_block)
-        mesh = np.meshgrid(lead[start:stop], *axes[1:], indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        wgrid = np.meshgrid(wts[start:stop], *([wts] * (n - 1)), indexing="ij")
-        wflat = np.ones(pts.shape[0])
-        for g in wgrid:
-            wflat = wflat * g.ravel()
-        vals = np.abs(np.asarray(f(pts), dtype=float).ravel())
+        block = [axes[0][start:stop]] + axes[1:]
+        vals = np.abs(np.asarray(on_axes(*block), dtype=float))
         if dom.shape == "ball":
-            inside = np.sum((pts - center) ** 2, axis=1) <= r2
+            inside = _outer([(a - c) ** 2 for a, c in zip(block, dom.center)],
+                            np.add) <= r2
         else:
-            inside = np.ones(pts.shape[0], dtype=bool)
-        count += pts.shape[0]
+            inside = np.ones(vals.shape, dtype=bool)
+        count += vals.size
         if p == math.inf:
             if np.any(inside):
                 best = max(best, float(np.max(vals[inside])))
         else:
-            contrib = np.where(inside, vals**p * wflat, 0.0)
-            parts.append(_csum(contrib))
+            wtile = _outer([wts[start:stop]] + [wts] * (n - 1), np.multiply)
+            contrib = np.where(inside, vals**p * wtile, 0.0)
+            parts.append(_csum(contrib.ravel()))
     if p == math.inf:
         return best, count
     total = _csum(parts)
@@ -195,6 +218,8 @@ def _mc_value(f, dom: Domain, p: float) -> tuple[float, float, int]:
                          "use a tensor grid")
     if p == math.inf:
         raise ValueError("sup norms need a tensor grid, not sampling")
+    if getattr(f, "takes_axes", False):
+        raise ValueError("axes integrands need a tensor grid")
     mc = dom.quad
     rng = np.random.default_rng(mc.seed)
     center = np.asarray(dom.center, dtype=float)
@@ -223,12 +248,15 @@ def local_lp_norm(f, dom: Domain, p: float, *, osc_scale: float,
                   with_error: bool = True) -> NormValue:
     """L^p norm of f over the domain.
 
-    f maps an (K, dim) array of points to K values, vectorized.  The
-    tensor path integrates |f|^p against Gauss-Legendre weights on the
-    bounding box, masking to the ball when asked; p = inf takes the
-    nodewise max instead.  osc_scale is the oscillation frequency of
-    the integrand (lambda for eigenfunctions at energy lambda^2);
-    feature_scale is the finest structural width when that is smaller.
+    f maps an (K, dim) array of points to K values, vectorized, or, if
+    its class sets ``takes_axes = True``, maps one node array per axis to
+    the tensor tile of values (tensor grids only).  The tensor path
+    integrates |f|^p against Gauss-Legendre weights on the bounding box,
+    masking to the ball when asked; p = inf takes the nodewise max
+    instead; both forms give bit-identical results for the same values.
+    osc_scale is the oscillation frequency of the integrand (lambda for
+    eigenfunctions at energy lambda^2); feature_scale is the finest
+    structural width when that is smaller.
     Error estimates come from a once-doubled grid (tensor) or the
     sample standard error (monte carlo).
     """

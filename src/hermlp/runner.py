@@ -195,11 +195,11 @@ def _kernel_cross_mode(ctx: _Ctx):
         kv = mehler.kernel_oscillatory([sx * lam], [sy * lam], r,
                                        tol=p["quad_tol"])
         rel = abs(kv.value - direct) / max(abs(direct), _REL_FLOOR)
-        return [r, sx, sy, direct, kv.value, rel, kv.imag_residual,
-                kv.evals, "ok"]
+        return [[r, sx, sy, direct, kv.value, rel, kv.imag_residual,
+                 kv.evals, "ok"]]
 
     cells = [(r, sx, sy) for r in p["r_values"] for sx, sy in pairs]
-    rows, errors = _collect(ctx, cell, cells, width=9)
+    rows = _flatten(_collect(ctx, cell, cells, width=9))
     oks = [row for row in rows if row[-1] == "ok"]
     if oks:
         ctx.check("cross-validation-relative-error",
@@ -222,12 +222,12 @@ def _kernel_bound_mode(ctx: _Ctx):
         spec = mehler.KernelSampleSpec(mu=mu, count=p["sample_count"],
                                        seed=seed)
         rep = mehler.kernel_bound_check(p["n"], r, spec)
-        return [p["n"], r, mu, rep.normalizer, rep.max_ratio,
-                rep.median_ratio, rep.diagonal_ratio, rep.count, "ok"]
+        return [[p["n"], r, mu, rep.normalizer, rep.max_ratio,
+                 rep.median_ratio, rep.diagonal_ratio, rep.count, "ok"]]
 
     cells = [(i, mu, r) for i, mu in enumerate(p["mu_values"])
              for r in p["r_values"]]
-    rows, _ = _collect(ctx, cell, cells, width=9)
+    rows = _flatten(_collect(ctx, cell, cells, width=9))
     oks = [row for row in rows if row[-1] == "ok"]
     if oks:
         ctx.check("bound-check-max-ratio", max(row[4] for row in oks),
@@ -326,9 +326,9 @@ def _run_phase_identities(ctx: _Ctx):
     dims = p["dims"]
     t_per_pair = 20
     pair_count = max(1, p["sample_count"] // (len(dims) * t_per_pair))
-    rows = []
 
-    for d_idx, n in enumerate(dims):
+    def cell(args):
+        d_idx, n = args
         rng = np.random.default_rng(_cell_seed(ctx.seed, d_idx))
         worst_fact = 0.0
         worst_curv = 0.0
@@ -369,13 +369,15 @@ def _run_phase_identities(ctx: _Ctx):
                     max(1.0, 1.0 / pt.sin2t)))
 
         samples = pair_count * t_per_pair
-        for check, worst, tol in (
-                ("derivative-factorization", worst_fact,
-                 p["tol_factorization"]),
-                ("curvature-vs-fd", worst_curv, p["tol_curvature"]),
-                ("mixed-hessian-closed", worst_closed, p["tol_mixed_closed"]),
-                ("mixed-hessian-fd", worst_fd, p["tol_mixed_fd"])):
-            rows.append([check, n, samples, worst, tol, "ok"])
+        return [[check, n, samples, worst, tol, "ok"] for check, worst, tol in (
+            ("derivative-factorization", worst_fact, p["tol_factorization"]),
+            ("curvature-vs-fd", worst_curv, p["tol_curvature"]),
+            ("mixed-hessian-closed", worst_closed, p["tol_mixed_closed"]),
+            ("mixed-hessian-fd", worst_fd, p["tol_mixed_fd"]))]
+
+    rows = _flatten(_collect(ctx, cell, list(enumerate(dims)), width=6))
+    for check, n, _, worst, tol, status in rows:
+        if status == "ok":
             ctx.check(f"{check}-n{n}", worst, tol * ctx.scale)
     header = ("check", "n", "samples", "max_residual", "tolerance", "status")
     return header, rows
@@ -385,6 +387,9 @@ def _fd_mixed_hessian(x, y, kind: str, n: int) -> np.ndarray:
     def reduced(xv, yv):
         cps = phase.critical_points(xv, yv)
         pt = cps.plus if kind == "plus" else cps.minus
+        if pt is None:
+            raise ValueError(f"a perturbed stencil point has no {kind} "
+                             "critical point")
         return float(phase.phase_value(pt.t, xv, yv))
 
     h = 1e-5
@@ -524,12 +529,12 @@ def _run_construct(ctx: _Ctx):
                                            m_bins=p["m_bins"])
         tube = rep.tube
         amp_ratio = rep.measured_median_amplitude / rep.target_amplitude
-        return [p["n"], level, tube.lam, p["j"], delta,
-                len(rep.eigenfunction.indices), rep.bin_index,
-                rep.bin_fraction, rep.target_amplitude,
-                rep.measured_median_amplitude, amp_ratio, "ok"]
+        return [[p["n"], level, tube.lam, p["j"], delta,
+                 len(rep.eigenfunction.indices), rep.bin_index,
+                 rep.bin_fraction, rep.target_amplitude,
+                 rep.measured_median_amplitude, amp_ratio, "ok"]]
 
-    rows, _ = _collect(ctx, cell, list(p["levels"]), width=12)
+    rows = _flatten(_collect(ctx, cell, list(p["levels"]), width=12))
     oks = [row for row in rows if row[-1] == "ok"]
     if oks:
         ctx.check("bin-fraction-pigeonhole", min(row[7] for row in oks),
@@ -565,15 +570,16 @@ def _random_level_rows(ctx: _Ctx, case_idx: int, case: dict, level: int):
     grid, feature = construct._ball_quadrature(lam, r, tube.half_width)
     dom = Domain(shape="ball", center=nu, scale=r, quad=grid)
     bound = bounds.lambda_lp(2, lam, r, math.hypot(*nu), p_norm)
+    # one evaluator per level: every draw reuses its two axis tables
+    e = spectral.DenseEigenfunction2D(level, np.zeros(level + 1))
     rows = []
     for i in range(case["per_level"]):
         rng = np.random.default_rng(_cell_seed(ctx.seed, case_idx, level, i))
         coeffs = rng.standard_normal(level + 1)
         coeffs /= np.linalg.norm(coeffs)
-        e = spectral.DenseEigenfunction2D(level, coeffs)
-        measured = local_lp_norm(lambda pts: np.abs(e(pts)), dom, p_norm,
-                                 osc_scale=lam, feature_scale=feature,
-                                 with_error=False)
+        e.coefficients = coeffs
+        measured = local_lp_norm(e, dom, p_norm, osc_scale=lam,
+                                 feature_scale=feature, with_error=False)
         rows.append([f"random-{i}", 2, level, lam, j, delta, _fmt_point(nu),
                      r, p_norm, measured.value, bound.value,
                      measured.value / bound.value, "ok"])
@@ -582,13 +588,12 @@ def _random_level_rows(ctx: _Ctx, case_idx: int, case: dict, level: int):
 
 def _run_saturate(ctx: _Ctx):
     p = ctx.params
-    cells = []
-    for case_idx, case in enumerate(p["cases"]):
-        for level in case["levels"]:
-            cells.append((case_idx, case, level))
+    cells = [(case_idx, level) for case_idx, case in enumerate(p["cases"])
+             for level in case["levels"]]
 
     def cell(args):
-        case_idx, case, level = args
+        case_idx, level = args
+        case = p["cases"][case_idx]
         if case["kind"] == "case2":
             n, j, r = case["n"], case["j"], case["r"]
             delta = _construct_delta({"type": "case2", "r": r}, n, level, j)
@@ -604,14 +609,14 @@ def _run_saturate(ctx: _Ctx):
                                    (lam - r,), r, case["p"])]
         return _random_level_rows(ctx, case_idx, case, level)
 
-    per_cell, errors = _collect_nested(ctx, cell, cells)
-    rows = [row for chunk in per_cell for row in chunk]
+    per_cell = _collect(ctx, cell, cells, width=len(SATURATE_HEADER))
+    rows = _flatten(per_cell)
 
     sweep_ratios = []
     for case_idx, case in enumerate(p["cases"]):
         if case["kind"] == "random":
             continue
-        series = [(row[3], row[11]) for chunk, (ci, _, _) in
+        series = [(row[3], row[11]) for chunk, (ci, _) in
                   zip(per_cell, cells) for row in chunk
                   if ci == case_idx and row[-1] == "ok"]
         if not series:
@@ -643,8 +648,14 @@ def _run_saturate(ctx: _Ctx):
 
 # ------------------------------------------------------- failure handling
 
-def _collect(ctx: _Ctx, cell_fn, cells, width: int):
-    """Run cells, turning per-cell exceptions into error rows."""
+def _collect(ctx: _Ctx, cell_fn, cells, width: int) -> list:
+    """Run cells, turning per-cell exceptions into error rows.
+
+    Each cell returns its list of rows.  A cell that raises leaves a
+    single row of ``width`` columns, empty but for the status column, and
+    a ``computational_failures`` entry labelled with the cell; the run
+    continues.  Returns the per-cell row lists in cell order.
+    """
 
     def guarded(args):
         try:
@@ -652,38 +663,18 @@ def _collect(ctx: _Ctx, cell_fn, cells, width: int):
         except Exception as exc:  # recorded, run continues
             return None, f"{type(exc).__name__}: {exc}"
 
-    out = _map_cells(guarded, cells, ctx.threads)
-    rows = []
-    errors = []
-    for args, (row, err) in zip(cells, out):
-        if err is None:
-            rows.append(row)
-        else:
-            errors.append({"cell": str(args), "error": err})
-            rows.append([""] * (width - 1) + [f"error: {err}"])
-    ctx.failures.extend(errors)
-    return rows, errors
-
-
-def _collect_nested(ctx: _Ctx, cell_fn, cells):
-    def guarded(args):
-        try:
-            return cell_fn(args), None
-        except Exception as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
-    out = _map_cells(guarded, cells, ctx.threads)
     chunks = []
-    errors = []
-    for args, (chunk, err) in zip(cells, out):
-        if err is None:
-            chunks.append(chunk)
-        else:
-            errors.append({"cell": str(args[::2]), "error": err})
-            chunks.append([[""] * (len(SATURATE_HEADER) - 1)
-                           + [f"error: {err}"]])
-    ctx.failures.extend(errors)
-    return chunks, errors
+    for args, (chunk, err) in zip(cells, _map_cells(guarded, cells,
+                                                    ctx.threads)):
+        if err is not None:
+            ctx.failures.append({"cell": str(args), "error": err})
+            chunk = [[""] * (width - 1) + [f"error: {err}"]]
+        chunks.append(chunk)
+    return chunks
+
+
+def _flatten(chunks) -> list:
+    return [row for chunk in chunks for row in chunk]
 
 
 _RUNNERS = {

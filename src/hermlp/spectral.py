@@ -102,25 +102,6 @@ def eigenfunction_at_points(alpha, pts) -> np.ndarray:
     return vals
 
 
-def eigenspace_eval_2d(level, coeffs, xs, ys, axis_x=None, axis_y=None) -> np.ndarray:
-    """Dense combination sum_a c_a f_a(x) f_{N-a}(y) on a tensor grid.
-
-    ``coeffs`` has length level+1, ordered by the first index a = 0..level.
-    ``axis_x``/``axis_y`` accept precomputed hermite_batch_grid(level, .)
-    tables so repeated sweeps over one grid can share them.  Returns an
-    array of shape (len(xs), len(ys)).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (level + 1,):
-        raise ValueError("coefficient vector must have length level + 1")
-    hx = hermite_batch_grid(level, xs) if axis_x is None else axis_x
-    hy = hermite_batch_grid(level, ys) if axis_y is None else axis_y
-    if hx.shape[0] != level + 1 or hy.shape[0] != level + 1:
-        raise ValueError("axis tables do not match the level")
-    # f_a on x pairs with f_{N-a} on y
-    return (coeffs[:, None] * hx).T @ hy[::-1]
-
-
 def random_coefficients(space: Eigenspace, rng: np.random.Generator) -> np.ndarray:
     """Unit-norm coefficient vector over the eigenspace basis."""
     c = rng.standard_normal(space.multiplicity)
@@ -235,22 +216,38 @@ class Eigenfunction:
 
 
 class DenseEigenfunction2D:
-    """Full 2-D eigenspace combination with tensor-grid evaluation.
+    """Full 2-D eigenspace combination, evaluated on tensor grids.
 
-    Coefficient a pairs f_a on the first axis with f_{N-a} on the
-    second.  Points sharing axis values (quadrature meshes) are
-    evaluated through one matrix product per call instead of one
-    recurrence per term, which is what makes dense random combinations
-    at level a few thousand affordable.
+    Coefficient a pairs f_a on the first axis with f_{N-a} on the second,
+    so ``dense(xs, ys)`` is the (len(xs), len(ys)) tile
+    sum_a c_a f_a(x_i) f_{N-a}(y_j): one Hermite table per axis and one
+    matrix product, which is what makes dense combinations at level a
+    few thousand affordable.  It is an axes integrand for
+    ``normquad.local_lp_norm`` (``takes_axes``).
+
+    The table of the last axis seen on each side is kept, so assigning
+    new ``coefficients`` and evaluating on the same grid again runs no
+    recurrence: many combinations over one level share their tables.
     """
+
+    takes_axes = True
 
     def __init__(self, level: int, coefficients):
         self.dim = 2
         self.level = int(level)
-        self.coefficients = np.asarray(coefficients, dtype=float).copy()
-        if self.coefficients.shape != (self.level + 1,):
+        self.coefficients = coefficients
+        self._tables: list = [None, None]  # (axis nodes, table) per side
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self._coefficients
+
+    @coefficients.setter
+    def coefficients(self, values) -> None:
+        values = np.asarray(values, dtype=float).copy()
+        if values.shape != (self.level + 1,):
             raise ValueError("coefficient vector must have length level + 1")
-        self._cache: dict[tuple[int, bytes], np.ndarray] = {}
+        self._coefficients = values
 
     @property
     def eigenvalue(self) -> float:
@@ -260,23 +257,19 @@ class DenseEigenfunction2D:
         c = self.coefficients
         return math.sqrt(math.fsum(c * c))
 
-    def _axis_table(self, axis: int, uniq: np.ndarray) -> np.ndarray:
-        key = (axis, _table_key(uniq))
-        table = self._cache.get(key)
-        if table is None:
-            table = hermite_batch_grid(self.level, uniq)
-            if len(self._cache) > 8:
-                self._cache.clear()
-            self._cache[key] = table
-        return table
+    def _axis_table(self, side: int, nodes: np.ndarray) -> np.ndarray:
+        kept = self._tables[side]
+        if kept is None or not np.array_equal(kept[0], nodes):
+            kept = (nodes.copy(), hermite_batch_grid(self.level, nodes))
+            self._tables[side] = kept
+        return kept[1]
 
-    def __call__(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1 or pts.shape[1] != 2:
-            raise ValueError("points must have shape (m, 2)")
-        u1, inv1 = np.unique(pts[:, 0], return_inverse=True)
-        u2, inv2 = np.unique(pts[:, 1], return_inverse=True)
-        h1 = self._axis_table(0, u1)
-        h2 = self._axis_table(1, u2)
-        tile = (self.coefficients[:, None] * h1).T @ h2[::-1]
-        return tile[inv1, inv2]
+    def __call__(self, xs, ys) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.ndim != 1 or ys.ndim != 1:
+            raise ValueError("axes must be 1-D node arrays")
+        h1 = self._axis_table(0, xs)
+        h2 = self._axis_table(1, ys)
+        # f_a on x pairs with f_{N-a} on y
+        return (self.coefficients[:, None] * h1).T @ h2[::-1]

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import hermlp
-from hermlp import cli, construct
+from hermlp import cli, construct, runner, spectral
+from hermlp.hermite import hermite_batch_grid
 from hermlp.config import ConfigError, load_config, parse_config
 from hermlp.runner import SATURATE_HEADER, emit_plot_data, run
 
@@ -352,6 +353,43 @@ class TestRunnerArtifacts:
         failures = res.summary["computational_failures"]
         assert [f["cell"] for f in failures] == ["200", "400"]
         assert res.summary["passed"] is False
+
+
+    @pytest.mark.parametrize("per_level", [1, 4])
+    def test_random_level_builds_axis_tables_once(self, monkeypatch,
+                                                  per_level):
+        calls = []
+
+        def counted(level, xs):
+            calls.append(level)
+            return hermite_batch_grid(level, xs)
+
+        monkeypatch.setattr(spectral, "hermite_batch_grid", counted)
+        ctx = runner._Ctx(params={}, seed=0, threads=1, scale=1.0)
+        case = {"kind": "random", "n": 2, "j": 0, "r": 1.0, "p": 2.0,
+                "per_level": per_level, "levels": [60]}
+        rows = runner._random_level_rows(ctx, 0, case, 60)
+        assert calls == [60, 60]
+        assert [row[0] for row in rows] == [f"random-{i}"
+                                            for i in range(per_level)]
+        assert all(row[-1] == "ok" and row[9] > 0.0 for row in rows)
+
+    def test_phase_identities_crash_contained(self, tmp_path):
+        cfg = load_config(str(Path(__file__).resolve().parents[1]
+                              / "configs" / "phase-identities.json"))
+        res = run(cfg, out_dir=tmp_path, seed=6)
+        assert res.exit_code == 3
+        for path in (res.csv_path, res.summary_path, res.manifest_path):
+            assert path.is_file()
+        header, rows = read_csv(res.csv_path)
+        assert [row[1] for row in rows[:4]] == ["2"] * 4
+        assert all(row[-1] == "ok" for row in rows[:4])
+        assert len(rows) == 5 and rows[4][-1].startswith("error: ")
+        failures = res.summary["computational_failures"]
+        assert [f["cell"] for f in failures] == ["(1, 3)"]
+        assert set(by_name(res)) == {
+            "derivative-factorization-n2", "curvature-vs-fd-n2",
+            "mixed-hessian-closed-n2", "mixed-hessian-fd-n2"}
 
 
 class TestEmitPlot:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermlp import normquad as NQ
+from hermlp import spectral as sp
 from hermlp.hermite import hermite_batch
 
 
@@ -174,3 +175,86 @@ class TestValidation:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             NQ.local_lp_norm(ground, BOX1, 0.5, osc_scale=1.0)
+
+
+class GaussWave2D:
+    """exp(-x^2) cos(3 y) on tensor axes."""
+
+    takes_axes = True
+
+    def __call__(self, xs, ys):
+        return np.exp(-xs * xs)[:, None] * np.cos(3.0 * ys)[None, :]
+
+
+def gauss_wave_points(pts):
+    pts = np.asarray(pts)
+    return np.exp(-pts[:, 0] * pts[:, 0]) * np.cos(3.0 * pts[:, 1])
+
+
+class Gauss3D:
+    takes_axes = True
+
+    def __call__(self, xs, ys, zs):
+        return (np.exp(-xs * xs)[:, None, None] * np.exp(-ys * ys)[None, :, None]
+                * np.cos(zs)[None, None, :])
+
+
+def gauss3_points(pts):
+    pts = np.asarray(pts)
+    return (np.exp(-pts[:, 0] * pts[:, 0]) * np.exp(-pts[:, 1] * pts[:, 1])
+            * np.cos(pts[:, 2]))
+
+
+def unique_gather(dense):
+    """Point form of a dense evaluator: axes rebuilt from the points."""
+
+    def at_points(pts):
+        pts = np.asarray(pts)
+        u1, inv1 = np.unique(pts[:, 0], return_inverse=True)
+        u2, inv2 = np.unique(pts[:, 1], return_inverse=True)
+        return dense(u1, u2)[inv1, inv2]
+
+    return at_points
+
+
+class TestAxesIntegrands:
+    """An axes integrand and its point form give bit-identical norms."""
+
+    @pytest.mark.parametrize("block", [NQ._BLOCK, 64])
+    @pytest.mark.parametrize("shape", ["ball", "box"])
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_matches_point_callable(self, monkeypatch, block, shape, p):
+        monkeypatch.setattr(NQ, "_BLOCK", block)
+        dom = NQ.Domain(shape, (0.3, -0.2), 1.1, NQ.TensorGrid(37))
+        a = NQ.local_lp_norm(GaussWave2D(), dom, p, osc_scale=3.0)
+        b = NQ.local_lp_norm(gauss_wave_points, dom, p, osc_scale=3.0)
+        assert a == b
+        assert a.nodes == 37 * 37 + 75 * 75
+
+    @pytest.mark.parametrize("block", [NQ._BLOCK, 64])
+    @pytest.mark.parametrize("shape", ["ball", "box"])
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_dense_eigenfunction_matches_gathered_points(self, monkeypatch,
+                                                         block, shape, p):
+        monkeypatch.setattr(NQ, "_BLOCK", block)
+        rng = np.random.default_rng(11)
+        dense = sp.DenseEigenfunction2D(30, rng.standard_normal(31))
+        dom = NQ.Domain(shape, (2.0, 0.5), 0.9, NQ.TensorGrid(70))
+        lam = dense.eigenvalue
+        a = NQ.local_lp_norm(dense, dom, p, osc_scale=lam)
+        b = NQ.local_lp_norm(unique_gather(dense), dom, p, osc_scale=lam)
+        assert a == b
+
+    @pytest.mark.parametrize("shape", ["ball", "box"])
+    def test_three_dimensional_blocks(self, monkeypatch, shape):
+        monkeypatch.setattr(NQ, "_BLOCK", 500)  # 20^2 inner nodes: 1 per block
+        dom = NQ.Domain(shape, (0.1, 0.0, -0.2), 0.8, NQ.TensorGrid(20))
+        for p in (2.0, math.inf):
+            a = NQ.local_lp_norm(Gauss3D(), dom, p, osc_scale=1.0)
+            b = NQ.local_lp_norm(gauss3_points, dom, p, osc_scale=1.0)
+            assert a == b
+
+    def test_monte_carlo_refuses_axes(self):
+        dom = NQ.Domain("ball", (0.0, 0.0, 0.0), 0.9, NQ.MonteCarlo(100, 1))
+        with pytest.raises(ValueError, match="tensor grid"):
+            NQ.local_lp_norm(Gauss3D(), dom, 2.0, osc_scale=1.0)

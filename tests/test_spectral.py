@@ -83,7 +83,7 @@ class TestEvaluation:
         c = rng.standard_normal(level + 1)
         xs = np.array([0.25, -1.0])
         ys = np.array([0.7, 0.0, 2.0])
-        grid = sp.eigenspace_eval_2d(level, c, xs, ys)
+        grid = sp.DenseEigenfunction2D(level, c)(xs, ys)
         assert grid.shape == (2, 3)
         for i, xv in enumerate(xs):
             for j, yv in enumerate(ys):
@@ -98,11 +98,13 @@ class TestEvaluation:
         c = np.ones(level + 1)
         xs = np.linspace(-1, 1, 5)
         hx = hermite_batch_grid(level, xs)
-        a = sp.eigenspace_eval_2d(level, c, xs, xs)
-        b = sp.eigenspace_eval_2d(level, c, xs, xs, axis_x=hx, axis_y=hx)
+        dense = sp.DenseEigenfunction2D(level, c)
+        a = dense(xs, xs)
+        b = (c[:, None] * hx).T @ hx[::-1]
         assert np.array_equal(a, b)
+        assert np.array_equal(dense(xs.copy(), xs.copy()), a)
         with pytest.raises(ValueError):
-            sp.eigenspace_eval_2d(level, c, xs, xs, axis_x=hx[:3])
+            dense.coefficients = c[:3]
 
     def test_random_coefficients_are_unit_and_seeded(self):
         es = sp.Eigenspace(40, 2)
@@ -224,23 +226,24 @@ class TestDenseEigenfunction2D:
         c = rng.standard_normal(13)
         dense = sp.DenseEigenfunction2D(12, c)
         sparse = sp.Eigenfunction(2, 12, [(a, 12 - a) for a in range(13)], c)
-        pts = rng.uniform(-3, 3, (200, 2))
-        np.testing.assert_allclose(dense(pts), sparse(pts), atol=1e-12)
+        xs = rng.uniform(-3, 3, 20)
+        ys = rng.uniform(-3, 3, 10)
+        pts = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")])
+        np.testing.assert_allclose(dense(xs, ys).ravel(), sparse(pts), atol=1e-12)
 
     def test_grid_reuse_is_deterministic(self):
         rng = np.random.default_rng(6)
         c = rng.standard_normal(21)
         dense = sp.DenseEigenfunction2D(20, c)
         xs = np.linspace(-4, 4, 13)
-        mesh = np.column_stack([g.ravel() for g in np.meshgrid(xs, xs, indexing="ij")])
-        first = dense(mesh)
-        second = dense(mesh)
+        first = dense(xs, xs)
+        second = dense(xs, xs)
         np.testing.assert_array_equal(first, second)
 
     def test_oracle_value(self):
         coeffs = [0.3, -1.1, 0.7, 0.05, -0.6, 1.3, -0.25]
         dense = sp.DenseEigenfunction2D(6, coeffs)
-        val = dense(np.array([[0.4, -1.2]]))[0]
+        val = dense(np.array([0.4]), np.array([-1.2]))[0, 0]
         assert val == pytest.approx(-0.37865067677897761934, rel=1e-10)
 
     def test_validation(self):
@@ -248,4 +251,4 @@ class TestDenseEigenfunction2D:
             sp.DenseEigenfunction2D(6, [1.0, 2.0])
         dense = sp.DenseEigenfunction2D(2, [1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            dense(np.zeros((4, 3)))
+            dense(np.zeros((4, 3)), np.zeros(4))
