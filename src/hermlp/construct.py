@@ -207,17 +207,13 @@ def _oscillatory_at(alpha1: int, x: float) -> bool:
     return x < u - u ** (-1.0 / 3.0)
 
 
-def tube_grid(tube: TubeSpec, n: int,
-              axis_points: int = _AXIS_POINTS,
-              cross_points: int = _CROSS_POINTS) -> np.ndarray:
-    """Tensor sample grid covering the tube, shape (m, n)."""
+def tube_axes(tube: TubeSpec, n: int) -> list:
+    """Tensor sample axes covering the tube: the first-axis nodes, then
+    the cross nodes once per transverse coordinate (n axes in all)."""
     ax1 = np.linspace(tube.x1_star - tube.half_length,
-                      tube.x1_star + tube.half_length, axis_points)
-    if n == 1:
-        return ax1[:, None]
-    cross = np.linspace(-tube.half_width, tube.half_width, cross_points)
-    mesh = np.meshgrid(ax1, *([cross] * (n - 1)), indexing="ij")
-    return np.column_stack([g.ravel() for g in mesh])
+                      tube.x1_star + tube.half_length, _AXIS_POINTS)
+    cross = np.linspace(-tube.half_width, tube.half_width, _CROSS_POINTS)
+    return [ax1] + [cross] * (n - 1)
 
 
 def build_concentrated(n: int, level: int, j: int, delta: float,
@@ -248,9 +244,8 @@ def build_concentrated(n: int, level: int, j: int, delta: float,
         raise ValueError("phase binning selected an empty bin")
     e = Eigenfunction(n, level, chosen,
                       [1.0] * len(chosen))
-    pts = tube_grid(tube, n)
     norm = e.global_l2_norm()
-    median = float(np.median(np.abs(e(pts)))) / norm
+    median = float(np.median(np.abs(e(*tube_axes(tube, n))))) / norm
     target = (tube.lam ** -0.5) * 2.0 ** (0.5 * j) * delta ** (-0.5 * (n - 1))
     return ConstructionReport(
         eigenfunction=e,

@@ -40,6 +40,37 @@ def _as_grid(xs) -> np.ndarray:
     return xs
 
 
+def _recurrence(xs: np.ndarray, k_stop: int):
+    """Yield (k, log_scale, cur) for k = 0..k_stop: the log-scaled
+    recurrence state, whose order-k value is cur * exp(log_scale).
+
+    The state is renormalized whenever |cur| exceeds 1e120, so the method
+    is stable for orders in the tens of thousands and |x| up to several
+    hundred.  The yielded arrays must not be modified.
+    """
+    log_scale = -0.5 * xs * xs - 0.25 * _LOG_PI
+    prev = np.zeros(xs.size)
+    cur = np.ones(xs.size)
+    for k in range(k_stop + 1):
+        yield k, log_scale, cur
+        if k == k_stop:
+            return
+        nxt = xs * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1)) * prev
+        prev, cur = cur, nxt
+        big = np.abs(cur) > _RESCALE_LIMIT
+        if big.any():
+            factor = np.where(big, np.abs(cur), 1.0)
+            cur = cur / factor
+            prev = prev / factor
+            log_scale = log_scale + np.log(factor)
+
+
+def _row_value(log_scale: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", under="ignore"):
+        mag = np.exp(log_scale + np.log(np.abs(cur)))
+    return np.where(cur == 0.0, 0.0, np.sign(cur) * mag)
+
+
 def hermite_batch_grid(k_max: int, xs) -> np.ndarray:
     """Evaluate all orders 0..k_max on a grid.
 
@@ -48,37 +79,15 @@ def hermite_batch_grid(k_max: int, xs) -> np.ndarray:
     magnitude is below the smallest positive float are returned as 0.0;
     this is the documented behaviour deep in the forbidden region rather
     than an error.
-
-    The recurrence state is kept as (log_scale, prev, cur) per point with
-    value = cur * exp(log_scale), and is renormalized whenever |cur|
-    exceeds 1e120, so the method is stable for k_max in the tens of
-    thousands and |x| up to several hundred.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     xs = _as_grid(xs)
-    m = xs.size
-    out = np.empty((k_max + 1, m), dtype=float)
-    if m == 0:
+    out = np.empty((k_max + 1, xs.size), dtype=float)
+    if xs.size == 0:
         return out
-
-    log_scale = -0.5 * xs * xs - 0.25 * _LOG_PI
-    prev = np.zeros(m)
-    cur = np.ones(m)
-    for k in range(k_max + 1):
-        with np.errstate(divide="ignore", under="ignore"):
-            mag = np.exp(log_scale + np.log(np.abs(cur)))
-        out[k] = np.where(cur == 0.0, 0.0, np.sign(cur) * mag)
-        if k == k_max:
-            break
-        nxt = xs * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1)) * prev
-        prev, cur = cur, nxt
-        big = np.abs(cur) > _RESCALE_LIMIT
-        if np.any(big):
-            factor = np.where(big, np.abs(cur), 1.0)
-            cur = cur / factor
-            prev = prev / factor
-            log_scale = log_scale + np.log(factor)
+    for k, log_scale, cur in _recurrence(xs, k_max):
+        out[k] = _row_value(log_scale, cur)
     return out
 
 
@@ -94,32 +103,16 @@ def hermite_batch(orders, xs) -> np.ndarray:
     if any(k < 0 for k in orders):
         raise ValueError("orders must be >= 0")
     xs = _as_grid(xs)
-    m = xs.size
-    out = np.empty((len(orders), m), dtype=float)
-    if m == 0:
+    out = np.empty((len(orders), xs.size), dtype=float)
+    if xs.size == 0:
         return out
     want: dict[int, list[int]] = {}
     for row, k in enumerate(orders):
         want.setdefault(int(k), []).append(row)
-
-    log_scale = -0.5 * xs * xs - 0.25 * _LOG_PI
-    prev = np.zeros(m)
-    cur = np.ones(m)
-    for k in range(max(want) + 1):
-        if k in want:
-            with np.errstate(divide="ignore", under="ignore"):
-                mag = np.exp(log_scale + np.log(np.abs(cur)))
-            row_val = np.where(cur == 0.0, 0.0, np.sign(cur) * mag)
-            for row in want[k]:
-                out[row] = row_val
-        nxt = xs * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1)) * prev
-        prev, cur = cur, nxt
-        big = np.abs(cur) > _RESCALE_LIMIT
-        if np.any(big):
-            factor = np.where(big, np.abs(cur), 1.0)
-            cur = cur / factor
-            prev = prev / factor
-            log_scale = log_scale + np.log(factor)
+    for k, log_scale, cur in _recurrence(xs, max(want)):
+        rows = want.get(k)
+        if rows:
+            out[rows] = _row_value(log_scale, cur)
     return out
 
 

@@ -9,11 +9,12 @@ and always requires an explicit seed.
 
 Integrands come in two forms.  A point integrand maps a (K, dim) array
 of points to K values.  An axes integrand has a true class attribute
-``takes_axes``; it is called with one 1-D array of nodes per axis and
-returns the tensor tile of values, shape (len(axis_0), ..., len(axis_n-1)).
-The tensor path hands each lead-axis block to an axes integrand as it
-is, so an evaluator with per-axis tables never sees a meshgrid; point
-integrands get the block's nodes flattened in index order.
+``takes_axes``; ``f(*axes, lead=slice(start, stop))`` gets the full
+1-D node array of every axis and returns the tensor tile of values on
+``axes[0][lead] x axes[1] x ...`` (``lead`` defaults to the whole axis).
+Every lead-axis block gets the same full axes, so an evaluator with
+per-axis tables builds each once per grid and never sees a meshgrid;
+point integrands get the block's nodes flattened in index order.
 
 The grid-spacing guard is the load-bearing contract: an eigenfunction
 at energy lambda^2 oscillates on scale 1/lambda, and concentrated
@@ -159,8 +160,8 @@ def _on_points(f):
     """Adapt a point integrand to the tensor-axes contract: build the
     tile's nodes from its axes, evaluate, and fold the values back."""
 
-    def on_axes(*axes):
-        mesh = np.meshgrid(*axes, indexing="ij")
+    def on_axes(*axes, lead=slice(None)):
+        mesh = np.meshgrid(axes[0][lead], *axes[1:], indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=-1)
         return np.asarray(f(pts), dtype=float).reshape(mesh[0].shape)
 
@@ -190,10 +191,10 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     best = 0.0
     count = 0
     for start in range(0, m, lead_block):
-        stop = min(m, start + lead_block)
-        block = [axes[0][start:stop]] + axes[1:]
-        vals = np.abs(np.asarray(on_axes(*block), dtype=float))
+        lead = slice(start, min(m, start + lead_block))
+        vals = np.abs(np.asarray(on_axes(*axes, lead=lead), dtype=float))
         if dom.shape == "ball":
+            block = [axes[0][lead]] + axes[1:]
             inside = _outer([(a - c) ** 2 for a, c in zip(block, dom.center)],
                             np.add) <= r2
         else:
@@ -203,9 +204,12 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
             if np.any(inside):
                 best = max(best, float(np.max(vals[inside])))
         else:
-            wtile = _outer([wts[start:stop]] + [wts] * (n - 1), np.multiply)
-            contrib = np.where(inside, vals**p * wtile, 0.0)
-            parts.append(_csum(contrib.ravel()))
+            # outside nodes would only add exact zeros to the fsum
+            wtile = _outer([wts[lead]] + [wts] * (n - 1), np.multiply)
+            contrib = vals[inside]
+            contrib **= p
+            contrib *= wtile[inside]
+            parts.append(_csum(contrib))
     if p == math.inf:
         return best, count
     total = _csum(parts)
@@ -249,11 +253,12 @@ def local_lp_norm(f, dom: Domain, p: float, *, osc_scale: float,
     """L^p norm of f over the domain.
 
     f maps an (K, dim) array of points to K values, vectorized, or, if
-    its class sets ``takes_axes = True``, maps one node array per axis to
-    the tensor tile of values (tensor grids only).  The tensor path
-    integrates |f|^p against Gauss-Legendre weights on the bounding box,
-    masking to the ball when asked; p = inf takes the nodewise max
-    instead; both forms give bit-identical results for the same values.
+    its class sets ``takes_axes = True``, ``f(*axes, lead=s)`` maps the
+    full node array of every axis to the tensor tile on ``axes[0][s] x
+    axes[1] x ...`` (tensor grids only).  The tensor path integrates
+    |f|^p against Gauss-Legendre weights on the bounding box, masking to
+    the ball when asked; p = inf takes the nodewise max instead; both
+    forms give bit-identical results for the same values.
     osc_scale is the oscillation frequency of the integrand (lambda for
     eigenfunctions at energy lambda^2); feature_scale is the finest
     structural width when that is smaller.

@@ -139,16 +139,38 @@ def projection_kernel_sum(level: int, dim: int, x, y, index_cap: int = 2_000_000
     return total
 
 
-def _table_key(xs: np.ndarray) -> bytes:
-    return xs.tobytes()
+class _AxesEvaluator:
+    """Axes integrand for ``normquad.local_lp_norm``: called with one 1-D
+    node array per axis and a ``lead`` slice of the first, it returns the
+    tile on ``axes[0][lead] x axes[1] x ...``.  The table of the last
+    nodes seen on each axis is kept, compared by value, so all lead
+    blocks of a grid, or repeated calls on it, share one recurrence.
+    """
+
+    takes_axes = True
+
+    def _node_axes(self, axes) -> list:
+        if len(axes) != self.dim:
+            raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if any(a.ndim != 1 for a in axes):
+            raise ValueError("axes must be 1-D node arrays")
+        return axes
+
+    def _table(self, axis: int, nodes: np.ndarray) -> np.ndarray:
+        kept = self._kept[axis]
+        if kept is None or not np.array_equal(kept[0], nodes):
+            kept = (nodes.copy(), self._build_table(axis, nodes))
+            self._kept[axis] = kept
+        return kept[1]
 
 
-class Eigenfunction:
-    """Sparse coefficient combination over one eigenspace, callable on points.
+class Eigenfunction(_AxesEvaluator):
+    """Sparse coefficient combination over one eigenspace, on tensor axes.
 
-    Evaluation caches per-axis Hermite tables keyed by the distinct
-    coordinate values seen, so tensor-product quadrature grids cost one
-    recurrence pass per axis rather than one per node.
+    ``e(x_0, ..., x_{n-1})`` is the tile sum_alpha c_alpha
+    prod_k f_{alpha_k}(x_k[i_k]), shape (len(x_0), ..., len(x_{n-1})),
+    from one Hermite table per axis over the orders its indices use.
     """
 
     def __init__(self, dim: int, level: int, indices, coefficients):
@@ -169,9 +191,10 @@ class Eigenfunction:
                 raise ValueError(f"index {alpha} is not in level {self.level}")
         self._axis_orders = [sorted({a[k] for a in self.indices})
                              for k in range(self.dim)]
-        self._order_pos = [{o: i for i, o in enumerate(orders)}
-                           for orders in self._axis_orders]
-        self._cache: dict[tuple[int, bytes], np.ndarray] = {}
+        self._rows = [tuple(orders.index(a) for a, orders
+                            in zip(alpha, self._axis_orders))
+                      for alpha in self.indices]
+        self._kept: list = [None] * self.dim  # (axis nodes, table) per axis
 
     @property
     def eigenvalue_squared(self) -> int:
@@ -184,59 +207,39 @@ class Eigenfunction:
     def global_l2_norm(self) -> float:
         return math.sqrt(math.fsum(c * c for c in self.coefficients))
 
-    def _axis_table(self, axis: int, uniq: np.ndarray) -> np.ndarray:
-        key = (axis, _table_key(uniq))
-        table = self._cache.get(key)
-        if table is None:
-            table = hermite_batch(self._axis_orders[axis], uniq)
-            if len(self._cache) > 64:
-                self._cache.clear()
-            self._cache[key] = table
-        return table
+    def _build_table(self, axis: int, nodes: np.ndarray) -> np.ndarray:
+        return hermite_batch(self._axis_orders[axis], nodes)
 
-    def __call__(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.shape[1] != self.dim:
-            raise ValueError("points have wrong dimension")
-        uniqs, invs, tables = [], [], []
-        for k in range(self.dim):
-            uniq, inv = np.unique(pts[:, k], return_inverse=True)
-            uniqs.append(uniq)
-            invs.append(inv)
-            tables.append(self._axis_table(k, uniq))
-        acc = np.zeros(pts.shape[0])
-        for alpha, c in zip(self.indices, self.coefficients):
-            term = np.full(pts.shape[0], c)
-            for k in range(self.dim):
-                term = term * tables[k][self._order_pos[k][alpha[k]]][invs[k]]
+    def __call__(self, *axes, lead=slice(None)) -> np.ndarray:
+        axes = self._node_axes(axes)
+        tables = [self._table(k, a) for k, a in enumerate(axes)]
+        tables[0] = tables[0][:, lead]
+        acc = np.zeros((tables[0].shape[1],) + tuple(a.size for a in axes[1:]))
+        for rows, c in zip(self._rows, self.coefficients):
+            term = c * tables[0][rows[0]]
+            for table, row in zip(tables[1:], rows[1:]):
+                term = term[..., None] * table[row]
             acc += term
         return acc
 
 
-class DenseEigenfunction2D:
+class DenseEigenfunction2D(_AxesEvaluator):
     """Full 2-D eigenspace combination, evaluated on tensor grids.
 
     Coefficient a pairs f_a on the first axis with f_{N-a} on the second,
     so ``dense(xs, ys)`` is the (len(xs), len(ys)) tile
     sum_a c_a f_a(x_i) f_{N-a}(y_j): one Hermite table per axis and one
     matrix product, which is what makes dense combinations at level a
-    few thousand affordable.  It is an axes integrand for
-    ``normquad.local_lp_norm`` (``takes_axes``).
-
-    The table of the last axis seen on each side is kept, so assigning
-    new ``coefficients`` and evaluating on the same grid again runs no
-    recurrence: many combinations over one level share their tables.
+    few thousand affordable.  Assigning new ``coefficients`` and
+    evaluating on the same grid again runs no recurrence: many
+    combinations over one level share their tables.
     """
-
-    takes_axes = True
 
     def __init__(self, level: int, coefficients):
         self.dim = 2
         self.level = int(level)
         self.coefficients = coefficients
-        self._tables: list = [None, None]  # (axis nodes, table) per side
+        self._kept: list = [None, None]  # (axis nodes, table) per side
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -257,19 +260,12 @@ class DenseEigenfunction2D:
         c = self.coefficients
         return math.sqrt(math.fsum(c * c))
 
-    def _axis_table(self, side: int, nodes: np.ndarray) -> np.ndarray:
-        kept = self._tables[side]
-        if kept is None or not np.array_equal(kept[0], nodes):
-            kept = (nodes.copy(), hermite_batch_grid(self.level, nodes))
-            self._tables[side] = kept
-        return kept[1]
+    def _build_table(self, axis: int, nodes: np.ndarray) -> np.ndarray:
+        return hermite_batch_grid(self.level, nodes)
 
-    def __call__(self, xs, ys) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or ys.ndim != 1:
-            raise ValueError("axes must be 1-D node arrays")
-        h1 = self._axis_table(0, xs)
-        h2 = self._axis_table(1, ys)
+    def __call__(self, xs, ys, *, lead=slice(None)) -> np.ndarray:
+        xs, ys = self._node_axes((xs, ys))
+        h1 = self._table(0, xs)[:, lead]
+        h2 = self._table(1, ys)
         # f_a on x pairs with f_{N-a} on y
         return (self.coefficients[:, None] * h1).T @ h2[::-1]

@@ -169,9 +169,9 @@ class TestTubeSpec:
 
     def test_grid_shape(self):
         spec = ct.TubeSpec.from_level(2, 800, 1, 0.3)
-        pts = ct.tube_grid(spec, 2)
-        assert pts.shape == (41 * 21, 2)
-        assert ct.tube_grid(spec, 1).shape == (41, 1)
+        assert [len(a) for a in ct.tube_axes(spec, 2)] == [41, 21]
+        assert [len(a) for a in ct.tube_axes(spec, 3)] == [41, 21, 21]
+        assert [len(a) for a in ct.tube_axes(spec, 1)] == [41]
 
 
 class TestBuildConcentrated:

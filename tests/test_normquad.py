@@ -182,7 +182,8 @@ class GaussWave2D:
 
     takes_axes = True
 
-    def __call__(self, xs, ys):
+    def __call__(self, xs, ys, lead=slice(None)):
+        xs = xs[lead]
         return np.exp(-xs * xs)[:, None] * np.cos(3.0 * ys)[None, :]
 
 
@@ -194,7 +195,8 @@ def gauss_wave_points(pts):
 class Gauss3D:
     takes_axes = True
 
-    def __call__(self, xs, ys, zs):
+    def __call__(self, xs, ys, zs, lead=slice(None)):
+        xs = xs[lead]
         return (np.exp(-xs * xs)[:, None, None] * np.exp(-ys * ys)[None, :, None]
                 * np.cos(zs)[None, None, :])
 
@@ -205,16 +207,32 @@ def gauss3_points(pts):
             * np.cos(pts[:, 2]))
 
 
-def unique_gather(dense):
-    """Point form of a dense evaluator: axes rebuilt from the points."""
+def unique_gather(evaluator):
+    """Point form of an axes evaluator: axes rebuilt from the points."""
 
     def at_points(pts):
-        pts = np.asarray(pts)
-        u1, inv1 = np.unique(pts[:, 0], return_inverse=True)
-        u2, inv2 = np.unique(pts[:, 1], return_inverse=True)
-        return dense(u1, u2)[inv1, inv2]
+        found = [np.unique(col, return_inverse=True) for col in np.asarray(pts).T]
+        return evaluator(*(u for u, _ in found))[tuple(inv for _, inv in found)]
 
     return at_points
+
+
+def dense_case(shape):
+    rng = np.random.default_rng(11)
+    dense = sp.DenseEigenfunction2D(30, rng.standard_normal(31))
+    return dense, NQ.Domain(shape, (2.0, 0.5), 0.9, NQ.TensorGrid(70))
+
+
+def sparse_case_2d(shape):
+    e = sp.Eigenfunction(2, 30, [(a, 30 - a) for a in (0, 7, 12, 30)],
+                         [0.5, -1.0, 0.25, 2.0])
+    return e, NQ.Domain(shape, (2.0, 0.5), 0.9, NQ.TensorGrid(70))
+
+
+def sparse_case_3d(shape):
+    e = sp.Eigenfunction(3, 8, [(2, 5, 1), (8, 0, 0), (0, 4, 4)],
+                         [1.0, -0.75, 0.5])
+    return e, NQ.Domain(shape, (0.3, -0.2, 0.1), 0.45, NQ.TensorGrid(24))
 
 
 class TestAxesIntegrands:
@@ -231,19 +249,37 @@ class TestAxesIntegrands:
         assert a == b
         assert a.nodes == 37 * 37 + 75 * 75
 
-    @pytest.mark.parametrize("block", [NQ._BLOCK, 64])
+    @pytest.mark.parametrize("block, case", [
+        pytest.param(block, case, id=f"{block}{suffix}")
+        for case, suffix in [(dense_case, ""), (sparse_case_2d, "-sparse2"),
+                             (sparse_case_3d, "-sparse3")]
+        for block in (NQ._BLOCK, 64)])
     @pytest.mark.parametrize("shape", ["ball", "box"])
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_dense_eigenfunction_matches_gathered_points(self, monkeypatch,
-                                                         block, shape, p):
+                                                         block, case, shape, p):
         monkeypatch.setattr(NQ, "_BLOCK", block)
-        rng = np.random.default_rng(11)
-        dense = sp.DenseEigenfunction2D(30, rng.standard_normal(31))
-        dom = NQ.Domain(shape, (2.0, 0.5), 0.9, NQ.TensorGrid(70))
-        lam = dense.eigenvalue
-        a = NQ.local_lp_norm(dense, dom, p, osc_scale=lam)
-        b = NQ.local_lp_norm(unique_gather(dense), dom, p, osc_scale=lam)
+        evaluator, dom = case(shape)
+        lam = evaluator.eigenvalue
+        a = NQ.local_lp_norm(evaluator, dom, p, osc_scale=lam)
+        b = NQ.local_lp_norm(unique_gather(evaluator), dom, p, osc_scale=lam)
         assert a == b
+
+    @pytest.mark.parametrize("case", [dense_case, sparse_case_2d,
+                                      sparse_case_3d])
+    def test_one_recurrence_per_axis(self, monkeypatch, case):
+        evaluator, dom = case("ball")
+        m = dom.quad.points_per_axis
+        # lead blocks of 3 nodes, so the lead axis is cut into at least 3
+        monkeypatch.setattr(NQ, "_BLOCK", 3 * m ** (dom.dim - 1))
+        calls = []
+        for name in ("hermite_batch", "hermite_batch_grid"):
+            real = getattr(sp, name)
+            monkeypatch.setattr(sp, name, lambda *a, real=real:
+                                calls.append(a) or real(*a))
+        NQ.local_lp_norm(evaluator, dom, 2.0, osc_scale=evaluator.eigenvalue,
+                         with_error=False)
+        assert len(calls) == dom.dim
 
     @pytest.mark.parametrize("shape", ["ball", "box"])
     def test_three_dimensional_blocks(self, monkeypatch, shape):

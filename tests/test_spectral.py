@@ -160,25 +160,24 @@ class TestEigenfunction:
     def test_ground_state_at_origin(self):
         for dim in (1, 2, 3):
             e = sp.Eigenfunction(dim, 0, [(0,) * dim], [1.0])
-            at0 = e(np.zeros((1, dim)))[0]
+            at0 = e(*[[0.0]] * dim)[(0,) * dim]
             assert at0 == pytest.approx(math.pi ** (-dim / 4), rel=1e-14)
 
     def test_odd_factor_vanishes_on_its_axis(self):
         e = sp.Eigenfunction(2, 1, [(1, 0)], [1.0])
         ys = np.linspace(-3, 3, 11)
-        pts = np.column_stack([np.zeros_like(ys), ys])
-        assert np.max(np.abs(e(pts))) == 0.0
+        assert np.max(np.abs(e([0.0], ys))) == 0.0
 
     def test_matches_high_precision_oracle(self):
         # level-6 dense combination at (0.4, -1.2); 40-digit reference
         coeffs = [0.3, -1.1, 0.7, 0.05, -0.6, 1.3, -0.25]
         e = sp.Eigenfunction(2, 6, [(a, 6 - a) for a in range(7)], coeffs)
-        val = e(np.array([[0.4, -1.2]]))[0]
+        val = e([0.4], [-1.2])[0, 0]
         assert val == pytest.approx(-0.37865067677897761934, rel=1e-10)
 
     def test_single_term_oracle_dim_three(self):
         e = sp.Eigenfunction(3, 8, [(2, 5, 1)], [1.0])
-        val = e(np.array([[0.9, -0.3, 1.7]]))[0]
+        val = e([0.9], [-0.3], [1.7])[0, 0, 0]
         assert val == pytest.approx(-0.034409187143491671533, rel=1e-10)
 
     def test_matches_per_index_evaluation(self):
@@ -186,11 +185,13 @@ class TestEigenfunction:
         idx = [(2, 4), (6, 0), (3, 3)]
         cfs = [0.5, -1.25, 0.75]
         e = sp.Eigenfunction(2, 6, idx, cfs)
-        pts = rng.uniform(-2.5, 2.5, (64, 2))
+        xs = rng.uniform(-2.5, 2.5, 8)
+        ys = rng.uniform(-2.5, 2.5, 8)
+        pts = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")])
         direct = sum(
             c * sp.eigenfunction_at_points(a, pts) for a, c in zip(idx, cfs)
         )
-        np.testing.assert_allclose(e(pts), direct, atol=1e-13)
+        np.testing.assert_allclose(e(xs, ys).ravel(), direct, atol=1e-13)
 
     def test_norm_and_eigenvalue(self):
         e = sp.Eigenfunction(2, 6, [(2, 4), (6, 0)], [3.0, 4.0])
@@ -218,6 +219,11 @@ class TestEigenfunction:
             sp.Eigenfunction(2, 6, [], [])  # empty
         with pytest.raises(ValueError):
             sp.Eigenfunction(2, 6, [(-1, 7)], [1.0])  # negative order
+        e = sp.Eigenfunction(2, 6, [(2, 4)], [1.0])
+        with pytest.raises(ValueError):
+            e(np.zeros(3))  # one axis for a 2-D eigenfunction
+        with pytest.raises(ValueError):
+            e(np.zeros((3, 2)), np.zeros(3))  # not a 1-D axis
 
 
 class TestDenseEigenfunction2D:
@@ -228,8 +234,7 @@ class TestDenseEigenfunction2D:
         sparse = sp.Eigenfunction(2, 12, [(a, 12 - a) for a in range(13)], c)
         xs = rng.uniform(-3, 3, 20)
         ys = rng.uniform(-3, 3, 10)
-        pts = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")])
-        np.testing.assert_allclose(dense(xs, ys).ravel(), sparse(pts), atol=1e-12)
+        np.testing.assert_allclose(dense(xs, ys), sparse(xs, ys), atol=1e-12)
 
     def test_grid_reuse_is_deterministic(self):
         rng = np.random.default_rng(6)
