@@ -80,6 +80,12 @@ def cutoff_taper(t):
 
     Satisfies cutoff_taper(t) + cutoff_taper(pi/2 - t) = 1, which is what
     makes the two half-window integrals an exact partition of the fold.
+
+    For t <= pi/8 the step argument clips to 0.0, _step_poly(0.0) is
+    0.0 and the taper is exactly 1.0, so multiplying by it changes no
+    bit.  The quadrature therefore applies it only on dyadic levels
+    reaching above pi/8 (the first two); every deeper level, which holds
+    almost all the nodes, skips it.
     """
     t = np.asarray(t, dtype=float)
     return 1.0 - smoothstep7((t - FLAT_END) / (0.25 * math.pi))
@@ -112,7 +118,9 @@ def _level_contribution(x, y, r: float, n: int, lo: float, hi: float,
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     ts = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    amp = cutoff_taper(ts) * np.sin(2.0 * ts) ** (-0.5 * n)
+    amp = np.sin(2.0 * ts) ** (-0.5 * n)
+    if hi > FLAT_END:
+        amp = cutoff_taper(ts) * amp
     vals = amp * np.exp(1j * r * ph.phase_value(ts, x, y))
     total = half * np.dot(vals.reshape(panels, -1), _GL_W).sum()
     return complex(total), ts.size

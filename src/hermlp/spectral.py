@@ -41,26 +41,31 @@ def multiplicity(level: int, dim: int) -> int:
     return math.comb(level + dim - 1, dim - 1)
 
 
+def _index_array(level: int, dim: int) -> np.ndarray:
+    """The (multiplicity, dim) array of :func:`level_indices`, in its order.
+
+    Built one axis at a time: every row with ``rest`` left to spend is
+    repeated rest + 1 times, taking rest, rest - 1, ..., 0 on the new
+    axis, which keeps the rows lexicographically decreasing.
+    """
+    rows = np.zeros((1, 0), dtype=np.intp)
+    rest = np.array([level], dtype=np.intp)
+    for _ in range(dim - 1):
+        counts = rest + 1
+        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0),
+                                np.repeat(rest, counts) - offset])
+        rest = offset
+    return np.column_stack([rows, rest])
+
+
 def level_indices(level: int, dim: int) -> Iterator[tuple[int, ...]]:
     """All multi-indices alpha >= 0 with |alpha| = level, lexicographically
     decreasing from (level, 0, ..., 0).
     """
     if level < 0 or dim < 1:
         raise ValueError("need level >= 0 and dim >= 1")
-    a = [level] + [0] * (dim - 1)
-    while True:
-        yield tuple(a)
-        # rightmost entry before the last that can still donate
-        i = dim - 2
-        while i >= 0 and a[i] == 0:
-            i -= 1
-        if i < 0:
-            return
-        a[i] -= 1
-        tail = sum(a[i + 1 :]) + 1
-        for j in range(i + 1, dim):
-            a[j] = 0
-        a[i + 1] = tail
+    yield from map(tuple, _index_array(level, dim).tolist())
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,12 @@ def projection_kernel_sum(level: int, dim: int, x, y, index_cap: int = 2_000_000
     """Spectral projection kernel at (x, y) as the exact eigenbasis sum.
 
     Cost is O(level) in one and two dimensions and O(multiplicity * dim)
-    otherwise; ``index_cap`` guards the general path.
+    otherwise; ``index_cap`` guards the general path, before anything is
+    allocated.  For dim >= 3 the per-index products are gathered from one
+    Hermite table over the whole index array, axis by axis left to right,
+    and the terms are summed strictly left to right in
+    :func:`level_indices` order (a cumulative sum, not numpy's pairwise
+    ``sum``), so the result is the scalar loop's bit for bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -128,15 +138,13 @@ def projection_kernel_sum(level: int, dim: int, x, y, index_cap: int = 2_000_000
     if multiplicity(level, dim) > index_cap:
         raise ValueError("eigenspace too large for direct summation")
     h = hermite_batch_grid(level, np.concatenate([x, y]))
-    total = 0.0
-    for alpha in level_indices(level, dim):
-        px = 1.0
-        py = 1.0
-        for axis, k in enumerate(alpha):
-            px *= h[k, axis]
-            py *= h[k, dim + axis]
-        total += px * py
-    return total
+    alpha = _index_array(level, dim)
+    px = h[alpha[:, 0], 0]
+    py = h[alpha[:, 0], dim]
+    for axis in range(1, dim):
+        px = px * h[alpha[:, axis], axis]
+        py = py * h[alpha[:, axis], dim + axis]
+    return np.cumsum(np.concatenate([[0.0], px * py]))[-1]
 
 
 class _AxesEvaluator:

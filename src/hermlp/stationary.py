@@ -30,6 +30,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+PANEL_BLOCK = 1024  # panels per amplitude/phase call in the reference quadrature
 
 
 class ConditioningError(RuntimeError):
@@ -251,16 +252,21 @@ def oscillatory_quadrature(amplitude, phase, lam: float, lo: float, hi: float,
     """Composite Gauss-Legendre value of the full oscillatory integral.
 
     Panel count must resolve the fastest oscillation: lam * phase change
-    per panel of a few radians.  Meant as an independent reference for
-    the expansion, not as a fast path.
+    per panel of a few radians.  ``amplitude`` and ``phase`` are called
+    on 1-D node arrays covering up to ``PANEL_BLOCK`` panels at a time
+    (the bound keeps memory flat at large lam), and must act elementwise;
+    the panel sums are added one at a time in panel order.  Meant as an
+    independent reference for the expansion, not as a fast path.
     """
     base_x, base_w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(lo, hi, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * (edges[1:] - edges[:-1])
     total = 0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        ts = mid + half * base_x
+    for start in range(0, panels, PANEL_BLOCK):
+        block = slice(start, start + PANEL_BLOCK)
+        ts = (mids[block, None] + halves[block, None] * base_x).ravel()
         vals = amplitude(ts) * np.exp(1j * lam * phase(ts))
-        total += half * np.dot(base_w, vals)
+        for half, row in zip(halves[block], vals.reshape(-1, nodes)):
+            total += half * np.dot(base_w, row)
     return complex(total)

@@ -70,6 +70,71 @@ class TestCutoffTaper:
         assert np.all(np.diff(cutoff_taper(t)) <= 0.0)
 
 
+def _dyadic_level(k):
+    return WINDOW_END / 2 ** (k + 1), WINDOW_END / 2**k
+
+
+def _tapered_level(x, y, r, n, lo, hi, panel_cap):
+    """The level sum with the taper applied to every node, flat or not."""
+    probe = np.linspace(lo, hi, 33)
+    dpsi = np.abs(mehler.ph.phase_derivative(probe, x, y))
+    span = r * float(np.max(dpsi)) * (hi - lo)
+    panels = int(max(4, math.ceil(span / 5.0)))
+    edges = np.linspace(lo, hi, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    ts = (mids[:, None] + half * mehler._GL_X[None, :]).ravel()
+    amp = cutoff_taper(ts) * np.sin(2.0 * ts) ** (-0.5 * n)
+    vals = amp * np.exp(1j * r * mehler.ph.phase_value(ts, x, y))
+    total = half * np.dot(vals.reshape(panels, -1), mehler._GL_W).sum()
+    return complex(total), ts.size
+
+
+class TestLevelTaper:
+    CASES = [
+        (np.array([0.3]), np.array([-0.2]), 101.0),
+        (np.array([0.3, -0.5]), np.array([-0.6, 0.2]), 402.0),
+        (np.array([0.1, 0.4, -0.3]), np.array([-0.5, 0.2, 0.6]), 203.0),
+    ]
+
+    def _count_taper(self, monkeypatch):
+        calls = []
+
+        def counting(t):
+            calls.append(np.size(t))
+            return cutoff_taper(t)
+
+        monkeypatch.setattr(mehler, "cutoff_taper", counting)
+        return calls
+
+    def test_flat_levels_skip_the_taper(self, monkeypatch):
+        calls = self._count_taper(monkeypatch)
+        for k in range(2, 8):
+            lo, hi = _dyadic_level(k)
+            assert hi <= FLAT_END
+            mehler._level_contribution(np.array([0.3]), np.array([-0.2]),
+                                       101.0, 1, lo, hi, 200_000)
+        assert calls == []
+
+    def test_top_levels_apply_the_taper(self, monkeypatch):
+        calls = self._count_taper(monkeypatch)
+        for k in (0, 1):
+            lo, hi = _dyadic_level(k)
+            assert hi > FLAT_END
+            _, used = mehler._level_contribution(
+                np.array([0.3]), np.array([-0.2]), 101.0, 1, lo, hi, 200_000)
+            assert calls[-1] == used
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_levels_match_the_tapered_form_exactly(self, case):
+        x, y, r = self.CASES[case]
+        for k in range(8):
+            lo, hi = _dyadic_level(k)
+            got = mehler._level_contribution(x, y, r, x.size, lo, hi, 200_000)
+            assert got == _tapered_level(x, y, r, x.size, lo, hi, 200_000)
+
+
 class TestNormalization:
     def test_ground_state_origin(self):
         # closed form: the two half-integrals collapse to a beta function

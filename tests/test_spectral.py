@@ -35,11 +35,35 @@ class TestLevels:
         assert sp.multiplicity(7, 1) == 1
 
 
+def _scalar_indices(level, dim):
+    """Multi-indices of |alpha| = level, lexicographically decreasing, one
+    at a time: the rightmost nonzero entry before the last donates one."""
+    a = [level] + [0] * (dim - 1)
+    while True:
+        yield tuple(a)
+        i = dim - 2
+        while i >= 0 and a[i] == 0:
+            i -= 1
+        if i < 0:
+            return
+        a[i] -= 1
+        tail = sum(a[i + 1:]) + 1
+        for j in range(i + 1, dim):
+            a[j] = 0
+        a[i + 1] = tail
+
+
 class TestIndexEnumeration:
     def test_small_case_exact_order(self):
         assert list(sp.level_indices(2, 3)) == [
             (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
         ]
+
+    def test_matches_scalar_enumeration(self):
+        for dim in range(1, 6):
+            for level in range(12):
+                assert list(sp.level_indices(level, dim)) == \
+                    list(_scalar_indices(level, dim))
 
     def test_dim_one(self):
         assert list(sp.level_indices(9, 1)) == [(9,)]
@@ -150,6 +174,31 @@ class TestKernelSum:
         k_diag = np.array([sp.projection_kernel_sum(level, 1, [x], [x]) for x in xs])
         total = np.trapezoid(k_diag, xs)
         assert total == pytest.approx(1.0, abs=1e-7)
+
+    @staticmethod
+    def _scalar_sum(level, dim, x, y):
+        """The kernel sum as a plain loop over a scalar index enumeration."""
+        h = hermite_batch_grid(level, np.concatenate([x, y]))
+        total = 0.0
+        for alpha in _scalar_indices(level, dim):
+            px = 1.0
+            py = 1.0
+            for axis, k in enumerate(alpha):
+                px *= h[k, axis]
+                py *= h[k, dim + axis]
+            total += px * py
+        return total
+
+    @pytest.mark.parametrize("dim,top", [(3, 40), (4, 12)])
+    def test_matches_scalar_loop_exactly(self, dim, top):
+        rng = np.random.default_rng(dim)
+        for level in range(top + 1):
+            for x, y in ((rng.uniform(-3, 3, dim), rng.uniform(-3, 3, dim)),
+                         (np.zeros(dim), rng.uniform(-3, 3, dim))):
+                got = sp.projection_kernel_sum(level, dim, x, y)
+                want = self._scalar_sum(level, dim, x, y)
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_index_cap(self):
         with pytest.raises(ValueError):

@@ -160,6 +160,47 @@ class TestAgainstQuadrature:
         assert abs(e.evaluate(lam) - ref) / abs(ref) < 2e-3
 
 
+def _per_panel_quadrature(amplitude, phase, lam, lo, hi, panels, nodes):
+    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    total = 0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        ts = mid + half * base_x
+        vals = amplitude(ts) * np.exp(1j * lam * phase(ts))
+        total += half * np.dot(base_w, vals)
+    return complex(total)
+
+
+class TestQuadratureBlocks:
+    block = sph.PANEL_BLOCK
+
+    @pytest.mark.parametrize("panels", [1, 300, sph.PANEL_BLOCK,
+                                        2 * sph.PANEL_BLOCK + 7])
+    def test_matches_per_panel_loop_exactly(self, panels):
+        for lam, nodes in ((40.0, 16), (900.0, 24)):
+            got = sph.oscillatory_quadrature(bump_amp, cubic_phase, lam,
+                                             -BUMP_W, BUMP_W, panels, nodes)
+            want = _per_panel_quadrature(bump_amp, cubic_phase, lam,
+                                         -BUMP_W, BUMP_W, panels, nodes)
+            assert got == want
+
+    def test_callables_see_bounded_1d_blocks(self):
+        nodes = 16
+        panels = 2 * self.block + 7
+        sizes = []
+
+        def amplitude(t):
+            assert t.ndim == 1 and t.size <= self.block * nodes
+            sizes.append(t.size)
+            return bump_amp(t)
+
+        sph.oscillatory_quadrature(amplitude, cubic_phase, 500.0, -BUMP_W,
+                                   BUMP_W, panels, nodes)
+        assert sizes == [self.block * nodes, self.block * nodes, 7 * nodes]
+
+
 class TestCallableRoute:
     def test_m1_matches_series_route(self):
         e_cheb = sph.expand_from_callables(cubic_phase, bump_amp, 0.0, 0.55, m=1)
