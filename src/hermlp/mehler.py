@@ -39,6 +39,15 @@ FLAT_END = math.pi / 8.0
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
+# Most panels per gemv in a level sum.  OpenBLAS hands a complex gemv of
+# 4096 elements (256 panels x 16 nodes) or more to its worker threads,
+# which then spin for a while after every call; at the deep levels of
+# every kernel evaluation that keeps a second core busy for no speed-up
+# and ties the run time to the machine's other load.  Smaller blocks stay
+# on the calling thread, and each panel's dot product is the same bit
+# for bit.
+_DOT_ROWS = 255
+
 
 class NearDiagonalError(ValueError):
     """Oscillatory route refused; use the eigenbasis sum for this pair."""
@@ -103,6 +112,16 @@ class HalfIntegral:
     evals: int
 
 
+def _panel_sums(rows: np.ndarray) -> np.ndarray:
+    """np.dot(rows, _GL_W), one gemv per block of at most _DOT_ROWS rows.
+
+    array_split keeps every block of a multi-row input above one row,
+    where numpy would swap the gemv for a dot that rounds differently.
+    """
+    blocks = np.array_split(rows, -(-len(rows) // _DOT_ROWS))
+    return np.concatenate([np.dot(block, _GL_W) for block in blocks])
+
+
 def _level_contribution(x, y, r: float, n: int, lo: float, hi: float,
                         panel_cap: int) -> tuple[complex, int]:
     probe = np.linspace(lo, hi, 33)
@@ -122,7 +141,7 @@ def _level_contribution(x, y, r: float, n: int, lo: float, hi: float,
     if hi > FLAT_END:
         amp = cutoff_taper(ts) * amp
     vals = amp * np.exp(1j * r * ph.phase_value(ts, x, y))
-    total = half * np.dot(vals.reshape(panels, -1), _GL_W).sum()
+    total = half * _panel_sums(vals.reshape(panels, -1)).sum()
     return complex(total), ts.size
 
 

@@ -135,6 +135,31 @@ class TestLevelTaper:
             assert got == _tapered_level(x, y, r, x.size, lo, hi, 200_000)
 
 
+class TestPanelSums:
+    @pytest.mark.parametrize("panels", [4, 255, 256, 257, 511, 766, 1025, 4097, 5678])
+    def test_matches_one_gemv_exactly(self, panels):
+        rng = np.random.default_rng(panels)
+        rows = rng.standard_normal((panels, 16)) + 1j * rng.standard_normal((panels, 16))
+        got = mehler._panel_sums(rows)
+        want = np.dot(rows, mehler._GL_W)
+        assert np.array_equal(got.view(float), want.view(float))
+
+    def test_blocks_stay_below_the_threading_size(self, monkeypatch):
+        seen = []
+        dot = np.dot
+
+        def recording(a, b):
+            seen.append(len(a))
+            return dot(a, b)
+
+        monkeypatch.setattr(mehler.np, "dot", recording)
+        mehler._panel_sums(np.ones((4097, 16), dtype=complex))
+        assert sum(seen) == 4097
+        assert 1 < min(seen) and max(seen) <= mehler._DOT_ROWS
+        # OpenBLAS threads a complex gemv from 4096 elements on
+        assert mehler._DOT_ROWS * mehler._GL_W.size < 4096
+
+
 class TestNormalization:
     def test_ground_state_origin(self):
         # closed form: the two half-integrals collapse to a beta function
