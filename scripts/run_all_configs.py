@@ -23,7 +23,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--configs-dir", default=repo / "configs", type=Path)
     ap.add_argument("--out-root", default=repo / "runs", type=Path)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--quick", action="store_true",
                     help="skip the long sweep configs: " + ", ".join(SLOW))
     ap.add_argument("--only", action="append", default=[],
@@ -51,8 +50,7 @@ def main() -> int:
             worst = max(worst, 2)
             report.append((path.stem, "config error", 0.0))
             continue
-        result = run(config, out_dir=args.out_root / path.stem,
-                     threads=args.threads)
+        result = run(config, out_dir=args.out_root / path.stem)
         for a in result.assertions:
             mark = "PASS" if a.passed else "FAIL"
             print(f"{path.stem}: {mark} {a.name}: "

@@ -34,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="path to a JSON experiment config")
         sp.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="parallel grid cells (row order is unaffected)")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed override for every random draw")
         sp.add_argument("--tolerance-scale", type=float, default=None,
@@ -73,8 +71,8 @@ def _run_experiment(args) -> int:
         print(f"config error: {args.config} is a {config.experiment!r} "
               f"config, not {args.command!r}", file=sys.stderr)
         return EXIT_CONFIG
-    result = run(config, out_dir=args.out, threads=args.threads,
-                 seed=args.seed, tolerance_scale=args.tolerance_scale)
+    result = run(config, out_dir=args.out, seed=args.seed,
+                 tolerance_scale=args.tolerance_scale)
     for a in result.assertions:
         status = "PASS" if a.passed else "FAIL"
         print(f"{status} {a.name}: {a.observed:.6g} {a.op} {a.limit:.6g}")

@@ -45,7 +45,7 @@ class ExperimentConfig:
     experiment: str
     parameters: dict = field(default_factory=dict)
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted and ignored; see parse_config
     tolerance_scale: float = 1.0
     out: str | None = None
 
@@ -415,6 +415,8 @@ def _params_saturate(s: _Scope) -> dict:
         "band_limit": s.take("band_limit", _num_in(1.0, lo_open=True), 10.0),
         "slope_limit": s.take("slope_limit",
                               _num_in(0.0, lo_open=True), 0.1),
+        # recorded ceiling for measured ratio / envelope across all sampled
+        # (center, radius, p); the sharp inequality direction of the envelope
         "upper_bound": s.take("upper_bound", _num_in(0.0, lo_open=True), 4.0),
         "median_factor": s.take("median_factor",
                                 _num_in(1.0, lo_open=True), 10.0),
@@ -500,6 +502,8 @@ def parse_config(data, source: str = "config") -> ExperimentConfig:
     top = _Scope(data, "", violations)
     experiment = top.take("experiment", _choice(EXPERIMENTS))
     seed = top.take("seed", _int_in(0, 2**64 - 1), 0)
+    # "threads" is accepted, validated and ignored: cells run one after
+    # another in grid order.  It is kept for configs that still set it.
     threads = top.take("threads", _int_in(1, 256), 1)
     tol_scale = top.take("tolerance_scale", _num_in(0.0, lo_open=True), 1.0)
     out_dir = top.take("out", lambda v: (v, None) if isinstance(v, str)

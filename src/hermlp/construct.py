@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import lambda_lp, mu_params
+from .bounds import lambda_lp
 from .hermite import decay_action, phase_action
 from .normquad import Domain, TensorGrid, local_lp_norm
 from .spectral import Eigenfunction
@@ -36,10 +36,6 @@ TUBE_C1 = 0.125
 TUBE_C2 = 0.125
 DEFAULT_BINS = 8
 DEFAULT_WINDOW = 2.0
-
-# Recorded ceiling for measured ratio / envelope across all sampled
-# (center, radius, p); the sharp inequality direction of the envelope.
-UPPER_RATIO_BOUND = 4.0
 
 _AXIS_POINTS = 41
 _CROSS_POINTS = 21

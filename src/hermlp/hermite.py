@@ -12,14 +12,13 @@ exponential tail to premature underflow.
 
 The second half of the module provides the semiclassical profile for a
 single order k: turning point, phase/decay actions, regime classification
-around the turning point, and a pointwise asymptotic approximation whose
-amplitude constants can be calibrated empirically against exact values.
+around the turning point, and a pointwise asymptotic approximation with
+nominal amplitude constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -236,43 +235,3 @@ def szego_eval(k: int, xs):
         values[dec] = sign * mag
         envelope[dec] = mag
     return values, envelope, regimes
-
-
-@dataclass(frozen=True)
-class AmplitudeCalibration:
-    """Measured amplitude ratios of exact values against the profile shapes."""
-
-    order: int
-    oscillatory: float
-    transition: float
-    decay: float
-
-
-def calibrate_amplitude(k: int, samples: int = 400) -> AmplitudeCalibration:
-    """Measure the profile amplitudes of order k from exact evaluations.
-
-    oscillatory: max of |f_k| * (u^2-x^2)^{1/4} over the inner 80% of the
-    well, which tracks AMP_OSCILLATORY once k is moderately large.
-    transition: max of |f_k| / u^(-1/6) over the turning-point band.
-    decay: median of |f_k| * (x^2-u^2)^{1/4} * exp(+decay action) over a
-    short reach beyond the band.
-    """
-    if k < 4:
-        raise ValueError("calibration needs k >= 4")
-    u = turning_point(k)
-    band = u ** (-1.0 / 3.0)
-
-    xo = np.linspace(0.0, 0.8 * u, samples)
-    fo = hermite_batch([k], xo)[0]
-    osc = float(np.max(np.abs(fo) * ((u - xo) * (u + xo)) ** 0.25))
-
-    xt = np.linspace(u - band, u + band, samples)
-    ft = hermite_batch([k], xt)[0]
-    trans = float(np.max(np.abs(ft)) / u ** (-1.0 / 6.0))
-
-    xd = np.linspace(u + band, u + band + 2.0, samples)
-    fd = hermite_batch([k], xd)[0]
-    ratios = np.abs(fd) * ((xd - u) * (xd + u)) ** 0.25
-    ratios = ratios * np.exp([decay_action(x, u) for x in xd])
-    dec = float(np.median(ratios))
-    return AmplitudeCalibration(order=k, oscillatory=osc, transition=trans, decay=dec)

@@ -286,41 +286,6 @@ def kernel_oscillatory(x, y, r: int, tol: float = 1e-8) -> KernelValue:
     )
 
 
-# ---------------------------------------------------------- leading model ----
-
-@dataclass(frozen=True)
-class LeadingPiece:
-    point: ph.CriticalPoint
-    scale: float  # r^{-1/2} disc^{-1/4} (sin 2t)^{-(n-1)/2}
-    value: complex  # scale * exp(i r psi(t))
-
-
-def leading_scales(x, y, r: float) -> list[LeadingPiece]:
-    """Bare size and phase of each stationary contribution to A(x, y).
-
-    Takes rescaled coordinates (turning sphere at radius one), like the
-    phase module it reads the critical points from.  The scale
-    r^{-1/2} disc^{-1/4} (sin 2t)^{-(n-1)/2} is the stationary phase
-    magnitude with all dimension-independent constants stripped; it is
-    what the sharp kernel bounds are phrased against.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = x.size
-    cps = ph.critical_points(x, y)
-    out = []
-    for p in ph.stationary_points_in(x, y, WINDOW_END):
-        scale = (
-            r ** -0.5
-            * cps.disc ** -0.25
-            * p.sin2t ** (-0.5 * (n - 1))
-        )
-        psi_val = float(ph.phase_value(p.t, x, y))
-        out.append(LeadingPiece(point=p, scale=scale,
-                                value=scale * np.exp(1j * r * psi_val)))
-    return out
-
-
 def _stationary_sum(x, y, r: float, n: int) -> complex:
     acc = 0j
     for p in ph.stationary_points_in(x, y, WINDOW_END):

@@ -3,9 +3,7 @@
 Quadrature is deliberately boring: tensor Gauss-Legendre over the
 bounding box with a sharp ball indicator, block-evaluated so large
 grids stay in memory budget, and a compensated fixed-order reduction so
-repeated runs produce bit-identical sums.  Monte Carlo is allowed only
-in three or more dimensions, where tensor grids stop being affordable,
-and always requires an explicit seed.
+repeated runs produce bit-identical sums.
 
 Integrands come in two forms.  A point integrand maps a (K, dim) array
 of points to K values.  An axes integrand has a true class attribute
@@ -33,7 +31,6 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Domain",
-    "MonteCarlo",
     "NormValue",
     "TensorGrid",
     "ball_volume",
@@ -55,21 +52,11 @@ class TensorGrid:
 
 
 @dataclass(frozen=True)
-class MonteCarlo:
-    samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.samples < 16:
-            raise ValueError("monte carlo needs a sensible sample count")
-
-
-@dataclass(frozen=True)
 class Domain:
     shape: str  # "ball" | "box"
     center: tuple[float, ...]
     scale: float  # ball radius, or box half-width
-    quad: TensorGrid | MonteCarlo
+    quad: TensorGrid
 
     def __post_init__(self):
         if self.shape not in ("ball", "box"):
@@ -89,7 +76,6 @@ class NormValue:
     value: float
     error_estimate: float | None
     nodes: int
-    method: str
 
 
 def ball_volume(n: int, radius: float) -> float:
@@ -216,37 +202,6 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     return total ** (1.0 / p), count
 
 
-def _mc_value(f, dom: Domain, p: float) -> tuple[float, float, int]:
-    if dom.dim < 3:
-        raise ValueError("monte carlo quadrature is reserved for dim >= 3; "
-                         "use a tensor grid")
-    if p == math.inf:
-        raise ValueError("sup norms need a tensor grid, not sampling")
-    if getattr(f, "takes_axes", False):
-        raise ValueError("axes integrands need a tensor grid")
-    mc = dom.quad
-    rng = np.random.default_rng(mc.seed)
-    center = np.asarray(dom.center, dtype=float)
-    if dom.shape == "ball":
-        direc = rng.standard_normal((mc.samples, dom.dim))
-        direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-        radii = dom.scale * rng.random(mc.samples) ** (1.0 / dom.dim)
-        pts = center + direc * radii[:, None]
-    else:
-        pts = center + dom.scale * rng.uniform(-1.0, 1.0, (mc.samples, dom.dim))
-    vals = np.abs(np.asarray(f(pts), dtype=float).ravel()) ** p
-    vol = domain_volume(dom)
-    mean = _csum(vals) / mc.samples
-    integral = vol * mean
-    sigma = vol * float(np.std(vals)) / math.sqrt(mc.samples)
-    value = integral ** (1.0 / p)
-    if integral > 0.0:
-        err = value * sigma / (p * integral)
-    else:
-        err = sigma ** (1.0 / p)
-    return value, err, mc.samples
-
-
 def local_lp_norm(f, dom: Domain, p: float, *, osc_scale: float,
                   feature_scale: float | None = None,
                   with_error: bool = True) -> NormValue:
@@ -255,27 +210,23 @@ def local_lp_norm(f, dom: Domain, p: float, *, osc_scale: float,
     f maps an (K, dim) array of points to K values, vectorized, or, if
     its class sets ``takes_axes = True``, ``f(*axes, lead=s)`` maps the
     full node array of every axis to the tensor tile on ``axes[0][s] x
-    axes[1] x ...`` (tensor grids only).  The tensor path integrates
-    |f|^p against Gauss-Legendre weights on the bounding box, masking to
-    the ball when asked; p = inf takes the nodewise max instead; both
-    forms give bit-identical results for the same values.
+    axes[1] x ...``.  The norm integrates |f|^p against Gauss-Legendre
+    weights on the bounding box, masking to the ball when asked; p = inf
+    takes the nodewise max instead; both forms give bit-identical
+    results for the same values.
     osc_scale is the oscillation frequency of the integrand (lambda for
     eigenfunctions at energy lambda^2); feature_scale is the finest
     structural width when that is smaller.
-    Error estimates come from a once-doubled grid (tensor) or the
-    sample standard error (monte carlo).
+    The error estimate comes from a once-doubled grid.
     """
     if not (p >= 1.0):
         raise ValueError(f"p={p} out of range: need p >= 1 (inf allowed)")
     if osc_scale <= 0.0:
         raise ValueError("osc_scale must be positive")
-    if isinstance(dom.quad, MonteCarlo):
-        value, err, nodes = _mc_value(f, dom, p)
-        return NormValue(value, err if with_error else None, nodes, "monte-carlo")
     m = dom.quad.points_per_axis
     _check_spacing(dom, m, osc_scale, feature_scale)
     coarse, n1 = _tensor_value(f, dom, p, m)
     if not with_error:
-        return NormValue(coarse, None, n1, "tensor")
+        return NormValue(coarse, None, n1)
     fine, n2 = _tensor_value(f, dom, p, 2 * m + 1)
-    return NormValue(fine, abs(fine - coarse), n1 + n2, "tensor")
+    return NormValue(fine, abs(fine - coarse), n1 + n2)

@@ -156,17 +156,6 @@ def stationary_points_in(x, y, t_max: float) -> list[CriticalPoint]:
     return pts
 
 
-def reduced_phase(x, y, point: CriticalPoint) -> float:
-    """Phase value at a stationary point, with its boundary limits.
-
-    At an interior point this is just psi(t); the t = 0 and t = pi/2
-    collisions (y = +-x) have finite limits 0 and pi/2.
-    """
-    if point.at_boundary:
-        return 0.0 if point.t == 0.0 else 0.5 * math.pi
-    return float(phase_value(point.t, x, y))
-
-
 def mixed_hessian(x, y, point: CriticalPoint) -> np.ndarray:
     """Mixed x-y second derivatives of the reduced phase at a stationary point.
 

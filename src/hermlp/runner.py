@@ -8,11 +8,10 @@ output directory:
   manifest.json config echo, library versions, wall-clock timing
 
 ``results.csv`` and ``summary.json`` are deterministic functions of the
-config and seed: identical inputs give byte-identical bodies, regardless of
-the thread count (cells are independent and reassembled in grid order, and
-every random draw is keyed by cell position, not execution order).  The
-manifest carries timestamps and is the one artifact excluded from that
-guarantee.
+config and seed: identical inputs at one BLAS setting give byte-identical
+bodies (cells run in grid order, and every random draw is keyed by cell
+position).  The manifest carries timestamps and is the one artifact
+excluded from that guarantee.
 
 Cell-level computational failures (a quadrature that cannot converge, an
 infeasible tube) are recorded in place: the row stays, numeric columns are
@@ -31,7 +30,6 @@ import json
 import math
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -61,7 +59,6 @@ class Assertion:
 class _Ctx:
     params: dict
     seed: int
-    threads: int
     scale: float
     assertions: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
@@ -83,13 +80,6 @@ class RunResult:
     manifest_path: Path
     assertions: list
     summary: dict
-
-
-def _map_cells(fn, cells, threads: int) -> list:
-    if threads <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
 
 
 def _cell_seed(base: int, *key: int) -> np.random.SeedSequence:
@@ -156,7 +146,7 @@ def _run_eval(ctx: _Ctx):
         return float(np.max(residual / ((2.0 * k + 1.0) * envelope)))
 
     ks = list(range(p["k_max_eigen"] + 1))
-    residuals = _map_cells(eigen_cell, ks, ctx.threads)
+    residuals = [eigen_cell(k) for k in ks]
     for k, res in zip(ks, residuals):
         rows.append(["eigen-equation", k, res, "ok"])
     ctx.check("eigen-equation-residual", max(residuals),
@@ -264,7 +254,7 @@ def _run_sphase(ctx: _Ctx):
             amp_fn, phase_fn, lam, -width, width,
             panels=max(300, int(3 * lam)), nodes=16)
 
-    refs = _map_cells(reference, list(p["lambda_values"]), ctx.threads)
+    refs = [reference(lam) for lam in p["lambda_values"]]
     rows = []
     margins = {1: p["slope_margin_m1"], 2: p["slope_margin_m2"]}
     for m in p["orders"]:
@@ -656,17 +646,12 @@ def _collect(ctx: _Ctx, cell_fn, cells, width: int) -> list:
     a ``computational_failures`` entry labelled with the cell; the run
     continues.  Returns the per-cell row lists in cell order.
     """
-
-    def guarded(args):
-        try:
-            return cell_fn(args), None
-        except Exception as exc:  # recorded, run continues
-            return None, f"{type(exc).__name__}: {exc}"
-
     chunks = []
-    for args, (chunk, err) in zip(cells, _map_cells(guarded, cells,
-                                                    ctx.threads)):
-        if err is not None:
+    for args in cells:
+        try:
+            chunk = cell_fn(args)
+        except Exception as exc:  # recorded, run continues
+            err = f"{type(exc).__name__}: {exc}"
             ctx.failures.append({"cell": str(args), "error": err})
             chunk = [[""] * (width - 1) + [f"error: {err}"]]
         chunks.append(chunk)
@@ -698,8 +683,7 @@ def _package_version() -> str:
         return "unknown"
 
 
-def run(config: ExperimentConfig, out_dir=None, *, threads: int | None = None,
-        seed: int | None = None,
+def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
         tolerance_scale: float | None = None) -> RunResult:
     """Execute one experiment and write its artifacts.
 
@@ -712,7 +696,6 @@ def run(config: ExperimentConfig, out_dir=None, *, threads: int | None = None,
     ctx = _Ctx(
         params=config.parameters,
         seed=config.seed if seed is None else seed,
-        threads=config.threads if threads is None else threads,
         scale=(config.tolerance_scale if tolerance_scale is None
                else tolerance_scale),
     )
@@ -748,8 +731,7 @@ def run(config: ExperimentConfig, out_dir=None, *, threads: int | None = None,
     manifest = {
         "experiment": config.experiment,
         "config": config.echo(),
-        "effective": {"seed": ctx.seed, "threads": ctx.threads,
-                      "tolerance_scale": ctx.scale},
+        "effective": {"seed": ctx.seed, "tolerance_scale": ctx.scale},
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__,
                      "hermlp": _package_version()},

@@ -26,15 +26,6 @@ def eigenvalue_squared(level: int, dim: int) -> int:
     return 2 * level + dim
 
 
-def level_from_eigenvalue_squared(r: int, dim: int) -> int:
-    """Inverse of eigenvalue_squared; rejects r not of the form 2N + dim."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if r < dim or (r - dim) % 2:
-        raise ValueError(f"{r} is not an eigenvalue of the {dim}-d oscillator")
-    return (r - dim) // 2
-
-
 def multiplicity(level: int, dim: int) -> int:
     if level < 0 or dim < 1:
         raise ValueError("need level >= 0 and dim >= 1")
@@ -91,26 +82,6 @@ class Eigenspace:
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         return level_indices(self.level, self.dim)
-
-
-def eigenfunction_at_points(alpha, pts) -> np.ndarray:
-    """Product eigenfunction for multi-index alpha at points of shape (m, n)."""
-    alpha = tuple(int(a) for a in alpha)
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != len(alpha):
-        raise ValueError("points and multi-index have different dimensions")
-    vals = np.ones(pts.shape[0])
-    for axis, k in enumerate(alpha):
-        vals = vals * hermite_batch([k], pts[:, axis])[0]
-    return vals
-
-
-def random_coefficients(space: Eigenspace, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm coefficient vector over the eigenspace basis."""
-    c = rng.standard_normal(space.multiplicity)
-    return c / np.linalg.norm(c)
 
 
 def projection_kernel_sum(level: int, dim: int, x, y, index_cap: int = 2_000_000) -> float:

@@ -13,12 +13,8 @@ with sgn = sign(phi''(c)); the (k, j) range keeps k <= 2m-1 and
 j <= M-1 with M = 3m+1 for an order-m truncation, and g^k = O(t^3k)
 kills everything below j = ceil(3k/2).
 
-Derivatives of g^k a are extracted by exact power-series arithmetic when
-Taylor coefficients are supplied.  The alternative constructor that fits
-callables with Chebyshev interpolation must extract derivatives of order
-12 and higher for m >= 2, where the basis conversion amplifies roundoff
-catastrophically; it therefore cross-checks two fit degrees and raises
-ConditioningError rather than return garbage.
+Derivatives of g^k a are extracted by exact power-series arithmetic from
+supplied Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -27,14 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 PANEL_BLOCK = 1024  # panels per amplitude/phase call in the reference quadrature
-
-
-class ConditioningError(RuntimeError):
-    """High-order derivative extraction from samples lost too much accuracy."""
 
 
 # ---------------------------------------------------------------- series ----
@@ -179,70 +170,6 @@ def expand_from_series(phase_coeffs, amp_coeffs, m: int,
     terms.sort(key=lambda t: (-t.power, t.k))
     return SPExpansion(order=m, phase_at_center=float(phase_coeffs[0]),
                        curvature=curvature, terms=tuple(terms))
-
-
-def taylor_from_callable(f, center: float, half_width: float, degree: int,
-                         order: int, trim_rel: float = 3e-13) -> np.ndarray:
-    """Taylor coefficients at ``center`` from Chebyshev interpolation.
-
-    Interpolates f(center + half_width * u) on u in [-1, 1], trims
-    trailing coefficients below trim_rel of the largest (interpolation
-    aliasing noise sits near 1e-14 relative, and data that is secretly a
-    low-degree polynomial should convert at its true degree), converts
-    to the power basis and rescales.  The conversion step is the
-    unstable one for high orders; callers should cross-check fits that
-    cannot fail the same way, e.g. on two windows.
-    """
-    cheb = npcheb.chebinterpolate(lambda u: f(center + half_width * u), degree)
-    tol = trim_rel * float(np.max(np.abs(cheb)))
-    cheb = npcheb.chebtrim(cheb, tol)
-    poly = npcheb.cheb2poly(cheb)
-    if poly.size < order + 1:
-        poly = np.pad(poly, (0, order + 1 - poly.size))
-    scale = half_width ** -np.arange(order + 1, dtype=float)
-    return poly[: order + 1] * scale
-
-
-def expand_from_callables(phase, amplitude, center: float, half_width: float,
-                          m: int, degree: int = 64,
-                          guard_rtol: float = 1e-4) -> SPExpansion:
-    """Order-m expansion from plain callables via Chebyshev fitting.
-
-    Runs the fit on two windows and compares the resulting term
-    coefficients; disagreement beyond guard_rtol (relative to the largest
-    coefficient at the same lam power) raises ConditioningError.  This is
-    the expected outcome for m >= 2 with generic smooth data, where
-    extracting 12th and higher derivatives from samples is hopeless in
-    double precision; supply exact series instead.
-    """
-    need = 2 * (3 * m + 1 - 1) + 2
-    exps = []
-    for w in (half_width, 0.75 * half_width):
-        p = taylor_from_callable(phase, center, w, degree, need)
-        a = taylor_from_callable(amplitude, center, w, degree, need)
-        scale = np.max(np.abs(p)) or 1.0
-        if abs(p[1]) > 1e-7 * scale:
-            raise ValueError("center is not a stationary point of the fitted phase")
-        p[1] = 0.0
-        exps.append(expand_from_series(p, a, m))
-    ref, alt = exps
-    overall = max((abs(t.coefficient) for t in ref.terms), default=0.0)
-    by_power: dict[float, float] = {}
-    for t in ref.terms:
-        by_power[t.power] = max(by_power.get(t.power, 0.0), abs(t.coefficient))
-    alt_map = {(t.k, t.j): t.coefficient for t in alt.terms}
-    for t in ref.terms:
-        other = alt_map.get((t.k, t.j), 0j)
-        # terms at roundoff scale relative to the whole expansion are noise,
-        # not evidence of instability
-        scale = max(by_power[t.power], 1e-7 * overall)
-        if abs(t.coefficient - other) > guard_rtol * scale:
-            raise ConditioningError(
-                f"derivative order {2 * t.j} unstable under refit: "
-                f"{t.coefficient:.6e} vs {other:.6e}; "
-                "supply Taylor series for this truncation order"
-            )
-    return ref
 
 
 # ------------------------------------------------------------- reference ----

@@ -297,13 +297,15 @@ class TestRunnerArtifacts:
         assert met["sweep_median"] == pytest.approx(0.31030489266735456)
 
     def test_byte_determinism_across_runs_and_threads(self, tmp_path):
-        cfg = parse_config({"experiment": "saturate", "seed": 7,
-                            "parameters": {"cases": [{
-                                "kind": "random", "levels": [50],
-                                "per_level": 3}]}})
+        data = {"experiment": "saturate", "seed": 7,
+                "parameters": {"cases": [{
+                    "kind": "random", "levels": [50], "per_level": 3}]}}
+        cfg = parse_config(data)
+        # "threads" is accepted and must change no byte
+        threaded = parse_config(dict(data, threads=4))
         digests = []
-        for name, threads in (("a", 1), ("b", 1), ("c", 4)):
-            res = run(cfg, out_dir=tmp_path / name, threads=threads)
+        for name, c in (("a", cfg), ("b", cfg), ("c", threaded)):
+            res = run(c, out_dir=tmp_path / name)
             body = Path(res.csv_path).read_bytes()
             summary = Path(res.summary_path).read_bytes()
             digests.append((hashlib.sha256(body).hexdigest(),
@@ -365,7 +367,7 @@ class TestRunnerArtifacts:
             return hermite_batch_grid(level, xs)
 
         monkeypatch.setattr(spectral, "hermite_batch_grid", counted)
-        ctx = runner._Ctx(params={}, seed=0, threads=1, scale=1.0)
+        ctx = runner._Ctx(params={}, seed=0, scale=1.0)
         case = {"kind": "random", "n": 2, "j": 0, "r": 1.0, "p": 2.0,
                 "per_level": per_level, "levels": [60]}
         rows = runner._random_level_rows(ctx, 0, case, 60)
@@ -484,6 +486,14 @@ class TestCommandLine:
                          "--tolerance-scale", "1e20"])
         assert code == 0
 
+    def test_threads_flag_is_usage_error(self, tmp_path):
+        path = write_json(tmp_path, {"experiment": "saturate", "parameters": {
+            "cases": [{"kind": "random", "levels": [50], "per_level": 1}]}})
+        with pytest.raises(SystemExit) as err:
+            cli.main(["saturate", "--config", path,
+                      "--out", str(tmp_path / "out"), "--threads", "2"])
+        assert err.value.code == 2
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path, {"experiment": "eval", "parameters": {
             "k_max_ortho": 300, "bogus": 1}})
@@ -601,3 +611,19 @@ class TestCommandLine:
                       "--out", str(tmp_path / "x.csv"))
         assert done.returncode == 2
         assert "unknown plot kind" in done.stderr
+
+    def test_run_all_configs_script(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        done = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "run_all_configs.py"),
+             "--only", "bounds-table", "--only", "determinism",
+             "--out-root", str(tmp_path)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        verdicts = [line.split()[:2] for line in done.stdout.splitlines()
+                    if line.split()[1:2] == ["pass"]]
+        assert verdicts == [["bounds-table", "pass"], ["determinism", "pass"]]
+        for name in ("bounds-table", "determinism"):
+            for artifact in ("results.csv", "summary.json", "manifest.json"):
+                assert (tmp_path / name / artifact).is_file()

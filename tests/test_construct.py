@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermlp import construct as ct
 from hermlp.bounds import classify_region
+from hermlp.config import parse_config
 from hermlp.hermite import hermite_normalized, phase_action
 
 
@@ -262,12 +263,14 @@ class TestSaturationRatio:
         assert abs(math.log(ratios[1] / ratios[0])) < 0.05
 
     def test_upper_bound_side(self):
+        ceiling = parse_config({"experiment": "saturate"}).parameters[
+            "upper_bound"]
         rep = case2_report(800)
         xc = rep.tube.x1_star
         for nu, r, p in [((xc, 0.0), 0.5, 2.0), ((xc, 0.0), 1.0, 4.0),
                          ((xc, 0.0), 1.0, math.inf)]:
             ratio = ct.saturation_ratio(rep, nu, r, p)
-            assert 0.0 < ratio <= ct.UPPER_RATIO_BOUND
+            assert 0.0 < ratio <= ceiling
 
     def test_center_dimension_checked(self):
         rep = case2_report(200)

@@ -22,7 +22,6 @@ from hermlp.mehler import (
     cutoff_taper,
     kernel_oscillatory,
     kernel_stationary_model,
-    leading_scales,
     oscillatory_half_integral,
     smoothstep7,
 )
@@ -307,19 +306,6 @@ class TestLeadingModel:
         exact = kernel_oscillatory(x, y, r, tol=1e-10).value
         model = kernel_stationary_model(x, y, r)
         assert model == pytest.approx(exact, rel=2e-3)
-
-    def test_bare_scale_worked_example(self):
-        # equal points on the circle of radius 2^{-1/2}: disc = 1/4,
-        # the surviving root sits at quarter period, sin 2t = 1, so the
-        # bare scale is 100^{-1/2} (1/4)^{-1/4} = sqrt(2)/10
-        x = np.array([1.0 / math.sqrt(2.0), 0.0])
-        pieces = leading_scales(x, x, 100.0)
-        assert len(pieces) == 1
-        piece = pieces[0]
-        assert piece.point.kind == "minus"
-        assert piece.point.t == pytest.approx(math.pi / 4, abs=1e-12)
-        assert piece.scale == pytest.approx(math.sqrt(2.0) / 10.0, rel=1e-12)
-        assert abs(piece.value) == pytest.approx(piece.scale, rel=1e-12)
 
 
 class TestKernelBoundCheck:

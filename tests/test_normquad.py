@@ -30,7 +30,6 @@ class TestOracles:
         got = NQ.local_lp_norm(ground, BOX1, 2.0, osc_scale=1.0)
         assert abs(got.value - 0.9179873599073763) < 1e-12
         assert got.error_estimate < 1e-12
-        assert got.method == "tensor"
 
     def test_ground_state_l4_on_unit_box(self):
         got = NQ.local_lp_norm(ground, BOX1, 4.0, osc_scale=1.0)
@@ -117,37 +116,6 @@ class TestInvariants:
         assert a.value == b.value
 
 
-class TestMonteCarlo:
-    BALL3 = NQ.Domain("ball", (0.0, 0.0, 0.0), 0.9, NQ.MonteCarlo(200_000, 42))
-
-    def test_volume_and_determinism(self):
-        a = NQ.local_lp_norm(ones, self.BALL3, 2.0, osc_scale=1.0)
-        b = NQ.local_lp_norm(ones, self.BALL3, 2.0, osc_scale=1.0)
-        assert a.value == b.value
-        assert abs(a.value - math.sqrt(NQ.ball_volume(3, 0.9))) < 1e-6
-        assert a.method == "monte-carlo"
-
-    def test_gaussian_within_error_band(self):
-        def g3(pts):
-            x = np.asarray(pts)
-            return np.exp(-0.5 * np.sum(x * x, axis=1))
-
-        got = NQ.local_lp_norm(g3, self.BALL3, 2.0, osc_scale=1.0)
-        import scipy.integrate as si
-        want = math.sqrt(si.quad(
-            lambda r: 4 * math.pi * r * r * math.exp(-r * r), 0.0, 0.9)[0])
-        assert abs(got.value - want) < 4 * got.error_estimate + 1e-9
-
-    def test_low_dimension_rejected(self):
-        d = NQ.Domain("ball", (0.0, 0.0), 1.0, NQ.MonteCarlo(1000, 1))
-        with pytest.raises(ValueError):
-            NQ.local_lp_norm(ones, d, 2.0, osc_scale=1.0)
-
-    def test_sup_norm_rejected(self):
-        with pytest.raises(ValueError):
-            NQ.local_lp_norm(ones, self.BALL3, math.inf, osc_scale=1.0)
-
-
 class TestValidation:
     def test_spacing_guard_names_required_count(self):
         coarse = NQ.Domain("box", (0.0,), 1.0, NQ.TensorGrid(10))
@@ -169,8 +137,6 @@ class TestValidation:
             NQ.Domain("ball", (), 1.0, NQ.TensorGrid(4))
         with pytest.raises(ValueError):
             NQ.TensorGrid(1)
-        with pytest.raises(ValueError):
-            NQ.MonteCarlo(3, 1)
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -289,8 +255,3 @@ class TestAxesIntegrands:
             a = NQ.local_lp_norm(Gauss3D(), dom, p, osc_scale=1.0)
             b = NQ.local_lp_norm(gauss3_points, dom, p, osc_scale=1.0)
             assert a == b
-
-    def test_monte_carlo_refuses_axes(self):
-        dom = NQ.Domain("ball", (0.0, 0.0, 0.0), 0.9, NQ.MonteCarlo(100, 1))
-        with pytest.raises(ValueError, match="tensor grid"):
-            NQ.local_lp_norm(Gauss3D(), dom, 2.0, osc_scale=1.0)

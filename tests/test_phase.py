@@ -82,13 +82,12 @@ class TestCriticalPoints:
         assert p2 is not None
         assert p2.t == pytest.approx(math.pi / 4, rel=1e-15)
         assert p2.curvature == pytest.approx(-2.0, rel=1e-13)
-        assert ph.reduced_phase(x, x, p2) == pytest.approx(math.pi / 4 - 0.5, rel=1e-14)
+        assert ph.phase_value(p2.t, x, x) == pytest.approx(math.pi / 4 - 0.5, rel=1e-14)
 
     def test_diagonal_discriminant(self):
         x = np.array([0.6, 0.1, 0.3])
         cps = ph.critical_points(x, x)
         assert cps.disc == pytest.approx((1 - np.dot(x, x)) ** 2, abs=1e-15)
-        assert ph.reduced_phase(x, x, cps.plus) == 0.0
 
     def test_antipodal_boundary(self):
         x = np.array([0.5, 0.2])

@@ -200,31 +200,3 @@ class TestQuadratureBlocks:
                                    BUMP_W, panels, nodes)
         assert sizes == [self.block * nodes, self.block * nodes, 7 * nodes]
 
-
-class TestCallableRoute:
-    def test_m1_matches_series_route(self):
-        e_cheb = sph.expand_from_callables(cubic_phase, bump_amp, 0.0, 0.55, m=1)
-        e_ser = sph.expand_from_series(
-            cubic_phase_series(), sph.smooth_bump_series(28, BUMP_W), 1
-        )
-        for lam in (30.0, 100.0, 500.0):
-            assert abs(e_cheb.evaluate(lam) - e_ser.evaluate(lam)) < 1e-6 * abs(
-                e_ser.evaluate(lam)
-            )
-
-    def test_m2_smooth_data_is_detected_as_unstable(self):
-        with pytest.raises(sph.ConditioningError):
-            sph.expand_from_callables(cubic_phase, bump_amp, 0.0, 0.55, m=2)
-
-    def test_polynomial_data_stays_exact_at_m3(self):
-        poly_amp = lambda t: 1.0 - 0.3 * t**2 + 0.05 * t**4
-        e = sph.expand_from_callables(cubic_phase, poly_amp, 0.0, 0.55, m=3)
-        e_ref = sph.expand_from_series(
-            cubic_phase_series(), [1.0, 0.0, -0.3, 0.0, 0.05], 3
-        )
-        for lam in (30.0, 500.0):
-            assert e.evaluate(lam) == pytest.approx(e_ref.evaluate(lam), rel=1e-10)
-
-    def test_rejects_non_stationary_center(self):
-        with pytest.raises(ValueError):
-            sph.expand_from_callables(cubic_phase, bump_amp, 0.3, 0.3, m=1)
