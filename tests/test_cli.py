@@ -68,6 +68,16 @@ class TestConfigSchema:
         assert msg == ("parameters.quad_points: must exceed k_max_ortho=100"
                        " for exact pair integrals")
 
+    @pytest.mark.parametrize("threads,ok", [(1, True), (256, True),
+                                            (0, False), (257, False)])
+    def test_threads_key_is_validated(self, threads, ok):
+        data = {"experiment": "eval", "threads": threads}
+        if ok:
+            assert parse_config(data).threads == threads
+        else:
+            (msg,) = violations_of(data)
+            assert msg.startswith("threads: must be")
+
     def test_bool_is_not_an_integer(self):
         (msg,) = violations_of({"experiment": "eval", "parameters": {
             "k_max_eigen": True}})

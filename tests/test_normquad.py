@@ -69,6 +69,15 @@ class TestOracles:
         assert NQ.global_l2_norm([3.0, 4.0]) == 5.0
         assert NQ.global_l2_norm(np.zeros(5)) == 0.0
 
+    def test_global_norm_matches_quadrature_over_large_box(self):
+        # level 6 has its turning circle at radius sqrt(14) < 4; outside
+        # the box of half-width 7 the eigenfunction is below 1e-7
+        c = np.random.default_rng(3).standard_normal(7)
+        dense = sp.DenseEigenfunction2D(6, c)
+        box = NQ.Domain("box", (0.0, 0.0), 7.0, NQ.TensorGrid(220))
+        got = NQ.local_lp_norm(dense, box, 2.0, osc_scale=dense.eigenvalue)
+        assert got.value == pytest.approx(dense.global_l2_norm(), rel=1e-12)
+
 
 class TestInvariants:
     @settings(max_examples=20, deadline=None)
@@ -114,6 +123,50 @@ class TestInvariants:
             -np.sum(np.asarray(pts) ** 2, axis=1))), d, 3.0, osc_scale=2.0)
         b = NQ.local_lp_norm(ground2, d, 3.0, osc_scale=2.0)
         assert a.value == b.value
+
+
+def gauss3(pts):
+    x = np.asarray(pts)
+    return np.exp(-0.5 * np.sum(x * x, axis=1))
+
+
+class TestBallThreeDim:
+    BALL3 = NQ.Domain("ball", (0.0, 0.0, 0.0), 0.9, NQ.TensorGrid(41))
+
+    def test_volume_and_determinism(self):
+        a = NQ.local_lp_norm(ones, self.BALL3, 2.0, osc_scale=1.0)
+        b = NQ.local_lp_norm(ones, self.BALL3, 2.0, osc_scale=1.0)
+        assert a == b
+        err = abs(a.value - math.sqrt(NQ.ball_volume(3, 0.9)))
+        assert err < 2e-3
+        assert err < 2 * a.error_estimate
+
+    def test_gaussian_within_error_band(self):
+        import scipy.integrate as si
+        got = NQ.local_lp_norm(gauss3, self.BALL3, 2.0, osc_scale=1.0)
+        want = math.sqrt(si.quad(
+            lambda r: 4 * math.pi * r * r * math.exp(-r * r), 0.0, 0.9)[0])
+        assert abs(got.value - want) < 2 * got.error_estimate
+        assert abs(got.value - want) < 1e-3
+
+    def test_sup_norm_ignores_nodes_outside_ball(self):
+        # |x|^2 reaches 3 * 0.81 at the box corners but only 0.81 in the ball
+        def radius2(pts):
+            return np.sum(np.asarray(pts) ** 2, axis=1)
+
+        got = NQ.local_lp_norm(radius2, self.BALL3, math.inf, osc_scale=1.0)
+        assert 0.81 - 1e-3 < got.value <= 0.81
+
+    def test_translation_invariance(self):
+        c = (0.4, -0.7, 1.1)
+        moved = NQ.Domain("ball", c, 0.9, NQ.TensorGrid(41))
+
+        def shifted(pts):
+            return gauss3(np.asarray(pts) - np.asarray(c))
+
+        a = NQ.local_lp_norm(gauss3, self.BALL3, 3.0, osc_scale=1.0)
+        b = NQ.local_lp_norm(shifted, moved, 3.0, osc_scale=1.0)
+        assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
 class TestValidation:

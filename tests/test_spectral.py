@@ -23,6 +23,15 @@ class TestLevels:
         assert sp.eigenvalue_squared(50, 2) == 102
         assert sp.eigenvalue_squared(200, 2) == 402
 
+    @given(st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=6))
+    def test_roundtrip(self, level, dim):
+        r = sp.eigenvalue_squared(level, dim)
+        assert r >= dim and (r - dim) % 2 == 0
+        assert (r - dim) // 2 == level
+        space = sp.Eigenspace(level, dim)
+        assert space.eigenvalue_squared == r
+        assert space.eigenvalue == math.sqrt(r)
+
     def test_rejects_non_eigenvalues(self):
         with pytest.raises(ValueError):
             sp.eigenvalue_squared(-1, 2)
@@ -190,6 +199,12 @@ class TestKernelSum:
     def test_index_cap(self):
         with pytest.raises(ValueError):
             sp.projection_kernel_sum(400, 5, np.zeros(5), np.zeros(5), index_cap=1000)
+
+    def test_rejects_points_of_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            sp.projection_kernel_sum(4, 2, np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError, match="shape"):
+            sp.projection_kernel_sum(4, 2, np.zeros(2), np.zeros((2, 1)))
 
 
 class TestEigenfunction:

@@ -122,6 +122,22 @@ class TestExpansionStructure:
         with pytest.raises(ValueError):
             sph.fresnel_leading(10.0, 0.0, 0.0, 1.0)
 
+    def test_stationarity_tolerance_is_relative(self):
+        # the first-order term is judged against the largest coefficient
+        sph.expand_from_series([0.0, 1e-9, 5.0, 1.0], [1.0], 1)
+        with pytest.raises(ValueError, match="first-order"):
+            sph.expand_from_series([0.0, 1e-7, 5.0, 1.0], [1.0], 1)
+
+    @pytest.mark.parametrize("phase,amp", [([0.0, 0.0, 0.5], 1.0),
+                                           ([0.2, 0.0, -1.5], 2.0)])
+    def test_pure_quadratic_is_leading_term_only(self, phase, amp):
+        e = sph.expand_from_series(phase, [amp], 3)
+        assert len(e.terms) == 1
+        lam = 50.0
+        assert e.evaluate(lam) == pytest.approx(
+            sph.fresnel_leading(lam, phase[0], 2.0 * phase[2], amp), rel=1e-14
+        )
+
 
 class TestAgainstQuadrature:
     lams = np.array([160.0, 320.0, 640.0, 1280.0])
@@ -158,6 +174,24 @@ class TestAgainstQuadrature:
         lam = 320.0
         ref = self.reference(lam)
         assert abs(e.evaluate(lam) - ref) / abs(ref) < 2e-3
+
+    def test_polynomial_amplitude_orders_improve(self):
+        poly = [1.0, 0.0, -0.3, 0.0, 0.05]
+        amp_series = sph.series_mul(poly, sph.smooth_bump_series(28, BUMP_W), 28)
+
+        def amp(t):
+            return (1.0 - 0.3 * t**2 + 0.05 * t**4) * bump_amp(t)
+
+        for lam in self.lams[2:]:
+            ref = sph.oscillatory_quadrature(
+                amp, cubic_phase, lam, -BUMP_W, BUMP_W,
+                panels=int(3 * lam), nodes=16,
+            )
+            errs = [abs(sph.expand_from_series(
+                cubic_phase_series(), amp_series, m).evaluate(lam) - ref)
+                / abs(ref) for m in (1, 2, 3)]
+            assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < 1e-8
 
 
 def _per_panel_quadrature(amplitude, phase, lam, lo, hi, panels, nodes):
