@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase as ph
+from .spectral import _kernel_from_table, _kernel_table
 from .stationary import fresnel_leading
 
 WINDOW_END = 3.0 * math.pi / 8.0
@@ -117,15 +118,20 @@ def _panel_sums(rows: np.ndarray) -> np.ndarray:
 
     array_split keeps every block of a multi-row input above one row,
     where numpy would swap the gemv for a dot that rounds differently.
+    Up to _DOT_ROWS rows are one block already and go straight to np.dot.
     """
+    if len(rows) <= _DOT_ROWS:
+        return np.dot(rows, _GL_W)
     blocks = np.array_split(rows, -(-len(rows) // _DOT_ROWS))
     return np.concatenate([np.dot(block, _GL_W) for block in blocks])
 
 
-def _level_contribution(x, y, r: float, n: int, lo: float, hi: float,
-                        panel_cap: int) -> tuple[complex, int]:
+def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
+                        hi: float, panel_cap: int) -> tuple[complex, int]:
+    """One dyadic level [lo, hi] of the window integral of the pair with
+    a2 = |x|^2 + |y|^2 and b = x.y; returns its sum and node count."""
     probe = np.linspace(lo, hi, 33)
-    dpsi = np.abs(ph.phase_derivative(probe, x, y))
+    dpsi = np.abs(ph._derivative(probe, a2, b))
     span = r * float(np.max(dpsi)) * (hi - lo)
     panels = int(max(4, math.ceil(span / 5.0)))
     if panels > panel_cap:
@@ -137,10 +143,11 @@ def _level_contribution(x, y, r: float, n: int, lo: float, hi: float,
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     ts = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    amp = np.sin(2.0 * ts) ** (-0.5 * n)
+    s = np.sin(2.0 * ts)
+    amp = s ** (-0.5 * n)
     if hi > FLAT_END:
         amp = cutoff_taper(ts) * amp
-    vals = amp * np.exp(1j * r * ph.phase_value(ts, x, y))
+    vals = amp * np.exp(1j * r * ph._value(ts, a2, b, s))
     total = half * _panel_sums(vals.reshape(panels, -1)).sum()
     return complex(total), ts.size
 
@@ -179,19 +186,20 @@ def oscillatory_half_integral(x, y, r: float, tol: float = 1e-8,
     t_hi = WINDOW_END
     for level in range(max_levels):
         t_lo = 0.5 * t_hi
-        contrib, used = _level_contribution(x, y, r, n, t_lo, t_hi, panel_cap)
+        contrib, used = _level_contribution(a2, b, r, n, t_lo, t_hi,
+                                            panel_cap)
         total += contrib
         evals += used
         can_ibp = t_lo <= guard
         corr = 0j
         if can_ibp:
             # two integration-by-parts orders of the tail below t_lo
-            dpsi = float(ph.phase_derivative(t_lo, x, y))
-            ddpsi = float(ph.phase_second_derivative(t_lo, x, y))
+            dpsi = float(ph._derivative(t_lo, a2, b))
+            ddpsi = float(ph._second_derivative(t_lo, a2, b))
             s2 = math.sin(2.0 * t_lo)
             f_lo = s2 ** (-0.5 * n)
             df_lo = -n * math.cos(2.0 * t_lo) * s2 ** (-0.5 * n - 1.0)
-            osc = np.exp(1j * r * ph.phase_value(t_lo, x, y))
+            osc = np.exp(1j * r * float(ph._value(t_lo, a2, b)))
             corr = osc * (f_lo / (1j * r * dpsi)
                           + (df_lo * dpsi - f_lo * ddpsi) / (r * r * dpsi**3))
         running = total + corr
@@ -386,10 +394,9 @@ def kernel_bound_check(n: int, r: int,
     lam = math.sqrt(r)
     rng = np.random.default_rng(sample.seed)
     normalizer = (r * sample.mu) ** (0.5 * (n - 2))
-    ratios = []
-    diag_ratio = 0.0
-    from .spectral import projection_kernel_sum
-
+    # every pair is drawn first (no draw depends on a kernel value, so the
+    # stream is unchanged), then one Hermite table covers all their points
+    pairs = []
     for i in range(sample.count):
         direction = rng.standard_normal(n)
         direction /= math.hypot(*direction)
@@ -406,10 +413,16 @@ def kernel_bound_check(n: int, r: int,
             rho_y = max(1.0 - sample.mu * (1.0 + 0.5 * (rng.random() - 0.5)),
                         0.0)
             y = _on_shell(direction, rho_y, 4.0 / lam)
-        value = projection_kernel_sum(level, n, lam * x, lam * y)
+        pairs.append((lam * x, lam * y))
+    table = _kernel_table(level, n, np.concatenate([np.concatenate(pair)
+                                                    for pair in pairs]))
+    ratios = []
+    diag_ratio = 0.0
+    for i in range(sample.count):
+        value = _kernel_from_table(table[:, 2 * n * i:2 * n * (i + 1)], level, n)
         ratio = abs(value) / normalizer
         ratios.append(ratio)
-        if kind == 0:
+        if i % 4 == 0:
             diag_ratio = max(diag_ratio, ratio)
     return KernelBoundReport(
         n=n, r=int(r), mu=sample.mu, normalizer=normalizer,

@@ -33,8 +33,6 @@ __all__ = [
     "Domain",
     "NormValue",
     "TensorGrid",
-    "ball_volume",
-    "domain_volume",
     "global_l2_norm",
     "local_lp_norm",
 ]
@@ -76,16 +74,6 @@ class NormValue:
     value: float
     error_estimate: float | None
     nodes: int
-
-
-def ball_volume(n: int, radius: float) -> float:
-    return math.pi ** (0.5 * n) / math.gamma(0.5 * n + 1.0) * radius**n
-
-
-def domain_volume(dom: Domain) -> float:
-    if dom.shape == "ball":
-        return ball_volume(dom.dim, dom.scale)
-    return (2.0 * dom.scale) ** dom.dim
 
 
 def global_l2_norm(coeffs) -> float:

@@ -39,37 +39,52 @@ def _pair(x, y):
     return x, y, a2, b
 
 
-def phase_value(t, x, y):
-    """psi(t; x, y); vectorized over t.  Infinite where sin 2t = 0."""
-    _, _, a2, b = _pair(x, y)
-    t = np.asarray(t, dtype=float)
+# The kernels below take a2 = |x|^2 + |y|^2 and b = x.y directly, for
+# callers that evaluate one pair at many t; the public functions are thin
+# wrappers, so each formula exists once.
+
+def _value(t, a2: float, b: float, s=None):
+    """psi at t; ``s`` is sin 2t when the caller already has it."""
+    if s is None:
+        s = np.sin(2.0 * t)
+    c = np.cos(2.0 * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return t + (a2 * c - 2.0 * b) / (2.0 * s)
+
+
+def _derivative(t, a2: float, b: float):
     s = np.sin(2.0 * t)
     c = np.cos(2.0 * t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = t + (a2 * c - 2.0 * b) / (2.0 * s)
+        return -(a2 - 1.0 - 2.0 * b * c + c * c) / (s * s)
+
+
+def _second_derivative(t, a2: float, b: float):
+    s = np.sin(2.0 * t)
+    c = np.cos(2.0 * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 4.0 * (a2 * c - b * (1.0 + c * c)) / (s * s * s)
+
+
+def _on_t(kernel, t, x, y):
+    _, _, a2, b = _pair(x, y)
+    val = kernel(np.asarray(t, dtype=float), a2, b)
     return val if val.ndim else float(val)
+
+
+def phase_value(t, x, y):
+    """psi(t; x, y); vectorized over t.  Infinite where sin 2t = 0."""
+    return _on_t(_value, t, x, y)
 
 
 def phase_derivative(t, x, y):
     """d psi / dt; vectorized over t."""
-    _, _, a2, b = _pair(x, y)
-    t = np.asarray(t, dtype=float)
-    s = np.sin(2.0 * t)
-    c = np.cos(2.0 * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = -(a2 - 1.0 - 2.0 * b * c + c * c) / (s * s)
-    return val if val.ndim else float(val)
+    return _on_t(_derivative, t, x, y)
 
 
 def phase_second_derivative(t, x, y):
     """d^2 psi / dt^2; vectorized over t."""
-    _, _, a2, b = _pair(x, y)
-    t = np.asarray(t, dtype=float)
-    s = np.sin(2.0 * t)
-    c = np.cos(2.0 * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = 4.0 * (a2 * c - b * (1.0 + c * c)) / (s * s * s)
-    return val if val.ndim else float(val)
+    return _on_t(_second_derivative, t, x, y)
 
 
 @dataclass(frozen=True)

@@ -134,19 +134,27 @@ def _run_eval(ctx: _Ctx):
     stencil = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     fd_w = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 
-    def eigen_cell(k: int):
+    def samples(k: int):
         u = math.sqrt(2.0 * k + 1.0)
         h = (45.0 * _EPS) ** (1.0 / 6.0) / u
-        xs = np.linspace(-0.75 * u, 0.75 * u, p["eigen_samples"])
-        pts = (xs[:, None] + h * stencil).ravel()
-        vals = hermite.hermite_batch([k], pts)[0].reshape(-1, 5)
+        return u, h, np.linspace(-0.75 * u, 0.75 * u, p["eigen_samples"])
+
+    def eigen_residual(k: int, u: float, h: float, xs: np.ndarray,
+                       values: np.ndarray) -> float:
+        vals = values.reshape(-1, 5)
         second = vals @ fd_w / (12.0 * h * h)
         residual = np.abs(-second + (xs * xs - 2.0 * k - 1.0) * vals[:, 2])
         envelope = hermite.AMP_OSCILLATORY * (u * u - xs * xs) ** -0.25
         return float(np.max(residual / ((2.0 * k + 1.0) * envelope)))
 
+    # every order has its own stencil grid, scaled to its turning point;
+    # one recurrence per group of orders covers all of their grids
     ks = list(range(p["k_max_eigen"] + 1))
-    residuals = [eigen_cell(k) for k in ks]
+    cells = [samples(k) for k in ks]
+    values = hermite.hermite_on_grids(
+        ks, [(xs[:, None] + h * stencil).ravel() for _, h, xs in cells])
+    residuals = [eigen_residual(k, *cell, v)
+                 for k, cell, v in zip(ks, cells, values)]
     for k, res in zip(ks, residuals):
         rows.append(["eigen-equation", k, res, "ok"])
     ctx.check("eigen-equation-residual", max(residuals),

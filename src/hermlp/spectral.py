@@ -99,16 +99,32 @@ def projection_kernel_sum(level: int, dim: int, x, y, index_cap: int = 2_000_000
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != (dim,) or y.shape != (dim,):
         raise ValueError("points must have shape (dim,)")
+    h = _kernel_table(level, dim, np.concatenate([x, y]), index_cap)
+    return _kernel_from_table(h, level, dim)
+
+
+def _kernel_table(level: int, dim: int, points: np.ndarray,
+                  index_cap: int = 2_000_000) -> np.ndarray:
+    """The Hermite table :func:`_kernel_from_table` reads on ``points``:
+    order ``level`` alone in one dimension, orders 0..level otherwise.
+    From dim 3 on, a level above ``index_cap`` indices raises first."""
     if dim == 1:
-        vals = hermite_batch([level], np.array([x[0], y[0]]))[0]
-        return float(vals[0] * vals[1])
+        return hermite_batch([level], points)
+    if dim >= 3 and multiplicity(level, dim) > index_cap:
+        raise ValueError("eigenspace too large for direct summation")
+    return hermite_batch_grid(level, points)
+
+
+def _kernel_from_table(h: np.ndarray, level: int, dim: int):
+    """The eigenbasis sum of :func:`projection_kernel_sum` from its Hermite
+    table, whose columns are x_0..x_{dim-1}, y_0..y_{dim-1} and whose last
+    row is order ``level`` (all rows 0..level from dim 2 on).  Columns of a
+    table over many pairs' points give each pair's sum bit for bit."""
+    if dim == 1:
+        return float(h[-1, 0] * h[-1, 1])
     if dim == 2:
-        h = hermite_batch_grid(level, np.array([x[0], x[1], y[0], y[1]]))
         # sum_a f_a(x1) f_{N-a}(x2) f_a(y1) f_{N-a}(y2)
         return float(np.dot(h[:, 0] * h[:, 2], (h[:, 1] * h[:, 3])[::-1]))
-    if multiplicity(level, dim) > index_cap:
-        raise ValueError("eigenspace too large for direct summation")
-    h = hermite_batch_grid(level, np.concatenate([x, y]))
     alpha = _index_array(level, dim)
     px = h[alpha[:, 0], 0]
     py = h[alpha[:, 0], dim]

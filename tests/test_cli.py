@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hermlp
-from hermlp import cli, construct, runner, spectral
+from hermlp import cli, construct, hermite, runner, spectral
 from hermlp.hermite import hermite_batch_grid
 from hermlp.config import ConfigError, load_config, parse_config
 from hermlp.runner import SATURATE_HEADER, emit_plot_data, run
@@ -212,6 +212,22 @@ class TestRunnerArtifacts:
         assert header == ("check", "k", "value", "status")
         assert len(rows) == 41 + 81
         assert all(row[-1] == "ok" for row in rows)
+
+    def test_eval_runs_one_recurrence_per_group_of_orders(self, monkeypatch,
+                                                          tmp_path):
+        stops = []
+        recurrence = hermite._recurrence
+
+        def counted(xs, k_stop):
+            stops.append(k_stop)
+            return recurrence(xs, k_stop)
+
+        monkeypatch.setattr(hermite, "_recurrence", counted)
+        res = run(parse_config(EVAL_SMALL), out_dir=tmp_path)
+        assert res.exit_code == 0
+        # the orthonormality table to order 40, then the eigen-equation
+        # stencils of orders 0..63 and 64..80
+        assert stops == [40, 63, 80]
 
     def test_phase_identities_small(self, tmp_path):
         cfg = parse_config({"experiment": "phase-identities", "parameters": {

@@ -230,3 +230,73 @@ class TestProfile:
         osc, _, dec = _calibrate_amplitude(400)
         assert osc == pytest.approx(hm.AMP_OSCILLATORY, rel=2e-3)
         assert dec == pytest.approx(hm.AMP_DECAY, rel=2e-2)
+
+
+def _rescaled(xs, k):
+    """Whether the recurrence to order k over xs rescales any point."""
+    start = -0.5 * xs * xs - 0.25 * math.log(math.pi)
+    *_, (_, log_scale, _) = hm._recurrence(np.asarray(xs, dtype=float), k)
+    return not np.array_equal(log_scale, start)
+
+
+class TestOnGrids:
+    @staticmethod
+    def _grids(orders, seed):
+        rng = np.random.default_rng(seed)
+        grids = []
+        for i, k in enumerate(orders):
+            u = hm.turning_point(k)
+            size = int(rng.integers(0, 40))
+            # every fifth grid reaches far into the forbidden region,
+            # where the recurrence rescales its state
+            reach = 300.0 if i % 5 == 0 else 1.2 * u
+            grids.append(rng.uniform(-reach, reach, size))
+        return grids
+
+    @pytest.mark.parametrize("group", [1, 7, 64, 1000])
+    def test_matches_one_order_at_a_time_exactly(self, monkeypatch, group):
+        monkeypatch.setattr(hm, "_GRID_GROUP", group)
+        orders = list(range(150)) + [300, 3, 3, 0, 149]
+        grids = self._grids(orders, group)
+        assert any(_rescaled(g, k) for k, g in zip(orders, grids) if g.size)
+        got = hm.hermite_on_grids(orders, grids)
+        assert len(got) == len(orders)
+        for k, grid, values in zip(orders, grids, got):
+            want = hm.hermite_batch([k], grid)[0]
+            assert values.shape == grid.shape
+            assert np.array_equal(values, want), k
+
+    def test_unsorted_orders_at_group_boundaries(self):
+        rng = np.random.default_rng(11)
+        orders = [int(k) for k in rng.permutation(200)]
+        grids = self._grids(orders, 12)
+        got = hm.hermite_on_grids(orders, grids)
+        for i in (0, 62, 63, 64, 65, 127, 128, 199):
+            want = hm.hermite_batch([orders[i]], grids[i])[0]
+            assert np.array_equal(got[i], want), i
+
+    @pytest.mark.parametrize("count,group,calls", [(150, 64, 3), (64, 64, 1),
+                                                   (65, 64, 2), (5, 1, 5)])
+    def test_one_recurrence_per_group(self, monkeypatch, count, group, calls):
+        seen = []
+        recurrence = hm._recurrence
+
+        def counted(xs, k_stop):
+            seen.append(xs.size)
+            return recurrence(xs, k_stop)
+
+        monkeypatch.setattr(hm, "_recurrence", counted)
+        monkeypatch.setattr(hm, "_GRID_GROUP", group)
+        grids = [np.linspace(-1.0, 1.0, 3)] * count
+        hm.hermite_on_grids(range(count), grids)
+        assert len(seen) == calls
+        assert sum(seen) == 3 * count
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            hm.hermite_on_grids([1, 2], [np.zeros(3)])
+        with pytest.raises(ValueError):
+            hm.hermite_on_grids([-1], [np.zeros(3)])
+        with pytest.raises(ValueError):
+            hm.hermite_on_grids([1], [np.array([0.0, np.inf])])
+        assert hm.hermite_on_grids([], []) == []

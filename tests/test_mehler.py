@@ -7,6 +7,7 @@ closed form, K_1(0, 0) = pi^{-1/2} in one dimension, pins the overall
 normalization analytically.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,11 @@ def _dyadic_level(k):
     return WINDOW_END / 2 ** (k + 1), WINDOW_END / 2**k
 
 
+def _a2_b(x, y):
+    """The pair invariants the level sum takes, as phase computes them."""
+    return float(np.dot(x, x) + np.dot(y, y)), float(np.dot(x, y))
+
+
 def _tapered_level(x, y, r, n, lo, hi, panel_cap):
     """The level sum with the taper applied to every node, flat or not."""
     probe = np.linspace(lo, hi, 33)
@@ -111,7 +117,7 @@ class TestLevelTaper:
         for k in range(2, 8):
             lo, hi = _dyadic_level(k)
             assert hi <= FLAT_END
-            mehler._level_contribution(np.array([0.3]), np.array([-0.2]),
+            mehler._level_contribution(*_a2_b(np.array([0.3]), np.array([-0.2])),
                                        101.0, 1, lo, hi, 200_000)
         assert calls == []
 
@@ -121,7 +127,8 @@ class TestLevelTaper:
             lo, hi = _dyadic_level(k)
             assert hi > FLAT_END
             _, used = mehler._level_contribution(
-                np.array([0.3]), np.array([-0.2]), 101.0, 1, lo, hi, 200_000)
+                *_a2_b(np.array([0.3]), np.array([-0.2])), 101.0, 1, lo, hi,
+                200_000)
             assert calls[-1] == used
         assert len(calls) == 2
 
@@ -130,7 +137,19 @@ class TestLevelTaper:
         x, y, r = self.CASES[case]
         for k in range(8):
             lo, hi = _dyadic_level(k)
-            got = mehler._level_contribution(x, y, r, x.size, lo, hi, 200_000)
+            got = mehler._level_contribution(*_a2_b(x, y), r, x.size, lo, hi,
+                                             200_000)
+            assert got == _tapered_level(x, y, r, x.size, lo, hi, 200_000)
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_deep_levels_match_the_tapered_form_exactly(self, case):
+        # 5k to 91k panels a level: many gemv blocks in the level sum
+        x, y, r = self.CASES[case]
+        for k in range(8, 12):
+            lo, hi = _dyadic_level(k)
+            got = mehler._level_contribution(*_a2_b(x, y), r, x.size, lo, hi,
+                                             200_000)
+            assert got[1] > 5_000 * mehler._GL_W.size
             assert got == _tapered_level(x, y, r, x.size, lo, hi, 200_000)
 
 
@@ -308,6 +327,43 @@ class TestLeadingModel:
         assert model == pytest.approx(exact, rel=2e-3)
 
 
+def _bound_check_by_sample(n, r, sample):
+    """kernel_bound_check's report with one projection_kernel_sum per
+    sample pair, drawing each pair just before its kernel value."""
+    level = (r - n) // 2
+    lam = math.sqrt(r)
+    rng = np.random.default_rng(sample.seed)
+    normalizer = (r * sample.mu) ** (0.5 * (n - 2))
+    ratios = []
+    diag_ratio = 0.0
+    for i in range(sample.count):
+        direction = rng.standard_normal(n)
+        direction /= math.hypot(*direction)
+        rho_x = max(1.0 - sample.mu * (1.0 + 0.5 * (rng.random() - 0.5)), 0.0)
+        x = rho_x * direction
+        kind = i % 4
+        if kind == 0:
+            y = x
+        elif kind == 1:
+            y = -x
+        elif kind == 2:
+            y = mehler._on_shell(direction, rho_x, 1.0 / lam)
+        else:
+            rho_y = max(1.0 - sample.mu * (1.0 + 0.5 * (rng.random() - 0.5)),
+                        0.0)
+            y = mehler._on_shell(direction, rho_y, 4.0 / lam)
+        value = spectral.projection_kernel_sum(level, n, lam * x, lam * y)
+        ratio = abs(value) / normalizer
+        ratios.append(ratio)
+        if kind == 0:
+            diag_ratio = max(diag_ratio, ratio)
+    return mehler.KernelBoundReport(
+        n=n, r=int(r), mu=sample.mu, normalizer=normalizer,
+        max_ratio=float(max(ratios)), median_ratio=float(np.median(ratios)),
+        diagonal_ratio=diag_ratio, count=len(ratios),
+    )
+
+
 class TestKernelBoundCheck:
     def test_frozen_report_two_dim(self):
         rep = mehler.kernel_bound_check(
@@ -343,6 +399,30 @@ class TestKernelBoundCheck:
             2, 102, mehler.KernelSampleSpec(mu=1.0, count=4, seed=2)
         )
         assert rep.max_ratio == pytest.approx(1.0 / math.pi, rel=1e-6)
+
+    @pytest.mark.parametrize("n,r,mu,count,seed", [
+        (1, 161, 0.3, 8, 1), (2, 102, 0.2, 16, 0), (2, 402, 0.4, 16, 5),
+        (3, 43, 0.2, 16, 3), (3, 163, 0.4, 12, 7)])
+    def test_matches_a_kernel_sum_per_sample(self, n, r, mu, count, seed):
+        spec = mehler.KernelSampleSpec(mu=mu, count=count, seed=seed)
+        got = dataclasses.asdict(mehler.kernel_bound_check(n, r, spec))
+        want = dataclasses.asdict(_bound_check_by_sample(n, r, spec))
+        for name in want:
+            assert got[name] == want[name], name
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_hermite_table_per_check(self, monkeypatch, n):
+        calls = []
+        grid = spectral.hermite_batch_grid
+
+        def counted(k_max, xs):
+            calls.append(len(xs))
+            return grid(k_max, xs)
+
+        monkeypatch.setattr(spectral, "hermite_batch_grid", counted)
+        mehler.kernel_bound_check(
+            n, 2 * 40 + n, mehler.KernelSampleSpec(mu=0.2, count=16, seed=0))
+        assert calls == [16 * 2 * n]
 
     def test_validation(self):
         with pytest.raises(ValueError):

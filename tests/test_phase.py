@@ -57,6 +57,46 @@ class TestDerivatives:
             ph.phase_value(0.3, np.array([1.0, 2.0]), np.array([1.0]))
 
 
+class TestPrivateKernels:
+    """The public phase functions wrap the (t, a2, b) kernels that the
+    quadrature calls directly; both routes give the same bits."""
+
+    KERNELS = [("phase_value", "_value"),
+               ("phase_derivative", "_derivative"),
+               ("phase_second_derivative", "_second_derivative")]
+
+    @staticmethod
+    def _invariants(x, y):
+        return float(np.dot(x, x) + np.dot(y, y)), float(np.dot(x, y))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_arrays_match_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        x, y = random_pair(rng, seed + 1)
+        a2, b = self._invariants(x, y)
+        ts = rng.uniform(1e-6, 1.5, 257)
+        for public, kernel in self.KERNELS:
+            got = getattr(ph, public)(ts, x, y)
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got, getattr(ph, kernel)(ts, a2, b))
+
+    @pytest.mark.parametrize("t", [0.37, np.float64(1e-5), np.array(0.9)])
+    def test_scalars_match_exactly_and_return_float(self, t):
+        x, y = np.array([0.3, -0.5]), np.array([-0.6, 0.2])
+        a2, b = self._invariants(x, y)
+        for public, kernel in self.KERNELS:
+            got = getattr(ph, public)(t, x, y)
+            assert type(got) is float
+            assert got == float(getattr(ph, kernel)(t, a2, b))
+
+    def test_value_with_sine_passed_in(self):
+        x, y = np.array([0.1, 0.4, -0.3]), np.array([-0.5, 0.2, 0.6])
+        a2, b = self._invariants(x, y)
+        ts = np.linspace(1e-4, 1.2, 101)
+        got = ph._value(ts, a2, b, np.sin(2.0 * ts))
+        assert np.array_equal(got, ph.phase_value(ts, x, y))
+
+
 class TestCriticalPoints:
     @given(st.lists(coord, min_size=1, max_size=4), st.data())
     def test_derivative_vanishes_at_interior_points(self, xl, data):
