@@ -3,7 +3,9 @@
 Everything here is closed-form exponent arithmetic: the local L^2 and
 L^p growth envelopes over a dilated ball B(nu, r), the global growth
 exponents, the dyadic-annulus classification of space relative to the
-turning sphere |x| = lambda, and the per-annulus bounds.  Values are
+turning sphere |x| = lambda, the per-annulus bounds, and the geometry
+of the thin tubes inside one annulus that the sharpness examples
+concentrate on.  Values are
 computed in log space so parameter sweeps cannot overflow, and every
 piecewise seam is an exact algebraic identity checked by the test
 suite.
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 __all__ = [
     "LocalBound",
     "Region",
+    "TubeSpec",
     "annulus_lp_bound",
     "classify_region",
     "global_lp_exponent",
@@ -40,6 +43,7 @@ __all__ = [
     "sogge_exponent",
     "sogge_kink",
     "thangavelu_kink",
+    "tube_delta",
 ]
 
 
@@ -241,6 +245,82 @@ def annulus_lp_bound(n: int, lam: float, region: Region, p: float) -> float:
         expo_j = 0.25 * (n + 1) - 0.5 * (n + 3) * ip
         return math.exp((ip - 0.5) * log_lam + expo_j * j * math.log(2.0))
     return math.exp((0.5 * (n - 2) - n * ip) * (log_lam - j * math.log(2.0)))
+
+
+# --------------------------------------------------------------- tubes ----
+
+TUBE_C1 = 0.125
+TUBE_C2 = 0.125
+
+
+@dataclass(frozen=True)
+class TubeSpec:
+    """Geometry of one concentration tube.
+
+    The tube is the box |x1 - x1_star| <= half_length, |x'| <= half_width
+    (per transverse coordinate), sitting inside the dyadic interior
+    annulus of index j at distance ~ lam * 2**(-2j) from the caustic.
+    """
+
+    j: int
+    delta: float
+    x1_star: float
+    lam: float
+
+    def __post_init__(self):
+        if self.j < 0:
+            raise ValueError("dyadic index must be nonnegative")
+        if self.lam <= 0.0:
+            raise ValueError("eigenvalue parameter must be positive")
+        if not 2.0 ** self.j <= self.lam ** (2.0 / 3.0) * (1.0 + 1e-12):
+            raise ValueError(
+                f"2**j = {2 ** self.j} exceeds lam**(2/3) = "
+                f"{self.lam ** (2 / 3):.6g}; the annulus is empty"
+            )
+        lo = 2.0 ** self.j / self.lam
+        hi = 2.0 ** (-0.5 * self.j)
+        if not lo * (1.0 - 1e-12) <= self.delta <= hi * (1.0 + 1e-12):
+            raise ValueError(
+                f"delta={self.delta:.6g} outside the admissible "
+                f"window [{lo:.6g}, {hi:.6g}] for j={self.j}"
+            )
+        if not 0.0 < self.x1_star < self.lam:
+            raise ValueError("tube center must lie inside the caustic")
+
+    @classmethod
+    def from_level(cls, n: int, level: int, j: int, delta: float) -> "TubeSpec":
+        """Tube for the eigenspace of total order `level` in n dimensions.
+
+        Centers at lam * (1 - 2**(-2j)) for j >= 1.  At j = 0 that point
+        degenerates to the origin and lam / 2 sits exactly on the seam
+        between the first two annuli, so the center moves to lam / 4:
+        distance 0.75 * lam from the caustic, mid-bin with margin on
+        both sides.
+        """
+        lam = math.sqrt(2 * level + n)
+        x1_star = lam / 4.0 if j == 0 else lam * (1.0 - 2.0 ** (-2 * j))
+        return cls(j=j, delta=delta, x1_star=x1_star, lam=lam)
+
+    @property
+    def half_length(self) -> float:
+        return TUBE_C1 * self.lam * 2.0 ** (-self.j) * self.delta**2
+
+    @property
+    def half_width(self) -> float:
+        return TUBE_C2 * self.delta
+
+
+def tube_delta(rule: dict, n: int, level: int, j: int) -> float:
+    """Tube width from a config rule: ``{"type": "fixed", "value": d}``
+    gives d; ``{"type": "case2", "r": r}`` gives the width whose tube
+    matches a radius-r ball at the center's distance mu from the caustic,
+    (lam * mu**(1/2) / r)**(-1/2), with mu = 2**(-2j) (0.75 at j = 0,
+    where the center sits at lam / 4)."""
+    if rule["type"] == "fixed":
+        return rule["value"]
+    lam = math.sqrt(2 * level + n)
+    mu = 0.75 if j == 0 else 2.0 ** (-2 * j)
+    return (lam * math.sqrt(mu) / rule["r"]) ** -0.5
 
 
 # ------------------------------------------------- max over translations ----

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .bounds import TubeSpec, tube_delta
+
 EXPERIMENTS = (
     "eval",
     "kernel-compare",
@@ -345,22 +347,13 @@ def _params_bounds_table(s: _Scope) -> dict:
     return out
 
 
-def _tube_feasible(n: int, level: int, j: int, delta: float) -> str | None:
-    """Mirror of the tube-geometry preconditions, as a config-time message."""
-    lam = math.sqrt(2 * level + n)
-    if 2.0 ** j > lam ** (2.0 / 3.0) * (1.0 + 1e-12):
-        return f"2^j exceeds lambda^(2/3) at level {level}"
-    lo, hi = 2.0 ** j / lam, 2.0 ** (-0.5 * j)
-    if not (lo * (1.0 - 1e-12) <= delta <= hi * (1.0 + 1e-12)):
-        return (f"delta={delta:.6g} outside the admissible window "
-                f"[{lo:.6g}, {hi:.6g}] at level {level}")
-    return None
-
-
-def _case2_delta(n: int, level: int, j: int, r: float) -> float:
-    lam = math.sqrt(2 * level + n)
-    mu = 0.75 if j == 0 else 2.0 ** (-2 * j)
-    return (lam * math.sqrt(mu) / r) ** -0.5
+def _check_tube(s: _Scope, idx: int, n: int, level: int, j: int,
+                delta: float) -> None:
+    """Flag levels[idx] when its tube geometry is infeasible."""
+    try:
+        TubeSpec.from_level(n, level, j, delta)
+    except ValueError as exc:
+        s.flag(f"levels[{idx}]", f"{exc} at level {level}")
 
 
 def _params_construct(s: _Scope) -> dict:
@@ -379,11 +372,8 @@ def _params_construct(s: _Scope) -> dict:
     if None in (out["n"], out["levels"], out["j"]) or rule is None:
         return out
     for idx, level in enumerate(out["levels"]):
-        delta = (rule["value"] if rule["type"] == "fixed"
-                 else _case2_delta(out["n"], level, out["j"], rule["r"]))
-        problem = _tube_feasible(out["n"], level, out["j"], delta)
-        if problem:
-            s.flag(f"levels[{idx}]", problem)
+        _check_tube(s, idx, out["n"], level, out["j"],
+                    tube_delta(rule, out["n"], level, out["j"]))
     lo, hi = out["amp_ratio_min"], out["amp_ratio_max"]
     if lo is not None and hi is not None and hi <= lo:
         s.flag("amp_ratio_max", "must exceed amp_ratio_min")
@@ -452,10 +442,8 @@ def _saturate_case(cs: _Scope, kind: str) -> dict:
         case["k"] = cs.take("k", _int_in(1, 40), 1)
         if case["levels"] and case["k"] is not None:
             for idx, level in enumerate(case["levels"]):
-                problem = _tube_feasible(1, level, case["k"],
-                                         2.0 ** (-0.5 * case["k"]))
-                if problem:
-                    cs.flag(f"levels[{idx}]", problem)
+                _check_tube(cs, idx, 1, level, case["k"],
+                            2.0 ** (-0.5 * case["k"]))
         return case
     case["n"] = cs.take("n", _choice((2,)) if kind == "random"
                         else _int_in(2, 8), 2)
@@ -471,10 +459,9 @@ def _saturate_case(cs: _Scope, kind: str) -> dict:
             cs.flag(f"levels[{idx}]",
                     f"r={case['r']} exceeds the eigenvalue {lam:.4g}")
             continue
-        delta = _case2_delta(case["n"], level, case["j"], case["r"])
-        problem = _tube_feasible(case["n"], level, case["j"], delta)
-        if problem:
-            cs.flag(f"levels[{idx}]", problem)
+        rule = {"type": "case2", "r": case["r"]}
+        _check_tube(cs, idx, case["n"], level, case["j"],
+                    tube_delta(rule, case["n"], level, case["j"]))
     return case
 
 

@@ -27,75 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import lambda_lp
+from .bounds import TubeSpec, lambda_lp
 from .hermite import decay_action, phase_action
 from .normquad import Domain, TensorGrid, local_lp_norm
 from .spectral import Eigenfunction
 
-TUBE_C1 = 0.125
-TUBE_C2 = 0.125
 DEFAULT_BINS = 8
 DEFAULT_WINDOW = 2.0
 
 _AXIS_POINTS = 41
 _CROSS_POINTS = 21
-
-
-@dataclass(frozen=True)
-class TubeSpec:
-    """Geometry of one concentration tube.
-
-    The tube is the box |x1 - x1_star| <= half_length, |x'| <= half_width
-    (per transverse coordinate), sitting inside the dyadic interior
-    annulus of index j at distance ~ lam * 2**(-2j) from the caustic.
-    """
-
-    j: int
-    delta: float
-    x1_star: float
-    lam: float
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise ValueError("dyadic index must be nonnegative")
-        if self.lam <= 0.0:
-            raise ValueError("eigenvalue parameter must be positive")
-        if not 2.0 ** self.j <= self.lam ** (2.0 / 3.0) * (1.0 + 1e-12):
-            raise ValueError(
-                f"2**j = {2 ** self.j} exceeds lam**(2/3) = "
-                f"{self.lam ** (2 / 3):.6g}; the annulus is empty"
-            )
-        lo = 2.0 ** self.j / self.lam
-        hi = 2.0 ** (-0.5 * self.j)
-        if not lo * (1.0 - 1e-12) <= self.delta <= hi * (1.0 + 1e-12):
-            raise ValueError(
-                f"tube width {self.delta:.6g} outside the admissible "
-                f"window [{lo:.6g}, {hi:.6g}] for j={self.j}"
-            )
-        if not 0.0 < self.x1_star < self.lam:
-            raise ValueError("tube center must lie inside the caustic")
-
-    @classmethod
-    def from_level(cls, n: int, level: int, j: int, delta: float) -> "TubeSpec":
-        """Tube for the eigenspace of total order `level` in n dimensions.
-
-        Centers at lam * (1 - 2**(-2j)) for j >= 1.  At j = 0 that point
-        degenerates to the origin and lam / 2 sits exactly on the seam
-        between the first two annuli, so the center moves to lam / 4:
-        distance 0.75 * lam from the caustic, mid-bin with margin on
-        both sides.
-        """
-        lam = math.sqrt(2 * level + n)
-        x1_star = lam / 4.0 if j == 0 else lam * (1.0 - 2.0 ** (-2 * j))
-        return cls(j=j, delta=delta, x1_star=x1_star, lam=lam)
-
-    @property
-    def half_length(self) -> float:
-        return TUBE_C1 * self.lam * 2.0 ** (-self.j) * self.delta**2
-
-    @property
-    def half_width(self) -> float:
-        return TUBE_C2 * self.delta
 
 
 @dataclass(frozen=True)
@@ -122,7 +63,6 @@ class ConstructionReport:
     bin_index: int
     bin_fraction: float
     target_amplitude: float
-    measured_median_amplitude: float
 
 
 def index_set(n: int, level: int, delta: float,
@@ -219,8 +159,6 @@ def build_concentrated(n: int, level: int, j: int, delta: float,
     Enumerates the even-window index set, drops indices whose
     first-axis factor is evanescent at the tube center, pigeonholes by
     action phase, and assembles the fullest bin with coefficients 1.
-    The reported amplitude is the median of |e| / ||e||_2 over a grid
-    in the tube.
     """
     tube = TubeSpec.from_level(n, level, j, delta)
     candidates = index_set(n, level, delta)
@@ -240,8 +178,6 @@ def build_concentrated(n: int, level: int, j: int, delta: float,
         raise ValueError("phase binning selected an empty bin")
     e = Eigenfunction(n, level, chosen,
                       [1.0] * len(chosen))
-    norm = e.global_l2_norm()
-    median = float(np.median(np.abs(e(*tube_axes(tube, n))))) / norm
     target = (tube.lam ** -0.5) * 2.0 ** (0.5 * j) * delta ** (-0.5 * (n - 1))
     return ConstructionReport(
         eigenfunction=e,
@@ -249,16 +185,31 @@ def build_concentrated(n: int, level: int, j: int, delta: float,
         bin_index=selection.selected_index,
         bin_fraction=selection.fraction,
         target_amplitude=target,
-        measured_median_amplitude=median,
     )
 
 
-def _ball_quadrature(lam: float, r: float,
-                     half_width: float) -> tuple[TensorGrid, float]:
+def median_amplitude(report: ConstructionReport) -> float:
+    """Median of |e| / ||e||_2 over a grid in the tube, to set against
+    the report's target amplitude."""
+    e = report.eigenfunction
+    tile = e(*tube_axes(report.tube, e.dim))
+    return float(np.median(np.abs(tile))) / e.global_l2_norm()
+
+
+def ball_lp_norm(e, nu: tuple, r: float, p: float,
+                 half_width: float) -> float:
+    """Local p-norm of the eigenfunction e over the ball B(nu, r).
+
+    The grid resolves both the oscillation scale 1 / lambda and the
+    tube's transverse width (capped at 1); no error estimate is made.
+    """
+    lam = e.eigenvalue
     feature = min(half_width, 1.0)
     m_req = math.ceil(8.0 * r * max(lam, 1.0 / feature))
-    grid = TensorGrid(points_per_axis=m_req + 1)
-    return grid, feature
+    dom = Domain(shape="ball", center=nu, scale=r,
+                 quad=TensorGrid(points_per_axis=m_req + 1))
+    return local_lp_norm(e, dom, p, osc_scale=lam, feature_scale=feature,
+                         with_error=False).value
 
 
 def saturation_ratio(report: ConstructionReport, nu, r: float,
@@ -271,15 +222,9 @@ def saturation_ratio(report: ConstructionReport, nu, r: float,
     eigenvalue sweep certifies the bound is attained up to constants.
     """
     e = report.eigenfunction
-    n = e.dim
     nu = tuple(float(c) for c in np.atleast_1d(np.asarray(nu, dtype=float)))
-    if len(nu) != n:
+    if len(nu) != e.dim:
         raise ValueError("ball center has wrong dimension")
-    lam = report.tube.lam
-    grid, feature = _ball_quadrature(lam, r, report.tube.half_width)
-    dom = Domain(shape="ball", center=nu, scale=r, quad=grid)
-    measured = local_lp_norm(e, dom, p, osc_scale=lam,
-                             feature_scale=feature, with_error=False)
-    nu_abs = math.hypot(*nu)
-    bound = lambda_lp(n, lam, r, nu_abs, p)
-    return (measured.value / e.global_l2_norm()) / bound.value
+    measured = ball_lp_norm(e, nu, r, p, report.tube.half_width)
+    bound = lambda_lp(e.dim, report.tube.lam, r, math.hypot(*nu), p)
+    return (measured / e.global_l2_norm()) / bound.value

@@ -33,7 +33,6 @@ __all__ = [
     "Domain",
     "NormValue",
     "TensorGrid",
-    "global_l2_norm",
     "local_lp_norm",
 ]
 
@@ -74,16 +73,6 @@ class NormValue:
     value: float
     error_estimate: float | None
     nodes: int
-
-
-def global_l2_norm(coeffs) -> float:
-    """Exact L^2(R^n) norm of an orthonormal-basis combination."""
-    c = np.asarray(coeffs, dtype=float).ravel()
-    return math.sqrt(math.fsum(c * c))
-
-
-def _csum(parts) -> float:
-    return math.fsum(parts)
 
 
 _PANEL_ORDER = 33
@@ -183,10 +172,10 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
             contrib = vals[inside]
             contrib **= p
             contrib *= wtile[inside]
-            parts.append(_csum(contrib))
+            parts.append(math.fsum(contrib))
     if p == math.inf:
         return best, count
-    total = _csum(parts)
+    total = math.fsum(parts)
     return total ** (1.0 / p), count
 
 

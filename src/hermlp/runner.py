@@ -38,7 +38,6 @@ import numpy as np
 
 from . import bounds, construct, hermite, mehler, phase, spectral, stationary
 from .config import ExperimentConfig
-from .normquad import Domain, local_lp_norm
 
 _EPS = float(np.finfo(float).eps)
 
@@ -510,27 +509,18 @@ def _bounds_identities(ctx: _Ctx) -> None:
 
 # -------------------------------------------------------------- construct
 
-def _construct_delta(rule: dict, n: int, level: int, j: int) -> float:
-    if rule["type"] == "fixed":
-        return rule["value"]
-    lam = math.sqrt(2 * level + n)
-    mu = 0.75 if j == 0 else 2.0 ** (-2 * j)
-    return (lam * math.sqrt(mu) / rule["r"]) ** -0.5
-
-
 def _run_construct(ctx: _Ctx):
     p = ctx.params
 
     def cell(level: int):
-        delta = _construct_delta(p["delta"], p["n"], level, p["j"])
+        delta = bounds.tube_delta(p["delta"], p["n"], level, p["j"])
         rep = construct.build_concentrated(p["n"], level, p["j"], delta,
                                            m_bins=p["m_bins"])
-        tube = rep.tube
-        amp_ratio = rep.measured_median_amplitude / rep.target_amplitude
-        return [[p["n"], level, tube.lam, p["j"], delta,
+        median = construct.median_amplitude(rep)
+        return [[p["n"], level, rep.tube.lam, p["j"], delta,
                  len(rep.eigenfunction.indices), rep.bin_index,
-                 rep.bin_fraction, rep.target_amplitude,
-                 rep.measured_median_amplitude, amp_ratio, "ok"]]
+                 rep.bin_fraction, rep.target_amplitude, median,
+                 median / rep.target_amplitude, "ok"]]
 
     rows = _flatten(_collect(ctx, cell, list(p["levels"]), width=12))
     oks = [row for row in rows if row[-1] == "ok"]
@@ -549,25 +539,21 @@ def _run_construct(ctx: _Ctx):
 
 # --------------------------------------------------------------- saturate
 
-def _tube_case_row(kind: str, n: int, level: int, j: int, delta: float,
-                   nu: tuple, r: float, p_norm: float):
-    lam = math.sqrt(2 * level + n)
-    rep = construct.build_concentrated(n, level, j, delta)
+def _tube_case_row(kind: str, rep, nu: tuple, r: float, p_norm: float):
+    e, tube = rep.eigenfunction, rep.tube
     ratio = construct.saturation_ratio(rep, nu, r, p_norm)
-    bound = bounds.lambda_lp(n, lam, r, math.hypot(*nu), p_norm)
-    return [kind, n, level, lam, j, delta, _fmt_point(nu), r, p_norm,
-            ratio * bound.value, bound.value, ratio, "ok"]
+    bound = bounds.lambda_lp(e.dim, tube.lam, r, math.hypot(*nu), p_norm)
+    return [kind, e.dim, e.level, tube.lam, tube.j, tube.delta,
+            _fmt_point(nu), r, p_norm, ratio * bound.value, bound.value,
+            ratio, "ok"]
 
 
 def _random_level_rows(ctx: _Ctx, case_idx: int, case: dict, level: int):
-    lam = math.sqrt(2 * level + 2)
     j, r, p_norm = case["j"], case["r"], case["p"]
-    delta = _construct_delta({"type": "case2", "r": r}, 2, level, j)
-    tube = construct.TubeSpec.from_level(2, level, j, delta)
+    delta = bounds.tube_delta({"type": "case2", "r": r}, 2, level, j)
+    tube = bounds.TubeSpec.from_level(2, level, j, delta)
     nu = (tube.x1_star, 0.0)
-    grid, feature = construct._ball_quadrature(lam, r, tube.half_width)
-    dom = Domain(shape="ball", center=nu, scale=r, quad=grid)
-    bound = bounds.lambda_lp(2, lam, r, math.hypot(*nu), p_norm)
+    bound = bounds.lambda_lp(2, tube.lam, r, math.hypot(*nu), p_norm)
     # one evaluator per level: every draw reuses its two axis tables
     e = spectral.DenseEigenfunction2D(level, np.zeros(level + 1))
     rows = []
@@ -576,11 +562,10 @@ def _random_level_rows(ctx: _Ctx, case_idx: int, case: dict, level: int):
         coeffs = rng.standard_normal(level + 1)
         coeffs /= np.linalg.norm(coeffs)
         e.coefficients = coeffs
-        measured = local_lp_norm(e, dom, p_norm, osc_scale=lam,
-                                 feature_scale=feature, with_error=False)
-        rows.append([f"random-{i}", 2, level, lam, j, delta, _fmt_point(nu),
-                     r, p_norm, measured.value, bound.value,
-                     measured.value / bound.value, "ok"])
+        measured = construct.ball_lp_norm(e, nu, r, p_norm, tube.half_width)
+        rows.append([f"random-{i}", 2, level, tube.lam, j, delta,
+                     _fmt_point(nu), r, p_norm, measured, bound.value,
+                     measured / bound.value, "ok"])
     return rows
 
 
@@ -594,17 +579,16 @@ def _run_saturate(ctx: _Ctx):
         case = p["cases"][case_idx]
         if case["kind"] == "case2":
             n, j, r = case["n"], case["j"], case["r"]
-            delta = _construct_delta({"type": "case2", "r": r}, n, level, j)
-            tube = construct.TubeSpec.from_level(n, level, j, delta)
-            nu = (tube.x1_star,) + (0.0,) * (n - 1)
-            return [_tube_case_row("case2", n, level, j, delta, nu, r,
-                                   case["p"])]
+            delta = bounds.tube_delta({"type": "case2", "r": r}, n, level, j)
+            rep = construct.build_concentrated(n, level, j, delta)
+            nu = (rep.tube.x1_star,) + (0.0,) * (n - 1)
+            return [_tube_case_row("case2", rep, nu, r, case["p"])]
         if case["kind"] == "case3":
             k = case["k"]
-            lam = math.sqrt(2 * level + 1)
-            r = lam * 2.0 ** (-2 * k)
-            return [_tube_case_row("case3", 1, level, k, 2.0 ** (-0.5 * k),
-                                   (lam - r,), r, case["p"])]
+            rep = construct.build_concentrated(1, level, k, 2.0 ** (-0.5 * k))
+            r = rep.tube.lam * 2.0 ** (-2 * k)
+            return [_tube_case_row("case3", rep, (rep.tube.lam - r,), r,
+                                   case["p"])]
         return _random_level_rows(ctx, case_idx, case, level)
 
     per_cell = _collect(ctx, cell, cells, width=len(SATURATE_HEADER))
@@ -803,14 +787,9 @@ def emit_plot_data(kind: str, *, run_dir=None, params: dict | None = None,
         rows = [[p, bounds.sogge_exponent(n, p),
                  bounds.global_lp_exponent(n, p), tag] for p, tag in pts]
     elif kind == "bound-vs-r":
-        n = int(params.pop("n", 2))
-        lam = float(params.pop("lambda", 1000.0))
-        pv = math.inf if params.get("p") == "inf" else float(
-            params.pop("p", 2.0))
-        params.pop("p", None)
+        n, lam, pv, m = _slice_params(params)
         mu = params.pop("mu", None)
         nu_abs = float(params.pop("nu_abs", 0.0))
-        m = int(params.pop("points", 121))
         _no_extra(params)
         rs = np.geomspace(lam ** (-4.0 / 3.0), lam, m)
         header = ("r", "mu", "branch", "log_value", "value")
@@ -821,14 +800,11 @@ def emit_plot_data(kind: str, *, run_dir=None, params: dict | None = None,
                  else bounds.lambda_lp(n, lam, float(r), nu_abs, pv))
             rows.append([float(r), b.mu, b.branch, b.log_value, b.value])
     elif kind == "bound-vs-mu":
-        n = int(params.pop("n", 2))
-        lam = float(params.pop("lambda", 1000.0))
+        n, lam, pv, m = _slice_params(params)
         r = float(params.pop("r", 1.0))
-        pv = math.inf if params.get("p") == "inf" else float(
-            params.pop("p", 2.0))
-        params.pop("p", None)
-        m = int(params.pop("points", 121))
         _no_extra(params)
+        if not 0.0 < r <= lam:
+            raise ValueError(f"need 0 < r <= lambda={lam} (got r={r})")
         mus = np.geomspace(lam ** (-4.0 / 3.0), 1.0, m)
         header = ("mu", "branch", "log_value", "value")
         rows = [[float(mu), b.branch, b.log_value, b.value]
@@ -863,6 +839,17 @@ def emit_plot_data(kind: str, *, run_dir=None, params: dict | None = None,
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
     return header, rows
+
+
+def _slice_params(params: dict) -> tuple:
+    """Pop and check the n, lambda, p and points of a bound slice."""
+    n = int(params.pop("n", 2))
+    lam = float(params.pop("lambda", 1000.0))
+    p = params.pop("p", 2.0)
+    m = int(params.pop("points", 121))
+    if n < 1 or m < 2 or not lam > 0.0:
+        raise ValueError("need n >= 1, points >= 2 and lambda > 0")
+    return n, lam, (math.inf if p == "inf" else float(p)), m
 
 
 def _no_extra(params: dict) -> None:

@@ -12,7 +12,6 @@ used as the reference for the oscillatory-integral evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -57,31 +56,6 @@ def level_indices(level: int, dim: int) -> Iterator[tuple[int, ...]]:
     if level < 0 or dim < 1:
         raise ValueError("need level >= 0 and dim >= 1")
     yield from map(tuple, _index_array(level, dim).tolist())
-
-
-@dataclass(frozen=True)
-class Eigenspace:
-    level: int
-    dim: int
-
-    def __post_init__(self):
-        if self.level < 0 or self.dim < 1:
-            raise ValueError("need level >= 0 and dim >= 1")
-
-    @property
-    def eigenvalue_squared(self) -> int:
-        return eigenvalue_squared(self.level, self.dim)
-
-    @property
-    def eigenvalue(self) -> float:
-        return math.sqrt(self.eigenvalue_squared)
-
-    @property
-    def multiplicity(self) -> int:
-        return multiplicity(self.level, self.dim)
-
-    def indices(self) -> Iterator[tuple[int, ...]]:
-        return level_indices(self.level, self.dim)
 
 
 def projection_kernel_sum(level: int, dim: int, x, y, index_cap: int = 2_000_000) -> float:
@@ -152,6 +126,11 @@ class _AxesEvaluator:
             raise ValueError("axes must be 1-D node arrays")
         return axes
 
+    def global_l2_norm(self) -> float:
+        """Exact L^2(R^n) norm: the product basis is orthonormal."""
+        c = np.asarray(self.coefficients, dtype=float)
+        return math.sqrt(math.fsum(c * c))
+
     def _table(self, axis: int, nodes: np.ndarray) -> np.ndarray:
         kept = self._kept[axis]
         if kept is None or not np.array_equal(kept[0], nodes):
@@ -198,9 +177,6 @@ class Eigenfunction(_AxesEvaluator):
     @property
     def eigenvalue(self) -> float:
         return math.sqrt(2 * self.level + self.dim)
-
-    def global_l2_norm(self) -> float:
-        return math.sqrt(math.fsum(c * c for c in self.coefficients))
 
     def _build_table(self, axis: int, nodes: np.ndarray) -> np.ndarray:
         return hermite_batch(self._axis_orders[axis], nodes)
@@ -250,10 +226,6 @@ class DenseEigenfunction2D(_AxesEvaluator):
     @property
     def eigenvalue(self) -> float:
         return math.sqrt(2 * self.level + 2)
-
-    def global_l2_norm(self) -> float:
-        c = self.coefficients
-        return math.sqrt(math.fsum(c * c))
 
     def _build_table(self, axis: int, nodes: np.ndarray) -> np.ndarray:
         return hermite_batch_grid(self.level, nodes)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,14 @@ class TestConfigSchema:
             "levels": [5], "delta": {"type": "fixed", "value": 0.1}}})
         assert msg.startswith("parameters.levels[0]: delta=0.1 outside the"
                               " admissible window")
+
+    def test_empty_annulus_checked_per_level(self):
+        # lambda = sqrt(12) puts lambda**(2/3) under 2**3
+        (msg,) = violations_of({"experiment": "construct", "parameters": {
+            "levels": [5, 400], "j": 3,
+            "delta": {"type": "fixed", "value": 0.3}}})
+        assert msg == ("parameters.levels[0]: 2**j = 8 exceeds lam**(2/3) = "
+                       "2.28943; the annulus is empty at level 5")
 
     def test_delta_rule_shapes(self):
         bad = [{"type": "fixed"}, {"type": "case2", "r": 1.0, "x": 1},
@@ -402,6 +411,26 @@ class TestRunnerArtifacts:
                                             for i in range(per_level)]
         assert all(row[-1] == "ok" and row[9] > 0.0 for row in rows)
 
+    @pytest.mark.parametrize("case, calls", [
+        ({"kind": "case2", "n": 2, "levels": [200]}, 2),
+        ({"kind": "case3", "levels": [200]}, 1)])
+    def test_tube_cell_runs_one_recurrence_per_ball_axis(
+            self, monkeypatch, tmp_path, case, calls):
+        # the report measures no tube median, so the only sparse tables a
+        # saturate tube cell builds are those of its ball axes
+        seen = []
+
+        def counted(orders, xs):
+            seen.append(len(xs))
+            return hermite.hermite_batch(orders, xs)
+
+        monkeypatch.setattr(spectral, "hermite_batch", counted)
+        cfg = parse_config({"experiment": "saturate",
+                            "parameters": {"cases": [case]}})
+        res = run(cfg, out_dir=tmp_path)
+        assert res.summary["computational_failures"] == []
+        assert len(seen) == calls
+
     def test_phase_identities_crash_contained(self, tmp_path):
         cfg = load_config(str(Path(__file__).resolve().parents[1]
                               / "configs" / "phase-identities.json"))
@@ -452,6 +481,28 @@ class TestEmitPlot:
     def test_bound_vs_mu_branches(self):
         _, rows = emit_plot_data("bound-vs-mu", params={})
         assert {row[1] for row in rows} == {"tube-low-p", "cap-low-p"}
+
+    @pytest.mark.parametrize("kind, params, match", [
+        ("bound-vs-r", {"points": 0}, "points >= 2"),
+        ("bound-vs-r", {"points": 1}, "points >= 2"),
+        ("bound-vs-r", {"n": 0}, "n >= 1"),
+        ("bound-vs-mu", {"n": 0}, "n >= 1"),
+        ("bound-vs-r", {"lambda": -5}, "lambda > 0"),
+        ("bound-vs-mu", {"lambda": 0}, "lambda > 0"),
+        ("bound-vs-mu", {"lambda": 1000, "r": 5000}, "r <= lambda"),
+        ("bound-vs-mu", {"r": 0}, "0 < r")])
+    def test_bound_slices_reject_bad_input(self, kind, params, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                emit_plot_data(kind, params=params)
+
+    def test_bound_slices_read_p_once(self):
+        for kind in ("bound-vs-r", "bound-vs-mu"):
+            _, inf_rows = emit_plot_data(kind, params={"p": "inf"})
+            _, six_rows = emit_plot_data(kind, params={"p": 6})
+            assert inf_rows != six_rows
+            assert emit_plot_data(kind, params={"p": 6.0})[1] == six_rows
 
     def test_saturate_ratios_reads_run(self, mini_saturate_run):
         _, out = mini_saturate_run
@@ -557,6 +608,14 @@ class TestCommandLine:
         assert header == ("p", "sigma", "rho", "marker")
         assert "wrote" in capsys.readouterr().out
 
+    def test_emit_plot_bad_value_exits_2_without_csv(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = cli.main(["emit-plot", "--kind", "bound-vs-r",
+                         "--param", "points=0", "--out", str(out)])
+        assert code == 2
+        assert "points >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_emit_plot_unknown_kind_exits_2(self, tmp_path, capsys):
         code = cli.main(["emit-plot", "--kind", "pie",
                          "--out", str(tmp_path / "x.csv")])
@@ -653,3 +712,29 @@ class TestCommandLine:
         for name in ("bounds-table", "determinism"):
             for artifact in ("results.csv", "summary.json", "manifest.json"):
                 assert (tmp_path / name / artifact).is_file()
+
+    def test_make_figures_script(self, tmp_path, mini_saturate_run):
+        _, run_dir = mini_saturate_run
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        figs = tmp_path / "figs"
+        done = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "make_figures.py"),
+             "--out-dir", str(figs), "--saturate-run", str(run_dir)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        headers = {path.name: read_csv(path)[0]
+                   for path in figs.glob("*.csv")}
+        slice_r = ("r", "mu", "branch", "log_value", "value")
+        assert headers == {
+            "hermite-profile.csv": ("x", "value", "szego", "envelope",
+                                    "regime"),
+            "rho-sigma-n2.csv": ("p", "sigma", "rho", "marker"),
+            "rho-sigma-n3.csv": ("p", "sigma", "rho", "marker"),
+            "bound-vs-r-n2-p2.0.csv": slice_r,
+            "bound-vs-r-n2-p6.0.csv": slice_r,
+            "bound-vs-mu-n2-p2.0.csv": ("mu", "branch", "log_value",
+                                        "value"),
+            "saturate-ratios.csv": ("kind", "n", "lambda", "r", "p",
+                                    "ratio"),
+        }

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlp import construct as ct
-from hermlp.bounds import classify_region
+from hermlp.bounds import TubeSpec, classify_region
 from hermlp.config import parse_config
 from hermlp.hermite import hermite_normalized, phase_action
 
@@ -132,14 +132,14 @@ class TestPhaseBin:
 
 class TestTubeSpec:
     def test_center_placement(self):
-        spec = ct.TubeSpec.from_level(2, 800, 2, 0.3)
+        spec = TubeSpec.from_level(2, 800, 2, 0.3)
         assert spec.lam == pytest.approx(math.sqrt(1602), rel=1e-15)
         assert spec.x1_star == pytest.approx(spec.lam * (1 - 2**-4), rel=1e-15)
-        at0 = ct.TubeSpec.from_level(2, 800, 0, 0.3)
+        at0 = TubeSpec.from_level(2, 800, 0, 0.3)
         assert at0.x1_star == pytest.approx(at0.lam / 4, rel=1e-15)
 
     def test_geometry(self):
-        spec = ct.TubeSpec.from_level(2, 800, 2, 0.3)
+        spec = TubeSpec.from_level(2, 800, 2, 0.3)
         assert spec.half_length == pytest.approx(
             0.125 * spec.lam * 0.25 * 0.09, rel=1e-12
         )
@@ -148,7 +148,7 @@ class TestTubeSpec:
     def test_tube_sits_in_its_annulus(self):
         for n, level, j, delta in [(2, 800, 2, 0.3), (2, 800, 0, 0.2),
                                    (3, 1200, 1, 0.4)]:
-            spec = ct.TubeSpec.from_level(n, level, j, delta)
+            spec = TubeSpec.from_level(n, level, j, delta)
             for sx in (-1.0, 1.0):
                 x1 = spec.x1_star + sx * spec.half_length
                 radius = math.hypot(x1, *([spec.half_width] * (n - 1)))
@@ -159,17 +159,17 @@ class TestTubeSpec:
     def test_feasibility_window(self):
         lam = math.sqrt(1602)
         with pytest.raises(ValueError):
-            ct.TubeSpec(j=6, delta=0.1, x1_star=lam / 2, lam=lam)
+            TubeSpec(j=6, delta=0.1, x1_star=lam / 2, lam=lam)
         with pytest.raises(ValueError):
-            ct.TubeSpec(j=1, delta=0.9, x1_star=lam / 2, lam=lam)  # > 2^{-1/2}
+            TubeSpec(j=1, delta=0.9, x1_star=lam / 2, lam=lam)  # > 2^{-1/2}
         with pytest.raises(ValueError):
-            ct.TubeSpec(j=1, delta=0.01, x1_star=lam / 2, lam=lam)  # < 2/lam
+            TubeSpec(j=1, delta=0.01, x1_star=lam / 2, lam=lam)  # < 2/lam
         with pytest.raises(ValueError):
-            ct.TubeSpec(j=1, delta=0.3, x1_star=lam * 1.1, lam=lam)
-        ct.TubeSpec(j=1, delta=2**-0.5, x1_star=lam / 2, lam=lam)  # edge ok
+            TubeSpec(j=1, delta=0.3, x1_star=lam * 1.1, lam=lam)
+        TubeSpec(j=1, delta=2**-0.5, x1_star=lam / 2, lam=lam)  # edge ok
 
     def test_grid_shape(self):
-        spec = ct.TubeSpec.from_level(2, 800, 1, 0.3)
+        spec = TubeSpec.from_level(2, 800, 1, 0.3)
         assert [len(a) for a in ct.tube_axes(spec, 2)] == [41, 21]
         assert [len(a) for a in ct.tube_axes(spec, 3)] == [41, 21, 21]
         assert [len(a) for a in ct.tube_axes(spec, 1)] == [41]
@@ -185,7 +185,7 @@ class TestBuildConcentrated:
         assert rep.target_amplitude == pytest.approx(
             rep.tube.lam**-0.5 * 2**0.5, rel=1e-12
         )
-        ratio = rep.measured_median_amplitude / rep.target_amplitude
+        ratio = ct.median_amplitude(rep) / rep.target_amplitude
         assert 0.1 <= ratio <= 10.0
 
     def test_two_dim_report(self):
@@ -195,12 +195,12 @@ class TestBuildConcentrated:
         assert all(c == 1.0 for c in e.coefficients)
         assert e.global_l2_norm() == math.sqrt(len(e.indices))
         assert rep.bin_fraction >= 1 / 8
-        ratio = rep.measured_median_amplitude / rep.target_amplitude
+        ratio = ct.median_amplitude(rep) / rep.target_amplitude
         assert 0.1 <= ratio <= 10.0
 
     def test_amplitude_ratio_stable_across_levels(self):
         ratios = [
-            r.measured_median_amplitude / r.target_amplitude
+            ct.median_amplitude(r) / r.target_amplitude
             for r in (case2_report(200), case2_report(800))
         ]
         assert ratios[0] == pytest.approx(0.1455, abs=2e-3)

@@ -76,8 +76,8 @@ class TestOracles:
         assert abs(g2.value - f1.value * f2.value) < 1e-10
 
     def test_global_l2_is_hypot_of_coefficients(self):
-        assert NQ.global_l2_norm([3.0, 4.0]) == 5.0
-        assert NQ.global_l2_norm(np.zeros(5)) == 0.0
+        assert sp.DenseEigenfunction2D(1, [3.0, 4.0]).global_l2_norm() == 5.0
+        assert sp.DenseEigenfunction2D(4, np.zeros(5)).global_l2_norm() == 0.0
 
     def test_global_norm_matches_quadrature_over_large_box(self):
         # level 6 has its turning circle at radius sqrt(14) < 4; outside

@@ -28,9 +28,6 @@ class TestLevels:
         r = sp.eigenvalue_squared(level, dim)
         assert r >= dim and (r - dim) % 2 == 0
         assert (r - dim) // 2 == level
-        space = sp.Eigenspace(level, dim)
-        assert space.eigenvalue_squared == r
-        assert space.eigenvalue == math.sqrt(r)
 
     def test_rejects_non_eigenvalues(self):
         with pytest.raises(ValueError):
@@ -86,15 +83,6 @@ class TestIndexEnumeration:
             assert all(a >= 0 for a in alpha)
             assert sum(alpha) == level
         assert seen == sorted(seen, reverse=True)
-
-    def test_eigenspace_wrapper(self):
-        es = sp.Eigenspace(100, 2)
-        assert es.eigenvalue_squared == 202
-        assert es.eigenvalue == pytest.approx(math.sqrt(202))
-        assert es.multiplicity == 101
-        assert next(iter(es.indices())) == (100, 0)
-        with pytest.raises(ValueError):
-            sp.Eigenspace(-1, 2)
 
 
 class TestEvaluation:
@@ -249,6 +237,18 @@ class TestEigenfunction:
         assert e.global_l2_norm() == pytest.approx(5.0, rel=1e-15)
         assert e.eigenvalue_squared == 14
         assert e.eigenvalue == pytest.approx(math.sqrt(14), rel=1e-15)
+
+    def test_one_l2_norm_for_both_evaluators(self):
+        # fsum is correctly rounded, so the shared method gives the scalar
+        # loop's bits for the sparse tuple and the dense array alike
+        level = 40
+        c = np.random.default_rng(11).standard_normal(level + 1)
+        want = math.sqrt(math.fsum(float(x) * float(x) for x in c))
+        sparse = sp.Eigenfunction(2, level, [(a, level - a)
+                                             for a in range(level + 1)], c)
+        dense = sp.DenseEigenfunction2D(level, c)
+        assert sparse.global_l2_norm() == want
+        assert dense.global_l2_norm() == want
 
     def test_one_dim_points_accepted_flat(self):
         e = sp.Eigenfunction(1, 4, [(4,)], [1.0])
