@@ -4,7 +4,10 @@
 Each config in configs/ is executed once, writing its artifacts under the
 output root.  The process exit code is the worst per-run code (3 beats 1
 beats 0), so CI can gate on this script alone.  --quick skips the one
-long-running sweep.
+long-running sweep.  --compare DIR then byte-compares each config's
+results.csv and summary.json with DIR/<config>/ (the output root of an
+earlier run, say of another commit), prints the files that differ and
+exits 1 on any difference.
 """
 
 import argparse
@@ -16,6 +19,7 @@ from hermlp.config import ConfigError, load_config
 from hermlp.runner import run
 
 SLOW = {"saturate-sweep"}
+COMPARED = ("results.csv", "summary.json")
 
 
 def main() -> int:
@@ -27,6 +31,9 @@ def main() -> int:
                     help="skip the long sweep configs: " + ", ".join(SLOW))
     ap.add_argument("--only", action="append", default=[],
                     help="run just these config names (repeatable)")
+    ap.add_argument("--compare", type=Path, default=None, metavar="DIR",
+                    help="byte-compare " + " and ".join(COMPARED)
+                    + " with DIR/<config>/ after the run")
     args = ap.parse_args()
 
     paths = sorted(args.configs_dir.glob("*.json"))
@@ -38,6 +45,7 @@ def main() -> int:
 
     worst = 0
     report = []
+    ran = []
     for path in paths:
         if args.quick and path.stem in SLOW:
             report.append((path.stem, "skipped", 0.0))
@@ -51,6 +59,7 @@ def main() -> int:
             report.append((path.stem, "config error", 0.0))
             continue
         result = run(config, out_dir=args.out_root / path.stem)
+        ran.append(path.stem)
         for a in result.assertions:
             mark = "PASS" if a.passed else "FAIL"
             print(f"{path.stem}: {mark} {a.name}: "
@@ -64,7 +73,22 @@ def main() -> int:
     width = max(len(name) for name, _, _ in report)
     for name, verdict, dt in report:
         print(f"{name:<{width}}  {verdict:<14}  {dt:8.1f}s")
+    if args.compare is not None:
+        differ = [Path(name) / artifact for name in ran for artifact in COMPARED
+                  if not _same_bytes(args.out_root / name / artifact,
+                                     args.compare / name / artifact)]
+        print()
+        for rel in differ:
+            print(f"differs from {args.compare}: {rel}")
+        print(f"compared {len(ran) * len(COMPARED)} files with "
+              f"{args.compare}: {len(differ)} differ")
+        if differ:
+            worst = max(worst, 1)
     return worst
+
+
+def _same_bytes(a: Path, b: Path) -> bool:
+    return b.is_file() and a.read_bytes() == b.read_bytes()
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .config import EXPERIMENTS, ConfigError, load_config
+from .config import EXPERIMENTS, ConfigError, load_config, override_problem
 from .runner import PLOT_KINDS, emit_plot_data, run
 
 EXIT_PASS = 0
@@ -66,6 +66,16 @@ def _parse_params(pairs) -> dict:
 
 
 def _run_experiment(args) -> int:
+    # flags obey the rules of the config entries they override, and are
+    # checked before anything runs or is written
+    violations = []
+    for key in ("seed", "tolerance_scale"):
+        value = getattr(args, key)
+        problem = None if value is None else override_problem(key, value)
+        if problem:
+            violations.append(f"--{key.replace('_', '-')}: {problem}")
+    if violations:
+        raise ConfigError(violations)
     config = load_config(args.config)
     if config.experiment != args.command:
         print(f"config error: {args.config} is a {config.experiment!r} "

@@ -478,6 +478,20 @@ _SCHEMAS: dict[str, Callable[[_Scope], dict]] = {
 
 # ------------------------------------------------------------- entry points
 
+# Top-level entries a run may override (the CLI's --seed and
+# --tolerance-scale); an override obeys the rule of the file's entry.
+_OVERRIDABLE = {
+    "seed": _int_in(0, 2**64 - 1),
+    "tolerance_scale": _num_in(0.0, lo_open=True),
+}
+
+
+def override_problem(key: str, value) -> str | None:
+    """What is wrong with ``value`` as an override of the top-level entry
+    ``key`` (``seed`` or ``tolerance_scale``), or None if it is valid."""
+    return _OVERRIDABLE[key](value)[1]
+
+
 def parse_config(data, source: str = "config") -> ExperimentConfig:
     """Validate a raw mapping and return the normalized config.
 
@@ -488,11 +502,12 @@ def parse_config(data, source: str = "config") -> ExperimentConfig:
         raise ConfigError([f"{source}: top level must be a mapping"])
     top = _Scope(data, "", violations)
     experiment = top.take("experiment", _choice(EXPERIMENTS))
-    seed = top.take("seed", _int_in(0, 2**64 - 1), 0)
+    seed = top.take("seed", _OVERRIDABLE["seed"], 0)
     # "threads" is accepted, validated and ignored: cells run one after
     # another in grid order.  It is kept for configs that still set it.
     threads = top.take("threads", _int_in(1, 256), 1)
-    tol_scale = top.take("tolerance_scale", _num_in(0.0, lo_open=True), 1.0)
+    tol_scale = top.take("tolerance_scale", _OVERRIDABLE["tolerance_scale"],
+                         1.0)
     out_dir = top.take("out", lambda v: (v, None) if isinstance(v, str)
                        else (None, f"must be a string path (got {v!r})"), None)
 

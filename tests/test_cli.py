@@ -563,6 +563,28 @@ class TestCommandLine:
                          "--tolerance-scale", "1e20"])
         assert code == 0
 
+    @pytest.mark.parametrize("flag, value, problem", [
+        ("--seed", "-1", "must be >= 0"),
+        ("--seed", str(2**64), "must be <= 18446744073709551615"),
+        ("--tolerance-scale", "0", "must be > 0.0"),
+        ("--tolerance-scale", "-1", "must be > 0.0"),
+        ("--tolerance-scale", "nan", "must be finite"),
+        ("--tolerance-scale", "inf", "must be finite"),
+    ])
+    def test_override_flags_obey_config_rules(self, tmp_path, capsys, flag,
+                                              value, problem):
+        # the config file itself would refuse these values; so do the flags,
+        # before anything runs or is written
+        path = write_json(tmp_path, {"experiment": "bounds-table"})
+        out = tmp_path / "out"
+        code = cli.main(["bounds-table", "--config", path, "--out", str(out),
+                         flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{flag}: {problem}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_threads_flag_is_usage_error(self, tmp_path):
         path = write_json(tmp_path, {"experiment": "saturate", "parameters": {
             "cases": [{"kind": "random", "levels": [50], "per_level": 1}]}})
@@ -712,6 +734,35 @@ class TestCommandLine:
         for name in ("bounds-table", "determinism"):
             for artifact in ("results.csv", "summary.json", "manifest.json"):
                 assert (tmp_path / name / artifact).is_file()
+
+    def test_run_all_configs_compare(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+
+        def run_all(out_root, *extra):
+            return subprocess.run(
+                [sys.executable, str(repo / "scripts" / "run_all_configs.py"),
+                 "--only", "bounds-table", "--only", "determinism",
+                 "--out-root", str(out_root), *extra],
+                cwd=tmp_path, env=env, capture_output=True, text=True)
+
+        assert run_all(tmp_path / "ref").returncode == 0
+        done = run_all(tmp_path / "same", "--compare", str(tmp_path / "ref"))
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "compared 4 files" in done.stdout
+        assert "0 differ" in done.stdout
+
+        corrupt = tmp_path / "ref" / "determinism" / "results.csv"
+        data = bytearray(corrupt.read_bytes())
+        data[len(data) // 2] ^= 1
+        corrupt.write_bytes(bytes(data))
+        done = run_all(tmp_path / "other", "--compare", str(tmp_path / "ref"))
+        assert done.returncode == 1
+        differ = [line for line in done.stdout.splitlines()
+                  if line.startswith("differs")]
+        assert len(differ) == 1
+        assert differ[0].endswith(str(Path("determinism", "results.csv")))
+        assert "1 differ" in done.stdout
 
     def test_make_figures_script(self, tmp_path, mini_saturate_run):
         _, run_dir = mini_saturate_run

@@ -318,3 +318,100 @@ class TestAxesIntegrands:
             a = NQ.local_lp_norm(Gauss3D(), dom, p, osc_scale=1.0)
             b = NQ.local_lp_norm(gauss3_points, dom, p, osc_scale=1.0)
             assert a == b
+
+
+def fsum_outcome(sum_fn, values):
+    """The value (with the sign of a zero) or the exception of a sum."""
+    try:
+        got = sum_fn(np.asarray(values, dtype=float))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if math.isnan(got):
+        return "nan"
+    return got, math.copysign(1.0, got)
+
+
+def assert_sums_like_fsum(values):
+    assert fsum_outcome(NQ._exact_sum, values) == fsum_outcome(math.fsum,
+                                                               values)
+
+
+CHUNK = NQ._SUM_CHUNK
+INF = math.inf
+
+
+class TestExactSum:
+    """_exact_sum(a) is math.fsum(a) bit for bit, sign of zero included."""
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    max_size=40))
+    def test_any_finite_list(self, values):
+        assert_sums_like_fsum(values)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           length=st.sampled_from([0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   3 * CHUNK + 7]),
+           low=st.integers(-1074, 997), span=st.integers(0, 1071),
+           signs=st.sampled_from(["positive", "mixed", "cancelling"]))
+    def test_chunked_arrays(self, seed, length, low, span, signs):
+        # magnitudes below 2^low .. 2^high, from subnormal to about 1e300,
+        # with zeros of both signs sprinkled in
+        rng = np.random.default_rng(seed)
+        high = min(low + span, 997)
+        a = np.ldexp(rng.random(length), rng.integers(low, high + 1, length))
+        if signs == "mixed":
+            a *= rng.choice([-1.0, 1.0], length)
+        elif signs == "cancelling":
+            a[length // 2:] = -a[:length - length // 2]
+            rng.shuffle(a)
+        a[rng.random(length) < 0.01] = rng.choice([0.0, -0.0])
+        assert_sums_like_fsum(a)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_exponent_across_chunks(self, seed):
+        # every term in [1, 2): all of them meet in one bin per half
+        rng = np.random.default_rng(seed)
+        a = 1.0 + rng.random(8 * CHUNK + 3)
+        assert_sums_like_fsum(a)
+        a[::3] *= -1.0
+        assert_sums_like_fsum(a)
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0, -0.0],
+        [1.0, -1.0], [-5e-324, -0.0], [2.0**-1074], [2.0**-1074] * (CHUNK + 1),
+        [1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [1.0, 2.0**-53, 2.0**-60],
+        [1.0, 2.0**-53, -(2.0**-60)], [-1.0, -(2.0**-53)],
+        [1e300, 1.0, -1e300], [1e300] * (CHUNK + 1), [1e290, 3.0, -1e290],
+        [1.7e308, 1.7e308], [1.7e308, 1e308, -1e308],
+        [0.1] * (3 * CHUNK + 1), [-0.0] * (CHUNK + 1),
+    ])
+    def test_edge_cases(self, values):
+        assert_sums_like_fsum(values)
+
+    @pytest.mark.parametrize("values", [
+        [INF], [-INF, 1.0], [math.nan, 1.0], [INF, math.nan], [INF, -INF],
+        [1.0] * (2 * CHUNK) + [-INF], [1.0] * CHUNK + [math.nan] + [INF],
+    ])
+    def test_non_finite_like_fsum(self, values):
+        assert_sums_like_fsum(values)
+
+    def test_inf_minus_inf_raises(self):
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            NQ._exact_sum(np.array([INF, -INF]))
+
+    def test_norm_hands_fsum_only_bin_sums(self, monkeypatch):
+        # a 1001 x 1001 box is 1,002,001 nodes, in one block
+        dom = NQ.Domain("box", (0.3, -0.2), 1.1, NQ.TensorGrid(1001))
+        fsum = math.fsum
+        seen = []
+        monkeypatch.setattr(NQ.math, "fsum",
+                            lambda xs: seen.append(len(xs)) or fsum(xs))
+        got = NQ.local_lp_norm(GaussWave2D(), dom, 3.0, osc_scale=3.0,
+                               with_error=False)
+        assert got.nodes == 1001 * 1001
+        assert sum(seen) < 10**5
+        monkeypatch.setattr(NQ, "_exact_sum", fsum)
+        assert NQ.local_lp_norm(GaussWave2D(), dom, 3.0, osc_scale=3.0,
+                                with_error=False) == got
