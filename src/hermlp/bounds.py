@@ -34,7 +34,6 @@ __all__ = [
     "annulus_lp_bound",
     "classify_region",
     "global_lp_exponent",
-    "lambda_l2",
     "lambda_lp",
     "lambda_lp_at_mu",
     "max_local_bound",
@@ -176,11 +175,6 @@ def lambda_lp(n: int, lam: float, r: float, nu_abs: float, p: float) -> LocalBou
     ip = _check_p(p)
     log_value, branch = _lp_log(n, lam, r, mu, mu_tilde, ip, p)
     return _bound(log_value, branch, mu, mu_tilde)
-
-
-def lambda_l2(n: int, lam: float, r: float, nu_abs: float) -> LocalBound:
-    """Local L^2 (local probability) growth envelope over B(nu, r)."""
-    return lambda_lp(n, lam, r, nu_abs, 2.0)
 
 
 # ------------------------------------------------------------- regions ----
@@ -366,18 +360,3 @@ def max_local_bound(n: int, lam: float, r: float, p: float) -> LocalBound:
     mu = min(1.0, r / lam)
     log_value = ((n - 2.0) / 6.0 - n * ip / 3.0) * log_lam
     return _bound(log_value, "max:boundary-touch", mu, floor)
-
-
-def rho_kink_log_refinement(n: int, lam: float) -> float:
-    """Reference magnitude at the first global kink with its log factor:
-    lam^(-1/(n+3)) * (log lam)^((n+1)/(2n+6)).
-
-    Exposed for tables and plots only; no sweep asserts it, since the
-    constant in front is unknown and logarithmic growth is invisible at
-    desk scale.
-    """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    if lam <= 1.0:
-        raise ValueError("need lam > 1 for a positive log factor")
-    return lam ** (-1.0 / (n + 3)) * math.log(lam) ** ((n + 1) / (2 * n + 6))

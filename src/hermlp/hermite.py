@@ -10,6 +10,15 @@ carried in log-scaled form so that orders in the thousands and arguments
 far outside the classically allowed region neither overflow nor lose the
 exponential tail to premature underflow.
 
+One private driver, :func:`_tables`, steps that recurrence for every
+table this package builds.  It takes (orders, grid) requests, runs one
+recurrence over their grids concatenated, and lets each grid drop out
+once its highest order is read, so a grid that needs only low orders
+costs no more than on its own.  The rescale is per point, so every value
+is the one a recurrence over that grid alone gives, bit for bit.  The
+public evaluators (:func:`hermite_batch_grid`, :func:`hermite_batch`,
+:func:`hermite_on_grids`) are thin shells over it.
+
 The second half of the module provides the semiclassical profile for a
 single order k: turning point, phase/decay actions, regime classification
 around the turning point, and a pointwise asymptotic approximation with
@@ -29,11 +38,6 @@ _LOG_PI = math.log(math.pi)
 # is folded into the per-point log scale.
 _RESCALE_LIMIT = 1.0e120
 
-# Grids per recurrence in hermite_on_grids.  A group's recurrence holds
-# the state of all its grids at once; 64 bounds that memory, while the
-# eval check's 501 orders still take only 8 recurrences.
-_GRID_GROUP = 64
-
 
 def _as_grid(xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
@@ -44,35 +48,77 @@ def _as_grid(xs) -> np.ndarray:
     return xs
 
 
-def _recurrence(xs: np.ndarray, k_stop: int):
-    """Yield (k, log_scale, cur) for k = 0..k_stop: the log-scaled
-    recurrence state, whose order-k value is cur * exp(log_scale).
-
-    The state is renormalized whenever |cur| exceeds 1e120, so the method
-    is stable for orders in the tens of thousands and |x| up to several
-    hundred.  The yielded arrays must not be modified.
-    """
-    log_scale = -0.5 * xs * xs - 0.25 * _LOG_PI
-    prev = np.zeros(xs.size)
-    cur = np.ones(xs.size)
-    for k in range(k_stop + 1):
-        yield k, log_scale, cur
-        if k == k_stop:
-            return
-        nxt = xs * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1)) * prev
-        prev, cur = cur, nxt
-        big = np.abs(cur) > _RESCALE_LIMIT
-        if big.any():
-            factor = np.where(big, np.abs(cur), 1.0)
-            cur = cur / factor
-            prev = prev / factor
-            log_scale = log_scale + np.log(factor)
+def _request(orders, xs) -> tuple[list[int], np.ndarray]:
+    orders = [int(k) for k in orders]
+    if any(k < 0 for k in orders):
+        raise ValueError("orders must be >= 0")
+    return orders, _as_grid(xs)
 
 
 def _row_value(log_scale: np.ndarray, cur: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", under="ignore"):
         mag = np.exp(log_scale + np.log(np.abs(cur)))
     return np.where(cur == 0.0, 0.0, np.sign(cur) * mag)
+
+
+def _tables(requests) -> list[np.ndarray]:
+    """One (len(orders), len(grid)) table per validated (orders, grid)
+    request; row r holds order ``orders[r]`` on the grid.
+
+    The grids are concatenated in descending order of their highest order,
+    so the points still stepping are always a prefix: a grid leaves it once
+    its last order is read.  Each step writes into preallocated buffers in
+    the operation order (x*sqrt(2/(k+1)))*f_k - sqrt(k/(k+1))*f_{k-1}, and
+    renormalizes any point whose state exceeds 1e120, which keeps orders in
+    the tens of thousands and |x| up to several hundred stable.
+    """
+    out = [np.empty((len(orders), xs.size)) for orders, xs in requests]
+    stop = {i: max(orders) for i, (orders, xs) in enumerate(requests)
+            if orders and xs.size}
+    if not stop:
+        return out
+    live = sorted(stop, key=stop.get, reverse=True)
+    stops = [stop[i] for i in live]
+    ends = np.cumsum([requests[i][1].size for i in live]).tolist()
+    want: dict[int, list] = {}
+    for i, end in zip(live, ends):
+        orders, xs = requests[i]
+        part = slice(end - xs.size, end)
+        rows: dict[int, list[int]] = {}
+        for row, k in enumerate(orders):
+            rows.setdefault(k, []).append(row)
+        for k, at in rows.items():
+            want.setdefault(k, []).append(
+                (out[i], at[0] if len(at) == 1 else at, part))
+
+    xs = np.concatenate([requests[i][1] for i in live])
+    log_scale = -0.5 * xs * xs - 0.25 * _LOG_PI
+    prev = np.zeros(xs.size)
+    cur = np.ones(xs.size)
+    nxt = np.empty(xs.size)
+    last = len(live) - 1
+    for k in range(stops[0] + 1):
+        for table, at, part in want.get(k, ()):
+            table[at] = _row_value(log_scale[part], cur[part])
+        if k == stops[0]:
+            break
+        if stops[last] == k:  # the grids that stop here leave the prefix
+            while stops[last] == k:
+                last -= 1
+            xs, log_scale, prev, cur, nxt = (
+                a[:ends[last]] for a in (xs, log_scale, prev, cur, nxt))
+        np.multiply(xs, math.sqrt(2.0 / (k + 1)), out=nxt)
+        nxt *= cur
+        # f_{k-1} is not read again: its buffer takes f_{k+2} next step
+        nxt -= np.multiply(prev, math.sqrt(k / (k + 1)), out=prev)
+        prev, cur, nxt = cur, nxt, prev
+        if cur.max() > _RESCALE_LIMIT or cur.min() < -_RESCALE_LIMIT:
+            big = np.flatnonzero(np.abs(cur) > _RESCALE_LIMIT)
+            factor = np.abs(cur[big])
+            cur[big] /= factor
+            prev[big] /= factor
+            log_scale[big] += np.log(factor)
+    return out
 
 
 def hermite_batch_grid(k_max: int, xs) -> np.ndarray:
@@ -86,13 +132,7 @@ def hermite_batch_grid(k_max: int, xs) -> np.ndarray:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    xs = _as_grid(xs)
-    out = np.empty((k_max + 1, xs.size), dtype=float)
-    if xs.size == 0:
-        return out
-    for k, log_scale, cur in _recurrence(xs, k_max):
-        out[k] = _row_value(log_scale, cur)
-    return out
+    return _tables([_request(range(k_max + 1), xs)])[0]
 
 
 def hermite_batch(orders, xs) -> np.ndarray:
@@ -101,59 +141,21 @@ def hermite_batch(orders, xs) -> np.ndarray:
     ``orders`` is a sequence of non-negative ints (duplicates allowed);
     result has shape (len(orders), len(xs)).
     """
-    orders = list(orders)
-    if not orders:
-        return np.empty((0, _as_grid(xs).size), dtype=float)
-    if any(k < 0 for k in orders):
-        raise ValueError("orders must be >= 0")
-    xs = _as_grid(xs)
-    out = np.empty((len(orders), xs.size), dtype=float)
-    if xs.size == 0:
-        return out
-    want: dict[int, list[int]] = {}
-    for row, k in enumerate(orders):
-        want.setdefault(int(k), []).append(row)
-    for k, log_scale, cur in _recurrence(xs, max(want)):
-        rows = want.get(k)
-        if rows:
-            out[rows] = _row_value(log_scale, cur)
-    return out
+    return _tables([_request(orders, xs)])[0]
 
 
 def hermite_on_grids(orders, grids) -> list[np.ndarray]:
-    """Evaluate order ``orders[i]`` on ``grids[i]``, for every i.
+    """Evaluate the orders ``orders[i]`` on ``grids[i]``, for every i.
 
-    Entries are taken 64 at a time, in order: each group runs one
-    recurrence over its grids concatenated, up to its highest order, and
-    reads order k off its own grid's slice.  The rescale is per point, so
-    every value is bit for bit ``hermite_batch([k], grid)``'s.
+    ``orders[i]`` is a sequence of non-negative ints (duplicates allowed);
+    entry i of the result has shape (len(orders[i]), len(grids[i])).  All
+    grids share one recurrence, and every value is bit for bit
+    ``hermite_batch(orders[i], grids[i])``'s.
     """
-    orders = [int(k) for k in orders]
-    grids = [_as_grid(g) for g in grids]
+    orders, grids = list(orders), list(grids)
     if len(orders) != len(grids):
-        raise ValueError("need one grid per order")
-    if any(k < 0 for k in orders):
-        raise ValueError("orders must be >= 0")
-    out = [np.empty(0) for _ in orders]
-    for start in range(0, len(orders), _GRID_GROUP):
-        members = range(start, min(start + _GRID_GROUP, len(orders)))
-        xs = np.concatenate([grids[i] for i in members])
-        ends = np.cumsum([grids[i].size for i in members])
-        want: dict[int, list] = {}
-        for i, end in zip(members, ends):
-            want.setdefault(orders[i], []).append(
-                (i, slice(end - grids[i].size, end)))
-        if xs.size == 0:
-            continue
-        for k, log_scale, cur in _recurrence(xs, max(want)):
-            for i, part in want.get(k, ()):
-                out[i] = _row_value(log_scale[part], cur[part])
-    return out
-
-
-def hermite_normalized(k: int, x: float) -> float:
-    """Single normalized Hermite function value at a point."""
-    return float(hermite_batch([k], np.array([float(x)]))[0, 0])
+        raise ValueError("need one grid per order list")
+    return _tables([_request(o, g) for o, g in zip(orders, grids)])
 
 
 def turning_point(k: int) -> float:

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, construct, hermite, mehler, phase, spectral, stationary
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig, override_problem
 
 _EPS = float(np.finfo(float).eps)
 
@@ -147,12 +147,13 @@ def _run_eval(ctx: _Ctx):
         return float(np.max(residual / ((2.0 * k + 1.0) * envelope)))
 
     # every order has its own stencil grid, scaled to its turning point;
-    # one recurrence per group of orders covers all of their grids
+    # one recurrence covers all of their grids
     ks = list(range(p["k_max_eigen"] + 1))
     cells = [samples(k) for k in ks]
     values = hermite.hermite_on_grids(
-        ks, [(xs[:, None] + h * stencil).ravel() for _, h, xs in cells])
-    residuals = [eigen_residual(k, *cell, v)
+        [[k] for k in ks],
+        [(xs[:, None] + h * stencil).ravel() for _, h, xs in cells])
+    residuals = [eigen_residual(k, *cell, v[0])
                  for k, cell, v in zip(ks, cells, values)]
     for k, res in zip(ks, residuals):
         rows.append(["eigen-equation", k, res, "ok"])
@@ -679,10 +680,19 @@ def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
         tolerance_scale: float | None = None) -> RunResult:
     """Execute one experiment and write its artifacts.
 
-    Keyword overrides take precedence over the config's own values.  Returns
-    a RunResult whose exit_code is 0 (all assertions passed), 1 (an
-    assertion failed), or 3 (a cell-level computational failure occurred).
+    Keyword overrides take precedence over the config's own values and obey
+    the rules of its entries: a bad one raises ConfigError before anything
+    runs or is written.  Returns a RunResult whose exit_code is 0 (all
+    assertions passed), 1 (an assertion failed), or 3 (a cell-level
+    computational failure occurred).
     """
+    problems = []
+    for key, value in (("seed", seed), ("tolerance_scale", tolerance_scale)):
+        problem = None if value is None else override_problem(key, value)
+        if problem:
+            problems.append(f"{key}: {problem}")
+    if problems:
+        raise ConfigError(problems)
     started = time.time()
     stamp = datetime.now(timezone.utc).isoformat()
     ctx = _Ctx(

@@ -16,13 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .hermite import hermite_batch, hermite_batch_grid
-
-
-def eigenvalue_squared(level: int, dim: int) -> int:
-    if level < 0 or dim < 1:
-        raise ValueError("need level >= 0 and dim >= 1")
-    return 2 * level + dim
+from .hermite import hermite_batch, hermite_batch_grid, hermite_on_grids
 
 
 def multiplicity(level: int, dim: int) -> int:
@@ -111,12 +105,15 @@ def _kernel_from_table(h: np.ndarray, level: int, dim: int):
 class _AxesEvaluator:
     """Axes integrand for ``normquad.local_lp_norm``: called with one 1-D
     node array per axis and a ``lead`` slice of the first, it returns the
-    tile on ``axes[0][lead] x axes[1] x ...``.  The table of the last
-    nodes seen on each axis is kept, compared by value, so all lead
-    blocks of a grid, or repeated calls on it, share one recurrence.
+    tile on ``axes[0][lead] x axes[1] x ...``.  The tables of all axes
+    come from one recurrence over the orders ``_axis_orders`` lists per
+    axis, and the last grid's are kept, its nodes compared by value, so
+    all lead blocks of a grid, or repeated calls on it, share that one
+    recurrence.
     """
 
     takes_axes = True
+    _kept = None  # (node arrays of all axes, their tables)
 
     def _node_axes(self, axes) -> list:
         if len(axes) != self.dim:
@@ -131,11 +128,13 @@ class _AxesEvaluator:
         c = np.asarray(self.coefficients, dtype=float)
         return math.sqrt(math.fsum(c * c))
 
-    def _table(self, axis: int, nodes: np.ndarray) -> np.ndarray:
-        kept = self._kept[axis]
-        if kept is None or not np.array_equal(kept[0], nodes):
-            kept = (nodes.copy(), self._build_table(axis, nodes))
-            self._kept[axis] = kept
+    def _axis_tables(self, axes) -> list:
+        kept = self._kept
+        if kept is None or not all(map(np.array_equal, kept[0], axes)):
+            self._kept = None  # free the old tables before building new ones
+            kept = ([a.copy() for a in axes],
+                    hermite_on_grids(self._axis_orders, axes))
+            self._kept = kept
         return kept[1]
 
 
@@ -168,22 +167,14 @@ class Eigenfunction(_AxesEvaluator):
         self._rows = [tuple(orders.index(a) for a, orders
                             in zip(alpha, self._axis_orders))
                       for alpha in self.indices]
-        self._kept: list = [None] * self.dim  # (axis nodes, table) per axis
-
-    @property
-    def eigenvalue_squared(self) -> int:
-        return 2 * self.level + self.dim
 
     @property
     def eigenvalue(self) -> float:
         return math.sqrt(2 * self.level + self.dim)
 
-    def _build_table(self, axis: int, nodes: np.ndarray) -> np.ndarray:
-        return hermite_batch(self._axis_orders[axis], nodes)
-
     def __call__(self, *axes, lead=slice(None)) -> np.ndarray:
         axes = self._node_axes(axes)
-        tables = [self._table(k, a) for k, a in enumerate(axes)]
+        tables = list(self._axis_tables(axes))
         tables[0] = tables[0][:, lead]
         acc = np.zeros((tables[0].shape[1],) + tuple(a.size for a in axes[1:]))
         for rows, c in zip(self._rows, self.coefficients):
@@ -199,8 +190,8 @@ class DenseEigenfunction2D(_AxesEvaluator):
 
     Coefficient a pairs f_a on the first axis with f_{N-a} on the second,
     so ``dense(xs, ys)`` is the (len(xs), len(ys)) tile
-    sum_a c_a f_a(x_i) f_{N-a}(y_j): one Hermite table per axis and one
-    matrix product, which is what makes dense combinations at level a
+    sum_a c_a f_a(x_i) f_{N-a}(y_j): a Hermite table per axis, both from
+    one recurrence, and one matrix product, which is what makes dense combinations at level a
     few thousand affordable.  Assigning new ``coefficients`` and
     evaluating on the same grid again runs no recurrence: many
     combinations over one level share their tables.
@@ -210,7 +201,7 @@ class DenseEigenfunction2D(_AxesEvaluator):
         self.dim = 2
         self.level = int(level)
         self.coefficients = coefficients
-        self._kept: list = [None, None]  # (axis nodes, table) per side
+        self._axis_orders = [range(self.level + 1)] * 2
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -227,12 +218,8 @@ class DenseEigenfunction2D(_AxesEvaluator):
     def eigenvalue(self) -> float:
         return math.sqrt(2 * self.level + 2)
 
-    def _build_table(self, axis: int, nodes: np.ndarray) -> np.ndarray:
-        return hermite_batch_grid(self.level, nodes)
-
     def __call__(self, xs, ys, *, lead=slice(None)) -> np.ndarray:
-        xs, ys = self._node_axes((xs, ys))
-        h1 = self._table(0, xs)[:, lead]
-        h2 = self._table(1, ys)
+        h1, h2 = self._axis_tables(self._node_axes((xs, ys)))
+        h1 = h1[:, lead]
         # f_a on x pairs with f_{N-a} on y
         return (self.coefficients[:, None] * h1).T @ h2[::-1]

@@ -1,4 +1,8 @@
+import numpy as np
+import pytest
 from hypothesis import settings
+
+from hermlp import hermite
 
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=60)
 settings.load_profile("ci")
@@ -11,6 +15,34 @@ CRITERION_LINES = []
 
 def record_criterion(line: str) -> None:
     CRITERION_LINES.append(line)
+
+
+class _SteppedPoints:
+    """Stands in for numpy inside ``hermite`` and counts the points the
+    recurrence steps: a step to order k + 1 writes two products, each into
+    a buffer as long as the points still stepping."""
+
+    def __init__(self):
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, a, b, out=None):
+        self.products += out.size
+        return np.multiply(a, b, out=out)
+
+    @property
+    def steps(self) -> int:
+        return self.products // 2
+
+
+@pytest.fixture
+def stepped_points(monkeypatch):
+    """Count the recurrence steps taken per point; order 0 takes none."""
+    counter = _SteppedPoints()
+    monkeypatch.setattr(hermite, "np", counter)
+    return counter
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -169,21 +169,6 @@ class TestLocalEnvelope:
                 hi = B.lambda_lp(n, lam, r, nu, pk * (1 + 1e-12)).log_value
                 assert abs(lo - hi) < 1e-9 * max(1.0, abs(lo))
 
-    @settings(max_examples=300, deadline=None)
-    @given(n=st.sampled_from([1, 2, 3, 5]),
-           loglam=st.floats(1.5, 12.0),
-           nufrac=st.floats(0.0, 1.0),
-           rfrac=st.floats(0.0, 1.0))
-    def test_p2_matches_l2(self, n, loglam, nufrac, rfrac):
-        lam = math.exp(loglam)
-        nu = nufrac * lam
-        lo, hi = -4 / 3 * math.log(lam), math.log(lam)
-        r = min(math.exp(lo + rfrac * (hi - lo)), lam)
-        a = B.lambda_lp(n, lam, r, nu, 2.0)
-        b = B.lambda_l2(n, lam, r, nu)
-        assert a.log_value == b.log_value
-        assert a.branch == b.branch
-
     @settings(max_examples=200, deadline=None)
     @given(n=st.sampled_from([1, 2, 3, 5, 9]),
            loglam=st.floats(1.0, 12.0),
@@ -344,19 +329,3 @@ class TestMaxTable:
         assert "max:cap" in seen
         assert "max:boundary-touch" in seen
         assert B.max_local_bound(3, 300.0, 1.0, 12.0).branch == "max:origin-top"
-
-
-class TestKinkLogRefinement:
-    def test_reference_values(self):
-        assert B.rho_kink_log_refinement(2, 1e4) == pytest.approx(
-            0.30851956049242585, rel=1e-12
-        )
-        assert B.rho_kink_log_refinement(1, 100.0) == pytest.approx(
-            0.46324572596941976, rel=1e-12
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            B.rho_kink_log_refinement(0, 10.0)
-        with pytest.raises(ValueError):
-            B.rho_kink_log_refinement(2, 1.0)

@@ -15,7 +15,6 @@ import pytest
 
 import hermlp
 from hermlp import cli, construct, hermite, runner, spectral
-from hermlp.hermite import hermite_batch_grid
 from hermlp.config import ConfigError, load_config, parse_config
 from hermlp.runner import SATURATE_HEADER, emit_plot_data, run
 
@@ -222,21 +221,20 @@ class TestRunnerArtifacts:
         assert len(rows) == 41 + 81
         assert all(row[-1] == "ok" for row in rows)
 
-    def test_eval_runs_one_recurrence_per_group_of_orders(self, monkeypatch,
-                                                          tmp_path):
+    def test_eval_runs_one_recurrence_per_check(self, monkeypatch, tmp_path):
         stops = []
-        recurrence = hermite._recurrence
+        tables = hermite._tables
 
-        def counted(xs, k_stop):
-            stops.append(k_stop)
-            return recurrence(xs, k_stop)
+        def counted(requests):
+            stops.append(sorted(max(orders) for orders, _ in requests))
+            return tables(requests)
 
-        monkeypatch.setattr(hermite, "_recurrence", counted)
+        monkeypatch.setattr(hermite, "_tables", counted)
         res = run(parse_config(EVAL_SMALL), out_dir=tmp_path)
         assert res.exit_code == 0
-        # the orthonormality table to order 40, then the eigen-equation
-        # stencils of orders 0..63 and 64..80
-        assert stops == [40, 63, 80]
+        # the orthonormality table to order 40, then one recurrence over
+        # the eigen-equation stencils of orders 0..80, each its own grid
+        assert stops == [[40], list(range(81))]
 
     def test_phase_identities_small(self, tmp_path):
         cfg = parse_config({"experiment": "phase-identities", "parameters": {
@@ -366,6 +364,22 @@ class TestRunnerArtifacts:
                     tolerance_scale=1e20)
         assert loose.exit_code == 0
 
+    @pytest.mark.parametrize("override, problem", [
+        ({"tolerance_scale": math.inf}, "tolerance_scale: must be finite"),
+        ({"seed": -1}, "seed: must be >= 0")])
+    def test_run_rejects_bad_overrides_first(self, tmp_path, override,
+                                             problem):
+        # an infinite scale would pass this failing gate, and a negative
+        # seed would reach the cells; both are refused before any output
+        data = {"experiment": "bounds-table",
+                "parameters": {"tol_identity": 1e-30}}
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            run(parse_config(data), out_dir=out, **override)
+        (violation,) = err.value.violations
+        assert violation.startswith(problem)
+        assert not out.exists()
+
     def test_out_dir_from_config(self, tmp_path):
         cfg = parse_config({"experiment": "bounds-table",
                             "out": str(tmp_path / "nested" / "dir")})
@@ -394,42 +408,48 @@ class TestRunnerArtifacts:
 
     @pytest.mark.parametrize("per_level", [1, 4])
     def test_random_level_builds_axis_tables_once(self, monkeypatch,
-                                                  per_level):
+                                                  stepped_points, per_level):
         calls = []
+        real = spectral.hermite_on_grids
 
-        def counted(level, xs):
-            calls.append(level)
-            return hermite_batch_grid(level, xs)
+        def counted(orders, grids):
+            calls.append([len(g) for g in grids])
+            return real(orders, grids)
 
-        monkeypatch.setattr(spectral, "hermite_batch_grid", counted)
+        monkeypatch.setattr(spectral, "hermite_on_grids", counted)
         ctx = runner._Ctx(params={}, seed=0, scale=1.0)
         case = {"kind": "random", "n": 2, "j": 0, "r": 1.0, "p": 2.0,
                 "per_level": per_level, "levels": [60]}
         rows = runner._random_level_rows(ctx, 0, case, 60)
-        assert calls == [60, 60]
+        # one recurrence over both axes, each stepped to order 60
+        assert len(calls) == 1 and len(calls[0]) == 2
+        assert stepped_points.steps == 60 * sum(calls[0])
         assert [row[0] for row in rows] == [f"random-{i}"
                                             for i in range(per_level)]
         assert all(row[-1] == "ok" and row[9] > 0.0 for row in rows)
 
-    @pytest.mark.parametrize("case, calls", [
+    @pytest.mark.parametrize("case, axes", [
         ({"kind": "case2", "n": 2, "levels": [200]}, 2),
         ({"kind": "case3", "levels": [200]}, 1)])
-    def test_tube_cell_runs_one_recurrence_per_ball_axis(
-            self, monkeypatch, tmp_path, case, calls):
-        # the report measures no tube median, so the only sparse tables a
-        # saturate tube cell builds are those of its ball axes
+    def test_tube_cell_runs_one_recurrence_per_ball(
+            self, monkeypatch, stepped_points, tmp_path, case, axes):
+        # the report measures no tube median, so the only tables a saturate
+        # tube cell builds are those of its ball's axes, in one recurrence
         seen = []
+        real = spectral.hermite_on_grids
 
-        def counted(orders, xs):
-            seen.append(len(xs))
-            return hermite.hermite_batch(orders, xs)
+        def counted(orders, grids):
+            seen.append([(max(o), len(g)) for o, g in zip(orders, grids)])
+            return real(orders, grids)
 
-        monkeypatch.setattr(spectral, "hermite_batch", counted)
+        monkeypatch.setattr(spectral, "hermite_on_grids", counted)
         cfg = parse_config({"experiment": "saturate",
                             "parameters": {"cases": [case]}})
         res = run(cfg, out_dir=tmp_path)
         assert res.summary["computational_failures"] == []
-        assert len(seen) == calls
+        assert len(seen) == 1 and len(seen[0]) == axes
+        # every axis steps only to its own highest order
+        assert stepped_points.steps == sum(k * m for k, m in seen[0])
 
     def test_phase_identities_crash_contained(self, tmp_path):
         cfg = load_config(str(Path(__file__).resolve().parents[1]

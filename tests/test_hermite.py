@@ -7,6 +7,10 @@ from hypothesis import given, strategies as st
 from hermlp import hermite as hm
 
 
+def hermite_value(k, x):
+    return hm.hermite_batch([k], [x])[0, 0]
+
+
 def closed_form_at_zero(k):
     # (-1)^m * sqrt((2m)!) / (2^m m!) * pi^(-1/4) for k = 2m, zero for odd k
     if k % 2:
@@ -45,11 +49,11 @@ def _calibrate_amplitude(k, samples=400):
 
 class TestPointValues:
     def test_ground_state(self):
-        assert hm.hermite_normalized(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-15)
+        assert hermite_value(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-15)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 10, 40, 101, 250])
     def test_value_at_origin(self, k):
-        assert hm.hermite_normalized(k, 0.0) == pytest.approx(
+        assert hermite_value(k, 0.0) == pytest.approx(
             closed_form_at_zero(k), abs=1e-15, rel=1e-13
         )
 
@@ -67,10 +71,10 @@ class TestPointValues:
         ],
     )
     def test_reference_values(self, k, x, expected):
-        assert hm.hermite_normalized(k, x) == pytest.approx(expected, rel=5e-12)
+        assert hermite_value(k, x) == pytest.approx(expected, rel=5e-12)
 
     def test_deep_tail_underflows_to_zero(self):
-        assert hm.hermite_normalized(4, 40.0) == 0.0
+        assert hermite_value(4, 40.0) == 0.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -232,11 +236,85 @@ class TestProfile:
         assert dec == pytest.approx(hm.AMP_DECAY, rel=2e-2)
 
 
+# Reference recurrence: one generator per grid, allocating every step, with
+# the same operation order and rescale rule.  The driver must match it bit
+# for bit, whatever grids it shares a recurrence with.
+def _oracle_recurrence(xs, k_stop):
+    log_scale = -0.5 * xs * xs - 0.25 * math.log(math.pi)
+    prev = np.zeros(xs.size)
+    cur = np.ones(xs.size)
+    for k in range(k_stop + 1):
+        yield k, log_scale, cur
+        if k == k_stop:
+            return
+        nxt = xs * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1)) * prev
+        prev, cur = cur, nxt
+        big = np.abs(cur) > 1.0e120
+        if big.any():
+            factor = np.where(big, np.abs(cur), 1.0)
+            cur = cur / factor
+            prev = prev / factor
+            log_scale = log_scale + np.log(factor)
+
+
+def _oracle_batch(orders, xs):
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty((len(orders), xs.size))
+    if not len(orders) or not xs.size:
+        return out
+    want = {}
+    for row, k in enumerate(orders):
+        want.setdefault(int(k), []).append(row)
+    for k, log_scale, cur in _oracle_recurrence(xs, max(want)):
+        rows = want.get(k)
+        if rows:
+            with np.errstate(divide="ignore", under="ignore"):
+                mag = np.exp(log_scale + np.log(np.abs(cur)))
+            out[rows] = np.where(cur == 0.0, 0.0, np.sign(cur) * mag)
+    return out
+
+
 def _rescaled(xs, k):
     """Whether the recurrence to order k over xs rescales any point."""
     start = -0.5 * xs * xs - 0.25 * math.log(math.pi)
-    *_, (_, log_scale, _) = hm._recurrence(np.asarray(xs, dtype=float), k)
+    *_, (_, log_scale, _) = _oracle_recurrence(np.asarray(xs, dtype=float), k)
     return not np.array_equal(log_scale, start)
+
+
+class TestDriver:
+    def test_mixed_requests_match_the_oracle(self):
+        rng = np.random.default_rng(5)
+        requests = [
+            ([3000, 2, 2999, 2], rng.uniform(-80.0, 80.0, 37)),
+            ([120], rng.uniform(-300.0, 300.0, 25)),
+            ([], rng.uniform(-3.0, 3.0, 4)),
+            ([5, 0, 5, 11], np.array([])),
+            ([140, 3, 17, 3, 0], rng.uniform(-300.0, 300.0, 41)),
+            ([1200, 1199], rng.uniform(-50.0, 50.0, 19)),
+            ([0], rng.uniform(-1.0, 1.0, 3)),
+            ([2999, 3000], rng.uniform(-300.0, 300.0, 29)),
+        ]
+        assert _rescaled(requests[1][1], 120)
+        assert _rescaled(requests[4][1], 140)
+        got = hm.hermite_on_grids(*zip(*requests))
+        assert len(got) == len(requests)
+        for (orders, xs), table in zip(requests, got):
+            assert table.shape == (len(orders), xs.size)
+            assert np.array_equal(table, _oracle_batch(orders, xs)), orders
+
+    @pytest.mark.parametrize("level", [0, 1, 800, 3000])
+    def test_full_tables_match_the_oracle(self, level):
+        xs = np.linspace(-2.5 * math.sqrt(level + 1), 2.5 * math.sqrt(level + 1), 61)
+        want = _oracle_batch(range(level + 1), xs)
+        assert np.array_equal(hm.hermite_batch_grid(level, xs), want)
+        assert np.array_equal(hm.hermite_batch(range(level + 1), xs), want)
+
+    def test_each_grid_stops_at_its_highest_order(self, stepped_points):
+        grids = [np.linspace(-1.0, 1.0, size) for size in (5, 3, 8, 0, 2)]
+        orders = [[4, 1], [90], [0], [60], [12, 30, 7]]
+        hm.hermite_on_grids(orders, grids)
+        assert stepped_points.steps == sum(
+            max(o) * g.size for o, g in zip(orders, grids))
 
 
 class TestOnGrids:
@@ -253,50 +331,46 @@ class TestOnGrids:
             grids.append(rng.uniform(-reach, reach, size))
         return grids
 
-    @pytest.mark.parametrize("group", [1, 7, 64, 1000])
-    def test_matches_one_order_at_a_time_exactly(self, monkeypatch, group):
-        monkeypatch.setattr(hm, "_GRID_GROUP", group)
+    @pytest.mark.parametrize("seed", [1, 7, 64, 1000])
+    def test_matches_one_order_at_a_time_exactly(self, seed):
         orders = list(range(150)) + [300, 3, 3, 0, 149]
-        grids = self._grids(orders, group)
+        grids = self._grids(orders, seed)
         assert any(_rescaled(g, k) for k, g in zip(orders, grids) if g.size)
-        got = hm.hermite_on_grids(orders, grids)
+        got = hm.hermite_on_grids([[k] for k in orders], grids)
         assert len(got) == len(orders)
         for k, grid, values in zip(orders, grids, got):
-            want = hm.hermite_batch([k], grid)[0]
-            assert values.shape == grid.shape
+            want = hm.hermite_batch([k], grid)
+            assert values.shape == (1, grid.size)
             assert np.array_equal(values, want), k
 
-    def test_unsorted_orders_at_group_boundaries(self):
+    def test_unsorted_orders(self):
         rng = np.random.default_rng(11)
         orders = [int(k) for k in rng.permutation(200)]
         grids = self._grids(orders, 12)
-        got = hm.hermite_on_grids(orders, grids)
+        got = hm.hermite_on_grids([[k] for k in orders], grids)
         for i in (0, 62, 63, 64, 65, 127, 128, 199):
-            want = hm.hermite_batch([orders[i]], grids[i])[0]
+            want = hm.hermite_batch([orders[i]], grids[i])
             assert np.array_equal(got[i], want), i
 
-    @pytest.mark.parametrize("count,group,calls", [(150, 64, 3), (64, 64, 1),
-                                                   (65, 64, 2), (5, 1, 5)])
-    def test_one_recurrence_per_group(self, monkeypatch, count, group, calls):
+    @pytest.mark.parametrize("count", [1, 5, 150])
+    def test_one_recurrence_per_call(self, monkeypatch, count):
         seen = []
-        recurrence = hm._recurrence
+        tables = hm._tables
 
-        def counted(xs, k_stop):
-            seen.append(xs.size)
-            return recurrence(xs, k_stop)
+        def counted(requests):
+            seen.append(len(requests))
+            return tables(requests)
 
-        monkeypatch.setattr(hm, "_recurrence", counted)
-        monkeypatch.setattr(hm, "_GRID_GROUP", group)
+        monkeypatch.setattr(hm, "_tables", counted)
         grids = [np.linspace(-1.0, 1.0, 3)] * count
-        hm.hermite_on_grids(range(count), grids)
-        assert len(seen) == calls
-        assert sum(seen) == 3 * count
+        hm.hermite_on_grids([[k] for k in range(count)], grids)
+        assert seen == [count]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            hm.hermite_on_grids([1, 2], [np.zeros(3)])
+            hm.hermite_on_grids([[1], [2]], [np.zeros(3)])
         with pytest.raises(ValueError):
-            hm.hermite_on_grids([-1], [np.zeros(3)])
+            hm.hermite_on_grids([[-1]], [np.zeros(3)])
         with pytest.raises(ValueError):
-            hm.hermite_on_grids([1], [np.array([0.0, np.inf])])
+            hm.hermite_on_grids([[1]], [np.array([0.0, np.inf])])
         assert hm.hermite_on_grids([], []) == []

@@ -188,7 +188,7 @@ class TestNormalization:
     def test_diagonal_matches_square_of_eigenfunction(self):
         for r, xv in ((21, 0.7), (41, 2.1)):
             level = (r - 1) // 2
-            direct = hermite.hermite_normalized(level, xv) ** 2
+            direct = hermite.hermite_batch([level], [xv])[0, 0] ** 2
             kv = kernel_oscillatory([xv], [xv], r, tol=1e-7)
             assert kv.value == pytest.approx(direct, abs=5e-8)
 

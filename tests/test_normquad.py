@@ -296,19 +296,25 @@ class TestAxesIntegrands:
 
     @pytest.mark.parametrize("case", [dense_case, sparse_case_2d,
                                       sparse_case_3d])
-    def test_one_recurrence_per_axis(self, monkeypatch, case):
+    def test_one_recurrence_per_grid(self, monkeypatch, stepped_points, case):
         evaluator, dom = case("ball")
         m = dom.quad.points_per_axis
         # lead blocks of 3 nodes, so the lead axis is cut into at least 3
         monkeypatch.setattr(NQ, "_BLOCK", 3 * m ** (dom.dim - 1))
         calls = []
-        for name in ("hermite_batch", "hermite_batch_grid"):
-            real = getattr(sp, name)
-            monkeypatch.setattr(sp, name, lambda *a, real=real:
-                                calls.append(a) or real(*a))
+        real = sp.hermite_on_grids
+        monkeypatch.setattr(sp, "hermite_on_grids", lambda orders, grids:
+                            calls.append(grids) or real(orders, grids))
         NQ.local_lp_norm(evaluator, dom, 2.0, osc_scale=evaluator.eigenvalue,
                          with_error=False)
-        assert len(calls) == dom.dim
+        assert len(calls) == 1
+        # each axis steps only to the highest order its own factors use
+        if isinstance(evaluator, sp.DenseEigenfunction2D):
+            highest = [evaluator.level] * 2
+        else:
+            highest = [max(a[k] for a in evaluator.indices)
+                       for k in range(dom.dim)]
+        assert stepped_points.steps == sum(k * m for k in highest)
 
     @pytest.mark.parametrize("shape", ["ball", "box"])
     def test_three_dimensional_blocks(self, monkeypatch, shape):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hermlp import spectral as sp
-from hermlp.hermite import hermite_batch, hermite_batch_grid, hermite_normalized
+from hermlp.hermite import hermite_batch, hermite_batch_grid
 
 
 def _product_eigenfunction(alpha, pts):
@@ -16,23 +16,11 @@ def _product_eigenfunction(alpha, pts):
     return vals
 
 
+def hermite_value(k, x):
+    return hermite_batch([k], [x])[0, 0]
+
+
 class TestLevels:
-    def test_eigenvalue_squared(self):
-        assert sp.eigenvalue_squared(0, 1) == 1
-        assert sp.eigenvalue_squared(10, 1) == 21
-        assert sp.eigenvalue_squared(50, 2) == 102
-        assert sp.eigenvalue_squared(200, 2) == 402
-
-    @given(st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=6))
-    def test_roundtrip(self, level, dim):
-        r = sp.eigenvalue_squared(level, dim)
-        assert r >= dim and (r - dim) % 2 == 0
-        assert (r - dim) // 2 == level
-
-    def test_rejects_non_eigenvalues(self):
-        with pytest.raises(ValueError):
-            sp.eigenvalue_squared(-1, 2)
-
     def test_multiplicity(self):
         assert sp.multiplicity(0, 5) == 1
         assert sp.multiplicity(100, 2) == 101
@@ -90,7 +78,7 @@ class TestEvaluation:
         pts = np.array([[0.3, -1.2], [0.0, 0.5]])
         vals = _product_eigenfunction((2, 5), pts)
         for row, (x1, x2) in enumerate(pts):
-            expect = hermite_normalized(2, x1) * hermite_normalized(5, x2)
+            expect = hermite_value(2, x1) * hermite_value(5, x2)
             assert vals[row] == pytest.approx(expect, rel=1e-13)
 
     def test_eval_2d_matches_pointwise_sum(self):
@@ -104,7 +92,7 @@ class TestEvaluation:
         for i, xv in enumerate(xs):
             for j, yv in enumerate(ys):
                 direct = sum(
-                    c[a] * hermite_normalized(a, xv) * hermite_normalized(level - a, yv)
+                    c[a] * hermite_value(a, xv) * hermite_value(level - a, yv)
                     for a in range(level + 1)
                 )
                 assert grid[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-14)
@@ -126,7 +114,7 @@ class TestEvaluation:
 class TestKernelSum:
     def test_dim_one_is_rank_one(self):
         vals = sp.projection_kernel_sum(12, 1, [0.7], [-0.4])
-        expect = hermite_normalized(12, 0.7) * hermite_normalized(12, -0.4)
+        expect = hermite_value(12, 0.7) * hermite_value(12, -0.4)
         assert vals == pytest.approx(expect, rel=1e-13)
 
     def test_dim_two_matches_enumeration(self):
@@ -235,7 +223,6 @@ class TestEigenfunction:
     def test_norm_and_eigenvalue(self):
         e = sp.Eigenfunction(2, 6, [(2, 4), (6, 0)], [3.0, 4.0])
         assert e.global_l2_norm() == pytest.approx(5.0, rel=1e-15)
-        assert e.eigenvalue_squared == 14
         assert e.eigenvalue == pytest.approx(math.sqrt(14), rel=1e-15)
 
     def test_one_l2_norm_for_both_evaluators(self):
