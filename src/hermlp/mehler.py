@@ -126,11 +126,35 @@ def _panel_sums(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([np.dot(block, _GL_W) for block in blocks])
 
 
+def _grid(lo: float, hi: float, num: int) -> np.ndarray:
+    """np.linspace(lo, hi, num) bit for bit, for num >= 2 and a nonzero step.
+
+    numpy 2.4's formula, arange * ((hi - lo) / (num - 1)) + lo with the
+    last point set to hi, without linspace's per-call argument handling,
+    which costs more than the arithmetic on a level's short grids.
+    """
+    out = np.arange(num, dtype=float)
+    out *= (hi - lo) / (num - 1)
+    out += lo
+    out[-1] = hi
+    return out
+
+
 def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
                         hi: float, panel_cap: int) -> tuple[complex, int]:
     """One dyadic level [lo, hi] of the window integral of the pair with
-    a2 = |x|^2 + |y|^2 and b = x.y; returns its sum and node count."""
-    probe = np.linspace(lo, hi, 33)
+    a2 = |x|^2 + |y|^2 and b = x.y; returns its sum and node count.
+
+    The integrand amp * exp(i r psi) is built without complex
+    temporaries: cos(r psi) and sin(r psi) go into the real and imaginary
+    views of one complex buffer, and amp scales each view in place.  This
+    has the bits of the complex form.  The complex i r psi has real part
+    +-0.0, so its exp is exp(+-0.0) = 1 times the real cosine and sine of
+    r psi.  Multiplying by amp as a complex number only adds amp*0 terms,
+    which change no nonzero part; a zero part may differ in sign, and a
+    zero adds nothing to the panel sums.
+    """
+    probe = _grid(lo, hi, 33)
     dpsi = np.abs(ph._derivative(probe, a2, b))
     span = r * float(np.max(dpsi)) * (hi - lo)
     panels = int(max(4, math.ceil(span / 5.0)))
@@ -139,15 +163,23 @@ def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
             f"level [{lo:.3e}, {hi:.3e}] needs {panels} panels (cap {panel_cap})",
             best=0j, achieved=math.inf,
         )
-    edges = np.linspace(lo, hi, panels + 1)
+    edges = _grid(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     ts = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    s = np.sin(2.0 * ts)
+    two_t = 2.0 * ts
+    s = np.sin(two_t)
     amp = s ** (-0.5 * n)
     if hi > FLAT_END:
-        amp = cutoff_taper(ts) * amp
-    vals = amp * np.exp(1j * r * ph._value(ts, a2, b, s))
+        amp *= cutoff_taper(ts)
+    c = np.cos(two_t, out=two_t)
+    rpsi = ph._value(ts, a2, b, s, c, out=c)
+    rpsi *= r
+    vals = np.empty(ts.size, dtype=complex)
+    np.cos(rpsi, out=vals.real)
+    np.sin(rpsi, out=vals.imag)
+    vals.real *= amp
+    vals.imag *= amp
     total = half * _panel_sums(vals.reshape(panels, -1)).sum()
     return complex(total), ts.size
 

@@ -79,8 +79,27 @@ def _a2_b(x, y):
     return float(np.dot(x, x) + np.dot(y, y)), float(np.dot(x, y))
 
 
+def _bits(level):
+    """A level sum and its node count as exact bit patterns; == on the
+    complex value would let a signed-zero change through."""
+    value, count = level
+    return value.real.hex(), value.imag.hex(), count
+
+
+def _kernel_cross_pairs(seed, count):
+    """Rescaled 1-d pairs drawn like the kernel-cross experiment's."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        x, y = rng.uniform(-0.9, 0.9, 2)
+        if abs(x - y) >= 0.05:
+            pairs.append((np.array([x]), np.array([y])))
+    return pairs
+
+
 def _tapered_level(x, y, r, n, lo, hi, panel_cap):
-    """The level sum with the taper applied to every node, flat or not."""
+    """The level sum with the taper applied to every node, flat or not,
+    and the integrand in the complex form amp * exp(i r psi)."""
     probe = np.linspace(lo, hi, 33)
     dpsi = np.abs(mehler.ph.phase_derivative(probe, x, y))
     span = r * float(np.max(dpsi)) * (hi - lo)
@@ -139,7 +158,8 @@ class TestLevelTaper:
             lo, hi = _dyadic_level(k)
             got = mehler._level_contribution(*_a2_b(x, y), r, x.size, lo, hi,
                                              200_000)
-            assert got == _tapered_level(x, y, r, x.size, lo, hi, 200_000)
+            assert _bits(got) == _bits(
+                _tapered_level(x, y, r, x.size, lo, hi, 200_000))
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_deep_levels_match_the_tapered_form_exactly(self, case):
@@ -150,7 +170,53 @@ class TestLevelTaper:
             got = mehler._level_contribution(*_a2_b(x, y), r, x.size, lo, hi,
                                              200_000)
             assert got[1] > 5_000 * mehler._GL_W.size
-            assert got == _tapered_level(x, y, r, x.size, lo, hi, 200_000)
+            assert _bits(got) == _bits(
+                _tapered_level(x, y, r, x.size, lo, hi, 200_000))
+
+    @pytest.mark.parametrize("r", [21.0, 41.0, 81.0, 161.0])
+    def test_one_dim_levels_match_the_tapered_form_exactly(self, r):
+        # the kernel-cross levels: both half integrals, (x, y) and (x, -y)
+        deepest = 0
+        for x, y in _kernel_cross_pairs(3, 2):
+            for y_sign in (y, -y):
+                for k in range(12):
+                    lo, hi = _dyadic_level(k)
+                    got = mehler._level_contribution(*_a2_b(x, y_sign), r, 1,
+                                                     lo, hi, 200_000)
+                    assert _bits(got) == _bits(
+                        _tapered_level(x, y_sign, r, 1, lo, hi, 200_000))
+                deepest = max(deepest, got[1])
+        assert deepest > 5_000 * mehler._GL_W.size
+
+
+class TestGrid:
+    @staticmethod
+    def _assert_linspace_bits(lo, hi, num):
+        got = mehler._grid(lo, hi, num)
+        want = np.linspace(lo, hi, num)
+        assert got.dtype == want.dtype and got.shape == (num,)
+        assert got.tobytes() == want.tobytes()
+        assert got[0].hex() == lo.hex() and got[-1].hex() == hi.hex()
+
+    @pytest.mark.parametrize("level", range(26))
+    def test_probe_grid_matches_linspace(self, level):
+        self._assert_linspace_bits(*_dyadic_level(level), 33)
+
+    def test_panel_edges_match_linspace(self):
+        # every panel count from 4 to 5000, each on a dyadic level in turn
+        for panels in range(4, 5_001):
+            self._assert_linspace_bits(*_dyadic_level(panels % 26), panels + 1)
+
+    def test_any_interval_ends_on_hi(self):
+        # on a dyadic level arange * step + lo rounds to hi by itself; here
+        # some counts miss hi without the last point set
+        for num in range(2, 300):
+            self._assert_linspace_bits(0.1, 0.7, num)
+
+    @pytest.mark.parametrize("panels", [50_001, 65_536, 123_457, 200_000])
+    def test_wide_panel_edges_match_linspace(self, panels):
+        for level in (0, 1, 9, 17, 25):
+            self._assert_linspace_bits(*_dyadic_level(level), panels + 1)
 
 
 class TestPanelSums:

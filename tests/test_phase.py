@@ -96,6 +96,21 @@ class TestPrivateKernels:
         got = ph._value(ts, a2, b, np.sin(2.0 * ts))
         assert np.array_equal(got, ph.phase_value(ts, x, y))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_value_in_place_has_the_bits_of_the_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        x, y = random_pair(rng, seed + 2)
+        a2, b = self._invariants(x, y)
+        ts = np.concatenate([rng.uniform(1e-9, 1.5, 513), [0.0, math.pi / 2]])
+        s, c = np.sin(2.0 * ts), np.cos(2.0 * ts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = ts + (a2 * c - 2.0 * b) / (2.0 * s)
+        got = ph._value(ts, a2, b, s, c, out=c)
+        assert got is c
+        assert got.tobytes() == want.tobytes()
+        assert ph._value(ts, a2, b).tobytes() == want.tobytes()
+        assert float(ph._value(float(ts[7]), a2, b)).hex() == want[7].hex()
+
 
 class TestCriticalPoints:
     @given(st.lists(coord, min_size=1, max_size=4), st.data())
