@@ -156,7 +156,7 @@ def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
     """
     probe = _grid(lo, hi, 33)
     dpsi = np.abs(ph._derivative(probe, a2, b))
-    span = r * float(np.max(dpsi)) * (hi - lo)
+    span = r * float(dpsi.max()) * (hi - lo)
     panels = int(max(4, math.ceil(span / 5.0)))
     if panels > panel_cap:
         raise TailConvergenceError(

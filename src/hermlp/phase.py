@@ -47,22 +47,20 @@ def _value(t, a2: float, b: float, s=None, c=None, out=None):
     """psi at t, as t + (a2 c - 2 b) / (2 s) in that operation order.
 
     ``s`` and ``c`` are sin 2t and cos 2t when the caller already has
-    them.  ``out`` receives psi and may be ``c`` itself; each step is an
-    elementwise ufunc writing in place, so the bits are those of the
-    plain expression.
+    them.  ``out`` receives psi and may be ``c`` itself.  Each step is an
+    elementwise operation, in place on arrays, so the bits are those of
+    the plain expression.
     """
     if s is None:
         s = np.sin(2.0 * t)
     if c is None:
         c = np.cos(2.0 * t)
-    if out is None:
-        out = np.empty(np.shape(c))
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(a2, c, out=out)
-        out -= 2.0 * b
-        out /= 2.0 * s
-        out += t
-    return out
+        psi = np.multiply(a2, c, out=out)
+        psi -= 2.0 * b
+        psi /= 2.0 * s
+        psi += t
+    return psi
 
 
 def _derivative(t, a2: float, b: float):
