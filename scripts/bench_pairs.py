@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of a parent commit against HEAD.
 
-usage: bench_pairs.py --parent REF --workload NAME --pairs N --seconds S
+usage: bench_pairs.py --parent REF --workload NAME --pairs N
 
-Runs `perfbench/run.py --trace 0` N times on `git archive` exports of REF and
-HEAD (sibling temporary directories); pair i runs seed i, parent first when
-i is even.  BENCH_<parent>_<head>.json (one entry per workload) gets, per
-end-to-end metric of BENCHMARK.json, every run, each side's median and
-inclusive quartiles, HEAD's wins, and whether the medians differ by more
-than the parent's quartile spread.  Exits 1 when a run is not correct.
+Runs `perfbench/run.py --trace 0` N times on `git archive` exports of REF
+and HEAD (sibling temporary directories), each run BENCHMARK.json's
+`run_seconds` long; pair i runs seed i, parent first when i is even.
+BENCH_<parent>_<head>.json (one entry per workload) gets, per end-to-end
+metric of BENCHMARK.json, every run, each side's median and inclusive
+quartiles, HEAD's wins, and whether the medians differ by more than the
+parent's quartile spread.  Exits 1 when a run is not correct.
 """
 
 import argparse
@@ -28,8 +29,8 @@ def main() -> int:
     ap.add_argument("--parent", required=True, help="git ref of the parent")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", required=True, type=int)
-    ap.add_argument("--seconds", required=True, type=float)
     args = ap.parse_args()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     revs = {side: subprocess.check_output(["git", "rev-parse", "--short", ref],
                                           cwd=ROOT, text=True).strip()
             for side, ref in (("parent", args.parent), ("change", "HEAD"))}
@@ -45,17 +46,18 @@ def main() -> int:
                 lines = subprocess.check_output(
                     [sys.executable, "perfbench/run.py", "--workload",
                      args.workload, "--seed", str(i), "--seconds",
-                     str(args.seconds), "--trace", "0"], cwd=Path(tmp) / side,
-                    text=True).splitlines()
+                     str(bench["run_seconds"]), "--trace", "0"],
+                    cwd=Path(tmp) / side, text=True).splitlines()
                 machine = machine or next(
                     (ln for ln in lines if ln.startswith("machine:")), None)
                 runs[side].append(json.loads(lines[-1]))
                 print(f"pair {i} {side}: correct {runs[side][-1]['correct']}",
                       flush=True)
-    entry = {"pairs": args.pairs, "seconds": args.seconds, "metrics": {},
+    entry = {"pairs": args.pairs, "seconds": bench["run_seconds"],
+             "metrics": {},
              "correct": {s: all(r["correct"] for r in runs[s]) for s in revs},
              "failed": {s: sum(r["failed"] for r in runs[s]) for s in revs}}
-    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]:
+    for metric in bench["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in revs}
         stats = {s: dict(zip(("q1", "median", "q3"), statistics.quantiles(

@@ -126,20 +126,6 @@ def _panel_sums(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([np.dot(block, _GL_W) for block in blocks])
 
 
-def _grid(lo: float, hi: float, num: int) -> np.ndarray:
-    """np.linspace(lo, hi, num) bit for bit, for num >= 2 and a nonzero step.
-
-    numpy 2.4's formula, arange * ((hi - lo) / (num - 1)) + lo with the
-    last point set to hi, without linspace's per-call argument handling,
-    which costs more than the arithmetic on a level's short grids.
-    """
-    out = np.arange(num, dtype=float)
-    out *= (hi - lo) / (num - 1)
-    out += lo
-    out[-1] = hi
-    return out
-
-
 def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
                         hi: float, panel_cap: int) -> tuple[complex, int]:
     """One dyadic level [lo, hi] of the window integral of the pair with
@@ -154,7 +140,7 @@ def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
     which change no nonzero part; a zero part may differ in sign, and a
     zero adds nothing to the panel sums.
     """
-    probe = _grid(lo, hi, 33)
+    probe = np.linspace(lo, hi, 33)
     dpsi = np.abs(ph._derivative(probe, a2, b))
     span = r * float(dpsi.max()) * (hi - lo)
     panels = int(max(4, math.ceil(span / 5.0)))
@@ -163,7 +149,7 @@ def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
             f"level [{lo:.3e}, {hi:.3e}] needs {panels} panels (cap {panel_cap})",
             best=0j, achieved=math.inf,
         )
-    edges = _grid(lo, hi, panels + 1)
+    edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     ts = (mids[:, None] + half * _GL_X[None, :]).ravel()

@@ -189,36 +189,6 @@ class TestLevelTaper:
         assert deepest > 5_000 * mehler._GL_W.size
 
 
-class TestGrid:
-    @staticmethod
-    def _assert_linspace_bits(lo, hi, num):
-        got = mehler._grid(lo, hi, num)
-        want = np.linspace(lo, hi, num)
-        assert got.dtype == want.dtype and got.shape == (num,)
-        assert got.tobytes() == want.tobytes()
-        assert got[0].hex() == lo.hex() and got[-1].hex() == hi.hex()
-
-    @pytest.mark.parametrize("level", range(26))
-    def test_probe_grid_matches_linspace(self, level):
-        self._assert_linspace_bits(*_dyadic_level(level), 33)
-
-    def test_panel_edges_match_linspace(self):
-        # every panel count from 4 to 5000, each on a dyadic level in turn
-        for panels in range(4, 5_001):
-            self._assert_linspace_bits(*_dyadic_level(panels % 26), panels + 1)
-
-    def test_any_interval_ends_on_hi(self):
-        # on a dyadic level arange * step + lo rounds to hi by itself; here
-        # some counts miss hi without the last point set
-        for num in range(2, 300):
-            self._assert_linspace_bits(0.1, 0.7, num)
-
-    @pytest.mark.parametrize("panels", [50_001, 65_536, 123_457, 200_000])
-    def test_wide_panel_edges_match_linspace(self, panels):
-        for level in (0, 1, 9, 17, 25):
-            self._assert_linspace_bits(*_dyadic_level(level), panels + 1)
-
-
 class TestPanelSums:
     @pytest.mark.parametrize("panels", [4, 255, 256, 257, 511, 766, 1025, 4097, 5678])
     def test_matches_one_gemv_exactly(self, panels):
