@@ -3,7 +3,7 @@
 
 usage: bench_pairs.py --parent REF --workload NAME --pairs N
 
-Runs `perfbench/run.py --trace 0` N times on `git archive` exports of REF
+N must be at least 2: the quartiles need two runs a side.  Runs `perfbench/run.py --trace 0` N times on `git archive` exports of REF
 and HEAD (sibling temporary directories), each run BENCHMARK.json's
 `run_seconds` long; pair i runs seed i, parent first when i is even.
 BENCH_<parent>_<head>.json (one entry per workload) gets, per end-to-end
@@ -24,11 +24,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _pairs(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(
+            f"{n} is too few: quartiles need at least 2 pairs")
+    return n
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", required=True, type=int)
+    ap.add_argument("--pairs", required=True, type=_pairs,
+                    help="number of pairs, at least 2")
     args = ap.parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     revs = {side: subprocess.check_output(["git", "rev-parse", "--short", ref],

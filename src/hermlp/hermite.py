@@ -32,11 +32,17 @@ from enum import IntEnum
 
 import numpy as np
 
+from ._blas import one_thread
+
 _LOG_PI = math.log(math.pi)
 
 # Rescale the recurrence state once it exceeds this magnitude; the factor
 # is folded into the per-point log scale.
 _RESCALE_LIMIT = 1.0e120
+# Below this sum of squares no point can exceed the limit: a point above
+# 1e120 makes the true sum exceed 1e240, and the computed dot product of a
+# grid under 2^49 points is at least 14/15 of the true sum (or inf).
+_RESCALE_DOT = 1.0e239
 
 
 def _as_grid(xs) -> np.ndarray:
@@ -70,7 +76,10 @@ def _tables(requests) -> list[np.ndarray]:
     its last order is read.  Each step writes into preallocated buffers in
     the operation order (x*sqrt(2/(k+1)))*f_k - sqrt(k/(k+1))*f_{k-1}, and
     renormalizes any point whose state exceeds 1e120, which keeps orders in
-    the tens of thousands and |x| up to several hundred stable.
+    the tens of thousands and |x| up to several hundred stable.  One dot
+    product rules a rescale out on most steps; only when it cannot does
+    the exact max/min test run.  Callers hold BLAS to one thread, so the
+    dot product does not wake a thread pool.
     """
     out = [np.empty((len(orders), xs.size)) for orders, xs in requests]
     stop = {i: max(orders) for i, (orders, xs) in enumerate(requests)
@@ -112,7 +121,8 @@ def _tables(requests) -> list[np.ndarray]:
         # f_{k-1} is not read again: its buffer takes f_{k+2} next step
         nxt -= np.multiply(prev, math.sqrt(k / (k + 1)), out=prev)
         prev, cur, nxt = cur, nxt, prev
-        if cur.max() > _RESCALE_LIMIT or cur.min() < -_RESCALE_LIMIT:
+        if (np.dot(cur, cur) > _RESCALE_DOT
+                and (cur.max() > _RESCALE_LIMIT or cur.min() < -_RESCALE_LIMIT)):
             big = np.flatnonzero(np.abs(cur) > _RESCALE_LIMIT)
             factor = np.abs(cur[big])
             cur[big] /= factor
@@ -132,7 +142,8 @@ def hermite_batch_grid(k_max: int, xs) -> np.ndarray:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    return _tables([_request(range(k_max + 1), xs)])[0]
+    with one_thread():
+        return _tables([_request(range(k_max + 1), xs)])[0]
 
 
 def hermite_batch(orders, xs) -> np.ndarray:
@@ -141,7 +152,8 @@ def hermite_batch(orders, xs) -> np.ndarray:
     ``orders`` is a sequence of non-negative ints (duplicates allowed);
     result has shape (len(orders), len(xs)).
     """
-    return _tables([_request(orders, xs)])[0]
+    with one_thread():
+        return _tables([_request(orders, xs)])[0]
 
 
 def hermite_on_grids(orders, grids) -> list[np.ndarray]:
@@ -155,7 +167,8 @@ def hermite_on_grids(orders, grids) -> list[np.ndarray]:
     orders, grids = list(orders), list(grids)
     if len(orders) != len(grids):
         raise ValueError("need one grid per order list")
-    return _tables([_request(o, g) for o, g in zip(orders, grids)])
+    with one_thread():
+        return _tables([_request(o, g) for o, g in zip(orders, grids)])
 
 
 def turning_point(k: int) -> float:

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._blas import one_thread
+
 __all__ = [
     "Domain",
     "NormValue",
@@ -103,16 +105,18 @@ def _axis_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     Plain Gauss-Legendre up to 1024 points; beyond that the dense
     eigensolve behind leggauss is the bottleneck, so the interval
     splits into equal panels with a fixed 33-point rule each (at least
-    m points total, spectrally accurate per panel).
+    m points total, spectrally accurate per panel).  The eigensolve runs
+    on one BLAS thread: the rule's bits do not depend on the count, and a
+    second thread saves less wall time than the CPU time it spins away.
     """
     rule = _rule_cache.get(m)
     if rule is not None:
         return rule
-    if m <= _PLAIN_MAX:
-        rule = leggauss(m)
-    else:
+    with one_thread():
+        rule = leggauss(m if m <= _PLAIN_MAX else _PANEL_ORDER)
+    if m > _PLAIN_MAX:
         panels = math.ceil(m / _PANEL_ORDER)
-        bx, bw = leggauss(_PANEL_ORDER)
+        bx, bw = rule
         half = 1.0 / panels
         mids = -1.0 + half * (2.0 * np.arange(panels) + 1.0)
         rule = ((mids[:, None] + half * bx[None, :]).ravel(),

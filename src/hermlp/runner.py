@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, construct, hermite, mehler, phase, spectral, stationary
+from ._blas import one_thread
 from .config import ConfigError, ExperimentConfig, override_problem
 
 _EPS = float(np.finfo(float).eps)
@@ -117,10 +118,13 @@ def _run_eval(ctx: _Ctx):
     p = ctx.params
     rows: list = []
 
-    nodes, weights = np.polynomial.hermite.hermgauss(p["quad_points"])
-    table = hermite.hermite_batch_grid(p["k_max_ortho"], nodes)
-    # hermgauss weights absorb exp(-x^2); the pair h_j h_k carries its own
-    gram = (table * (weights * np.exp(nodes * nodes))) @ table.T
+    # The eigensolve and the product are too small for a second BLAS
+    # thread to pay; it would only spin on through the next config.
+    with one_thread():
+        nodes, weights = np.polynomial.hermite.hermgauss(p["quad_points"])
+        table = hermite.hermite_batch_grid(p["k_max_ortho"], nodes)
+        # hermgauss weights absorb exp(-x^2); the pair h_j h_k carries its own
+        gram = (table * (weights * np.exp(nodes * nodes))) @ table.T
     dev = np.abs(gram - np.eye(p["k_max_ortho"] + 1))
     for k in range(p["k_max_ortho"] + 1):
         rows.append(["orthonormality", k, float(dev[k].max()), "ok"])

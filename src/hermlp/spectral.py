@@ -138,6 +138,14 @@ class _AxesEvaluator:
         return kept[1]
 
 
+# Eigenfunction tiles are built in chunks of lead rows of about this many
+# elements, so each term's product and its sum into the tile stay in cache.
+# On the tiles of a sweep-tube pass, 2^15 and 2^16 were the fastest
+# (about 0.37 s against 0.69 s for whole-tile terms); 2^13 and 2^18 were
+# about 0.1 s slower.
+_TILE_CHUNK = 1 << 15
+
+
 class Eigenfunction(_AxesEvaluator):
     """Sparse coefficient combination over one eigenspace, on tensor axes.
 
@@ -177,11 +185,21 @@ class Eigenfunction(_AxesEvaluator):
         tables = list(self._axis_tables(axes))
         tables[0] = tables[0][:, lead]
         acc = np.zeros((tables[0].shape[1],) + tuple(a.size for a in axes[1:]))
-        for rows, c in zip(self._rows, self.coefficients):
-            term = c * tables[0][rows[0]]
-            for table, row in zip(tables[1:], rows[1:]):
-                term = term[..., None] * table[row]
-            acc += term
+        step = max(1, _TILE_CHUNK // max(1, math.prod(acc.shape[1:])))
+        buf = np.empty((min(step, len(acc)),) + acc.shape[1:])
+        for start in range(0, len(acc), step):
+            part = acc[start:start + step]
+            term = buf[:len(part)]
+            first = tables[0][:, start:start + step]
+            for rows, c in zip(self._rows, self.coefficients):
+                if self.dim == 1:
+                    np.multiply(c, first[rows[0]], out=term)
+                else:
+                    head = c * first[rows[0]]
+                    for table, row in zip(tables[1:-1], rows[1:-1]):
+                        head = head[..., None] * table[row]
+                    np.multiply(head[..., None], tables[-1][rows[-1]], out=term)
+                part += term
         return acc
 
 

@@ -20,10 +20,12 @@ def record_criterion(line: str) -> None:
 class _SteppedPoints:
     """Stands in for numpy inside ``hermite`` and counts the points the
     recurrence steps: a step to order k + 1 writes two products, each into
-    a buffer as long as the points still stepping."""
+    a buffer as long as the points still stepping.  It also counts the
+    steps that rescale: each looks up its points above the limit once."""
 
     def __init__(self):
         self.products = 0
+        self.rescales = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -31,6 +33,10 @@ class _SteppedPoints:
     def multiply(self, a, b, out=None):
         self.products += out.size
         return np.multiply(a, b, out=out)
+
+    def flatnonzero(self, a):
+        self.rescales += 1
+        return np.flatnonzero(a)
 
     @property
     def steps(self) -> int:

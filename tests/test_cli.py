@@ -784,6 +784,26 @@ class TestCommandLine:
         assert differ[0].endswith(str(Path("determinism", "results.csv")))
         assert "1 differ" in done.stdout
 
+    @pytest.mark.parametrize("pairs", ["1", "0"])
+    def test_bench_pairs_rejects_too_few_pairs(self, tmp_path, pairs):
+        # a copy of the script beside a copy of BENCHMARK.json, so a run
+        # that got past its arguments would export and write in tmp_path
+        repo = Path(__file__).resolve().parents[1]
+        (tmp_path / "scripts").mkdir()
+        script = tmp_path / "scripts" / "bench_pairs.py"
+        script.write_bytes((repo / "scripts" / "bench_pairs.py").read_bytes())
+        (tmp_path / "BENCHMARK.json").write_bytes(
+            (repo / "BENCHMARK.json").read_bytes())
+        done = subprocess.run(
+            [sys.executable, str(script), "--parent", "HEAD",
+             "--workload", "sweep-tube", "--pairs", pairs],
+            cwd=tmp_path, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert "at least 2 pairs" in done.stderr
+        assert done.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BENCHMARK.json", "scripts"]
+
     def test_make_figures_script(self, tmp_path, mini_saturate_run):
         _, run_dir = mini_saturate_run
         repo = Path(__file__).resolve().parents[1]

@@ -281,7 +281,45 @@ def _rescaled(xs, k):
     return not np.array_equal(log_scale, start)
 
 
+def _limit_steps(xs, k):
+    """Of the recurrence steps to order k over xs: those that rescale,
+    those whose largest rescale factor is under 1.2e120, and those that do
+    not rescale although the state's sum of squares exceeds 1e239."""
+    rescaled = just_over = near = 0
+    last = None
+    for _, log_scale, cur in _oracle_recurrence(np.asarray(xs, dtype=float), k):
+        if last is not None and log_scale is not last:
+            rescaled += 1
+            just_over += np.max(log_scale - last) < math.log(1.2e120)
+        elif np.dot(cur, cur) > 1.0e239:
+            near += 1
+        last = log_scale
+    return rescaled, just_over, near
+
+
 class TestDriver:
+    # Three points whose states sit just under 1e120 for hundreds of
+    # steps, and a grid whose states cross it by less than 20% on dozens.
+    @pytest.mark.parametrize("xs,under,over", [
+        ([57.67, 52.62, 40.77], 1000, 0),
+        (np.linspace(20.0, 60.0, 81), 200, 30),
+    ])
+    def test_rescales_exactly_where_a_state_exceeds_the_limit(
+            self, stepped_points, xs, under, over):
+        rescaled, just_over, near = _limit_steps(xs, 3000)
+        assert near >= under and just_over >= over
+        got = hm.hermite_batch([3000, 1733, 2999], xs)
+        assert np.array_equal(got, _oracle_batch([3000, 1733, 2999], xs))
+        assert stepped_points.rescales == rescaled
+
+    def test_one_point_over_the_limit_among_many_small(self, stepped_points):
+        xs = np.append(np.linspace(-1.0, 1.0, 4095), 45.0)
+        rescaled, _, _ = _limit_steps(xs, 2000)
+        assert rescaled
+        got = hm.hermite_batch([2000], xs)
+        assert np.array_equal(got, _oracle_batch([2000], xs))
+        assert stepped_points.rescales == rescaled
+
     def test_mixed_requests_match_the_oracle(self):
         rng = np.random.default_rng(5)
         requests = [

@@ -264,6 +264,62 @@ class TestEigenfunction:
             e(np.zeros((3, 2)), np.zeros(3))  # not a 1-D axis
 
 
+def _term_loop(e, axes, lead):
+    """The tile as whole-tile terms: each term's full product, added to the
+    tile in index order, as the evaluator did before it built chunks."""
+    tables = [hermite_batch([alpha[k] for alpha in e.indices], axis)
+              for k, axis in enumerate(axes)]
+    tables[0] = tables[0][:, lead]
+    acc = np.zeros((tables[0].shape[1],) + tuple(a.size for a in axes[1:]))
+    for i, c in enumerate(e.coefficients):
+        term = c * tables[0][i]
+        for table in tables[1:]:
+            term = term[..., None] * table[i]
+        acc += term
+    return acc
+
+
+class TestChunkedTile:
+    @staticmethod
+    def _case(dim):
+        rng = np.random.default_rng(dim)
+        level = {1: 7, 2: 9, 3: 6}[dim]
+        indices = [alpha for alpha in sp.level_indices(level, dim)
+                   if rng.random() < 0.7]
+        coefficients = rng.standard_normal(len(indices))
+        sizes = {1: (53,), 2: (23, 17), 3: (11, 7, 5)}[dim]
+        axes = [np.sort(rng.uniform(-4.0, 4.0, m)) for m in sizes]
+        return sp.Eigenfunction(dim, level, indices, coefficients), axes
+
+    # chunk sizes in lead rows: one row, a few rows that divide none of
+    # the lead lengths, and the shipped constant
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [None, 1, 3, 4])
+    def test_bits_equal_the_term_loop(self, monkeypatch, dim, rows):
+        e, axes = self._case(dim)
+        inner = math.prod(a.size for a in axes[1:])
+        if rows is not None:
+            monkeypatch.setattr(sp, "_TILE_CHUNK", rows * inner)
+        m = axes[0].size
+        for lead in (slice(None), slice(2, m - 3), slice(0, 1),
+                     slice(m - 5, None), slice(4, 4)):
+            got = e(*axes, lead=lead)
+            want = _term_loop(e, axes, lead)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), lead
+
+    def test_chunk_of_one_element(self, monkeypatch):
+        monkeypatch.setattr(sp, "_TILE_CHUNK", 1)
+        for dim in (1, 2, 3):
+            e, axes = self._case(dim)
+            assert np.array_equal(e(*axes), _term_loop(e, axes, slice(None)))
+
+    def test_empty_cross_axis(self):
+        e = sp.Eigenfunction(2, 3, [(1, 2), (3, 0)], [1.0, -0.5])
+        tile = e(np.linspace(-1.0, 1.0, 4), np.array([]))
+        assert tile.shape == (4, 0)
+
+
 class TestDenseEigenfunction2D:
     def test_agrees_with_sparse(self):
         rng = np.random.default_rng(5)
