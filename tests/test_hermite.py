@@ -298,7 +298,7 @@ def _limit_steps(xs, k):
 
 
 class TestDriver:
-    # Three points whose states sit just under 1e120 for hundreds of
+    # Three points whose states sit just under 1e120 for over a thousand
     # steps, and a grid whose states cross it by less than 20% on dozens.
     @pytest.mark.parametrize("xs,under,over", [
         ([57.67, 52.62, 40.77], 1000, 0),
