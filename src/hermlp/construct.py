@@ -206,7 +206,7 @@ def ball_lp_norm(e, nu: tuple, r: float, p: float,
     lam = e.eigenvalue
     feature = min(half_width, 1.0)
     m_req = math.ceil(8.0 * r * max(lam, 1.0 / feature))
-    dom = Domain(shape="ball", center=nu, scale=r,
+    dom = Domain(center=nu, scale=r,
                  quad=TensorGrid(points_per_axis=m_req + 1))
     return local_lp_norm(e, dom, p, osc_scale=lam, feature_scale=feature,
                          with_error=False).value

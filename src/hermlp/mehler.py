@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase as ph
+from ._blas import one_thread
 from .spectral import _kernel_from_table, _kernel_table
 from .stationary import fresnel_leading
 
@@ -39,15 +40,6 @@ WINDOW_END = 3.0 * math.pi / 8.0
 FLAT_END = math.pi / 8.0
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-
-# Most panels per gemv in a level sum.  OpenBLAS hands a complex gemv of
-# 4096 elements (256 panels x 16 nodes) or more to its worker threads,
-# which then spin for a while after every call; at the deep levels of
-# every kernel evaluation that keeps a second core busy for no speed-up
-# and ties the run time to the machine's other load.  Smaller blocks stay
-# on the calling thread, and each panel's dot product is the same bit
-# for bit.
-_DOT_ROWS = 255
 
 
 class NearDiagonalError(ValueError):
@@ -113,19 +105,6 @@ class HalfIntegral:
     evals: int
 
 
-def _panel_sums(rows: np.ndarray) -> np.ndarray:
-    """np.dot(rows, _GL_W), one gemv per block of at most _DOT_ROWS rows.
-
-    array_split keeps every block of a multi-row input above one row,
-    where numpy would swap the gemv for a dot that rounds differently.
-    Up to _DOT_ROWS rows are one block already and go straight to np.dot.
-    """
-    if len(rows) <= _DOT_ROWS:
-        return np.dot(rows, _GL_W)
-    blocks = np.array_split(rows, -(-len(rows) // _DOT_ROWS))
-    return np.concatenate([np.dot(block, _GL_W) for block in blocks])
-
-
 def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
                         hi: float, panel_cap: int) -> tuple[complex, int]:
     """One dyadic level [lo, hi] of the window integral of the pair with
@@ -166,7 +145,7 @@ def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
     np.sin(rpsi, out=vals.imag)
     vals.real *= amp
     vals.imag *= amp
-    total = half * _panel_sums(vals.reshape(panels, -1)).sum()
+    total = half * np.dot(vals.reshape(panels, -1), _GL_W).sum()
     return complex(total), ts.size
 
 
@@ -202,41 +181,45 @@ def oscillatory_half_integral(x, y, r: float, tol: float = 1e-8,
     prev_running: complex | None = None
     small = 0
     t_hi = WINDOW_END
-    for level in range(max_levels):
-        t_lo = 0.5 * t_hi
-        contrib, used = _level_contribution(a2, b, r, n, t_lo, t_hi,
-                                            panel_cap)
-        total += contrib
-        evals += used
-        can_ibp = t_lo <= guard
-        corr = 0j
-        if can_ibp:
-            # two integration-by-parts orders of the tail below t_lo
-            dpsi = float(ph._derivative(t_lo, a2, b))
-            ddpsi = float(ph._second_derivative(t_lo, a2, b))
-            s2 = math.sin(2.0 * t_lo)
-            f_lo = s2 ** (-0.5 * n)
-            df_lo = -n * math.cos(2.0 * t_lo) * s2 ** (-0.5 * n - 1.0)
-            osc = np.exp(1j * r * float(ph._value(t_lo, a2, b)))
-            corr = osc * (f_lo / (1j * r * dpsi)
-                          + (df_lo * dpsi - f_lo * ddpsi) / (r * r * dpsi**3))
-        running = total + corr
-        if prev_running is not None:
-            delta = abs(running - prev_running)
-            if can_ibp and delta < 0.25 * tol:
-                small += 1
-                if small >= 2:
-                    return HalfIntegral(value=running, achieved=delta,
+    # one BLAS thread for every level gemv: a second one would spin on
+    # after each call for no speed-up; the level sums keep their bits
+    with one_thread():
+        for level in range(max_levels):
+            t_lo = 0.5 * t_hi
+            contrib, used = _level_contribution(a2, b, r, n, t_lo, t_hi,
+                                                panel_cap)
+            total += contrib
+            evals += used
+            can_ibp = t_lo <= guard
+            corr = 0j
+            if can_ibp:
+                # two integration-by-parts orders of the tail below t_lo
+                dpsi = float(ph._derivative(t_lo, a2, b))
+                ddpsi = float(ph._second_derivative(t_lo, a2, b))
+                s2 = math.sin(2.0 * t_lo)
+                f_lo = s2 ** (-0.5 * n)
+                df_lo = -n * math.cos(2.0 * t_lo) * s2 ** (-0.5 * n - 1.0)
+                osc = np.exp(1j * r * float(ph._value(t_lo, a2, b)))
+                corr = osc * (f_lo / (1j * r * dpsi)
+                              + (df_lo * dpsi - f_lo * ddpsi)
+                              / (r * r * dpsi**3))
+            running = total + corr
+            if prev_running is not None:
+                delta = abs(running - prev_running)
+                if can_ibp and delta < 0.25 * tol:
+                    small += 1
+                    if small >= 2:
+                        return HalfIntegral(value=running, achieved=delta,
+                                            levels=level + 1, evals=evals)
+                else:
+                    small = 0
+            prev_running = running if can_ibp else None
+            if n == 1:
+                tail_bound = math.sqrt(math.pi * t_lo)
+                if tail_bound < tol:
+                    return HalfIntegral(value=total, achieved=tail_bound,
                                         levels=level + 1, evals=evals)
-            else:
-                small = 0
-        prev_running = running if can_ibp else None
-        if n == 1:
-            tail_bound = math.sqrt(math.pi * t_lo)
-            if tail_bound < tol:
-                return HalfIntegral(value=total, achieved=tail_bound,
-                                    levels=level + 1, evals=evals)
-        t_hi = t_lo
+            t_hi = t_lo
     raise TailConvergenceError(
         f"no tail convergence in {max_levels} dyadic levels (tol {tol:g})",
         best=prev_running if prev_running is not None else total,

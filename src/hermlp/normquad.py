@@ -1,4 +1,4 @@
-"""Local L^p norms of eigenfunctions over balls and boxes.
+"""Local L^p norms of eigenfunctions over balls.
 
 Quadrature is deliberately boring: tensor Gauss-Legendre over the
 bounding box with a sharp ball indicator, block-evaluated so large
@@ -11,14 +11,12 @@ exponent, where no addition can round, and hands ``math.fsum`` only the
 nonzero bin sums (the binning idea of Demmel & Nguyen, "Parallel
 Reproducible Summation", IEEE TC 2015).
 
-Integrands come in two forms.  A point integrand maps a (K, dim) array
-of points to K values.  An axes integrand has a true class attribute
-``takes_axes``; ``f(*axes, lead=slice(start, stop))`` gets the full
-1-D node array of every axis and returns the tensor tile of values on
-``axes[0][lead] x axes[1] x ...`` (``lead`` defaults to the whole axis).
-Every lead-axis block gets the same full axes, so an evaluator with
-per-axis tables builds each once per grid and never sees a meshgrid;
-point integrands get the block's nodes flattened in index order.
+An integrand takes tensor axes: ``f(*axes, lead=slice(start, stop))``
+gets the full 1-D node array of every axis and returns the tensor tile
+of values on ``axes[0][lead] x axes[1] x ...`` (``lead`` defaults to the
+whole axis).  Every lead-axis block gets the same full axes, so an
+evaluator with per-axis tables builds each once per grid and never sees
+a meshgrid.
 
 The grid-spacing guard is the load-bearing contract: an eigenfunction
 at energy lambda^2 oscillates on scale 1/lambda, and concentrated
@@ -69,14 +67,13 @@ class TensorGrid:
 
 @dataclass(frozen=True)
 class Domain:
-    shape: str  # "ball" | "box"
+    """The ball of radius ``scale`` about ``center``."""
+
     center: tuple[float, ...]
-    scale: float  # ball radius, or box half-width
+    scale: float
     quad: TensorGrid
 
     def __post_init__(self):
-        if self.shape not in ("ball", "box"):
-            raise ValueError(f"unknown domain shape {self.shape!r}")
         if self.scale <= 0.0:
             raise ValueError("domain scale must be positive")
         if len(self.center) == 0:
@@ -140,18 +137,6 @@ def _check_spacing(dom: Domain, m: int, osc_scale: float,
             f"{need:.3e}/4; need at least {m_req} points per axis")
 
 
-def _on_points(f):
-    """Adapt a point integrand to the tensor-axes contract: build the
-    tile's nodes from its axes, evaluate, and fold the values back."""
-
-    def on_axes(*axes, lead=slice(None)):
-        mesh = np.meshgrid(axes[0][lead], *axes[1:], indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        return np.asarray(f(pts), dtype=float).reshape(mesh[0].shape)
-
-    return on_axes
-
-
 def _outer(vectors, op) -> np.ndarray:
     """Combine 1-D arrays into a tensor tile with op, left to right."""
     tile = vectors[0]
@@ -197,7 +182,6 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     axes = [dom.center[k] + dom.scale * x for k in range(n)]
     wts = dom.scale * w
     r2 = dom.scale * dom.scale
-    on_axes = f if getattr(f, "takes_axes", False) else _on_points(f)
 
     # block over leading-axis indices; each block is one tensor tile
     lead_block = max(1, _BLOCK // max(1, m ** (n - 1)))
@@ -206,13 +190,10 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     count = 0
     for start in range(0, m, lead_block):
         lead = slice(start, min(m, start + lead_block))
-        vals = np.abs(np.asarray(on_axes(*axes, lead=lead), dtype=float))
-        if dom.shape == "ball":
-            block = [axes[0][lead]] + axes[1:]
-            inside = _outer([(a - c) ** 2 for a, c in zip(block, dom.center)],
-                            np.add) <= r2
-        else:
-            inside = np.ones(vals.shape, dtype=bool)
+        vals = np.abs(np.asarray(f(*axes, lead=lead), dtype=float))
+        block = [axes[0][lead]] + axes[1:]
+        inside = _outer([(a - c) ** 2 for a, c in zip(block, dom.center)],
+                        np.add) <= r2
         count += vals.size
         if p == math.inf:
             if np.any(inside):
@@ -234,15 +215,13 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
 def local_lp_norm(f, dom: Domain, p: float, *, osc_scale: float,
                   feature_scale: float | None = None,
                   with_error: bool = True) -> NormValue:
-    """L^p norm of f over the domain.
+    """L^p norm of f over the ball dom.
 
-    f maps an (K, dim) array of points to K values, vectorized, or, if
-    its class sets ``takes_axes = True``, ``f(*axes, lead=s)`` maps the
-    full node array of every axis to the tensor tile on ``axes[0][s] x
-    axes[1] x ...``.  The norm integrates |f|^p against Gauss-Legendre
-    weights on the bounding box, masking to the ball when asked; p = inf
-    takes the nodewise max instead; both forms give bit-identical
-    results for the same values.
+    ``f(*axes, lead=s)`` maps the full node array of every axis to the
+    tensor tile on ``axes[0][s] x axes[1] x ...``.  The norm integrates
+    |f|^p against Gauss-Legendre weights on the ball's bounding box,
+    masked to the ball; p = inf takes the max over the nodes in the ball
+    instead.  ``nodes`` counts the bounding-box nodes evaluated.
     osc_scale is the oscillation frequency of the integrand (lambda for
     eigenfunctions at energy lambda^2); feature_scale is the finest
     structural width when that is smaller.

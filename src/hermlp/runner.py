@@ -103,6 +103,14 @@ def _fmt(v) -> str:
     return repr(x)
 
 
+def _write_csv(path: Path, header: tuple, rows: list) -> None:
+    """Write the header and the rows, each value through _fmt."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def _fmt_point(vals) -> str:
     return ";".join(repr(float(v)) for v in vals)
 
@@ -201,15 +209,15 @@ def _kernel_cross_mode(ctx: _Ctx):
                  kv.evals, "ok"]]
 
     cells = [(r, sx, sy) for r in p["r_values"] for sx, sy in pairs]
-    rows = _flatten(_collect(ctx, cell, cells, width=9))
+    header = ("r", "x", "y", "spectral", "quadrature", "rel_error",
+              "imag_residual", "evals", "status")
+    rows = _flatten(_collect(ctx, cell, cells, header))
     oks = [row for row in rows if row[-1] == "ok"]
     if oks:
         ctx.check("cross-validation-relative-error",
                   max(row[5] for row in oks), p["tol_rel"] * ctx.scale)
         ctx.check("cross-validation-imag-residual",
                   max(row[6] for row in oks), p["tol_imag"] * ctx.scale)
-    header = ("r", "x", "y", "spectral", "quadrature", "rel_error",
-              "imag_residual", "evals", "status")
     return header, rows
 
 
@@ -229,7 +237,9 @@ def _kernel_bound_mode(ctx: _Ctx):
 
     cells = [(i, mu, r) for i, mu in enumerate(p["mu_values"])
              for r in p["r_values"]]
-    rows = _flatten(_collect(ctx, cell, cells, width=9))
+    header = ("n", "r", "mu", "normalizer", "max_ratio", "median_ratio",
+              "diagonal_ratio", "count", "status")
+    rows = _flatten(_collect(ctx, cell, cells, header))
     oks = [row for row in rows if row[-1] == "ok"]
     if oks:
         ctx.check("bound-check-max-ratio", max(row[4] for row in oks),
@@ -241,8 +251,6 @@ def _kernel_bound_mode(ctx: _Ctx):
             ctx.check(f"bound-check-growth-slope-mu-{mu}", abs(slope),
                       p["slope_limit"] * ctx.scale)
             ctx.metrics[f"slope_mu_{mu}"] = slope
-    header = ("n", "r", "mu", "normalizer", "max_ratio", "median_ratio",
-              "diagonal_ratio", "count", "status")
     return header, rows
 
 
@@ -377,11 +385,11 @@ def _run_phase_identities(ctx: _Ctx):
             ("mixed-hessian-closed", worst_closed, p["tol_mixed_closed"]),
             ("mixed-hessian-fd", worst_fd, p["tol_mixed_fd"]))]
 
-    rows = _flatten(_collect(ctx, cell, list(enumerate(dims)), width=6))
+    header = ("check", "n", "samples", "max_residual", "tolerance", "status")
+    rows = _flatten(_collect(ctx, cell, list(enumerate(dims)), header))
     for check, n, _, worst, tol, status in rows:
         if status == "ok":
             ctx.check(f"{check}-n{n}", worst, tol * ctx.scale)
-    header = ("check", "n", "samples", "max_residual", "tolerance", "status")
     return header, rows
 
 
@@ -527,7 +535,9 @@ def _run_construct(ctx: _Ctx):
                  rep.bin_fraction, rep.target_amplitude, median,
                  median / rep.target_amplitude, "ok"]]
 
-    rows = _flatten(_collect(ctx, cell, list(p["levels"]), width=12))
+    header = ("n", "N", "lambda", "j", "delta", "set_size", "bin_index",
+              "bin_fraction", "target", "measured", "amp_ratio", "status")
+    rows = _flatten(_collect(ctx, cell, list(p["levels"]), header))
     oks = [row for row in rows if row[-1] == "ok"]
     if oks:
         ctx.check("bin-fraction-pigeonhole", min(row[7] for row in oks),
@@ -537,8 +547,6 @@ def _run_construct(ctx: _Ctx):
                   p["amp_ratio_min"] / ctx.scale, op=">=")
         ctx.check("amplitude-ratio-high", max(ratios),
                   p["amp_ratio_max"] * ctx.scale)
-    header = ("n", "N", "lambda", "j", "delta", "set_size", "bin_index",
-              "bin_fraction", "target", "measured", "amp_ratio", "status")
     return header, rows
 
 
@@ -596,7 +604,7 @@ def _run_saturate(ctx: _Ctx):
                                    case["p"])]
         return _random_level_rows(ctx, case_idx, case, level)
 
-    per_cell = _collect(ctx, cell, cells, width=len(SATURATE_HEADER))
+    per_cell = _collect(ctx, cell, cells, SATURATE_HEADER)
     rows = _flatten(per_cell)
 
     sweep_ratios = []
@@ -635,11 +643,11 @@ def _run_saturate(ctx: _Ctx):
 
 # ------------------------------------------------------- failure handling
 
-def _collect(ctx: _Ctx, cell_fn, cells, width: int) -> list:
+def _collect(ctx: _Ctx, cell_fn, cells, header: tuple) -> list:
     """Run cells, turning per-cell exceptions into error rows.
 
     Each cell returns its list of rows.  A cell that raises leaves a
-    single row of ``width`` columns, empty but for the status column, and
+    single row as wide as ``header``, empty but for the status column, and
     a ``computational_failures`` entry labelled with the cell; the run
     continues.  Returns the per-cell row lists in cell order.
     """
@@ -650,7 +658,7 @@ def _collect(ctx: _Ctx, cell_fn, cells, width: int) -> list:
         except Exception as exc:  # recorded, run continues
             err = f"{type(exc).__name__}: {exc}"
             ctx.failures.append({"cell": str(args), "error": err})
-            chunk = [[""] * (width - 1) + [f"error: {err}"]]
+            chunk = [[""] * (len(header) - 1) + [f"error: {err}"]]
         chunks.append(chunk)
     return chunks
 
@@ -711,11 +719,7 @@ def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
                else (config.out or f"runs/{config.experiment}"))
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    _write_csv(csv_path, header, rows)
 
     passed = all(a.passed for a in ctx.assertions)
     exit_code = 3 if ctx.failures else (0 if passed else 1)
@@ -847,11 +851,7 @@ def emit_plot_data(kind: str, *, run_dir=None, params: dict | None = None,
     if out_path is not None:
         out_path = Path(out_path)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+        _write_csv(out_path, header, rows)
     return header, rows
 
 

@@ -112,7 +112,6 @@ class _AxesEvaluator:
     recurrence.
     """
 
-    takes_axes = True
     _kept = None  # (node arrays of all axes, their tables)
 
     def _node_axes(self, axes) -> list:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hermlp import hermite, mehler, spectral
+from hermlp import _blas, hermite, mehler, spectral
 from hermlp.mehler import (
     FLAT_END,
     WINDOW_END,
@@ -163,12 +163,14 @@ class TestLevelTaper:
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_deep_levels_match_the_tapered_form_exactly(self, case):
-        # 5k to 91k panels a level: many gemv blocks in the level sum
+        # 5k to 91k panels a level: one gemv, on one thread as in the
+        # kernel, against the reference's gemv on the default threads
         x, y, r = self.CASES[case]
         for k in range(8, 12):
             lo, hi = _dyadic_level(k)
-            got = mehler._level_contribution(*_a2_b(x, y), r, x.size, lo, hi,
-                                             200_000)
+            with _blas.one_thread():
+                got = mehler._level_contribution(*_a2_b(x, y), r, x.size, lo,
+                                                 hi, 200_000)
             assert got[1] > 5_000 * mehler._GL_W.size
             assert _bits(got) == _bits(
                 _tapered_level(x, y, r, x.size, lo, hi, 200_000))
@@ -181,37 +183,36 @@ class TestLevelTaper:
             for y_sign in (y, -y):
                 for k in range(12):
                     lo, hi = _dyadic_level(k)
-                    got = mehler._level_contribution(*_a2_b(x, y_sign), r, 1,
-                                                     lo, hi, 200_000)
+                    with _blas.one_thread():
+                        got = mehler._level_contribution(
+                            *_a2_b(x, y_sign), r, 1, lo, hi, 200_000)
                     assert _bits(got) == _bits(
                         _tapered_level(x, y_sign, r, 1, lo, hi, 200_000))
                 deepest = max(deepest, got[1])
         assert deepest > 5_000 * mehler._GL_W.size
 
 
-class TestPanelSums:
-    @pytest.mark.parametrize("panels", [4, 255, 256, 257, 511, 766, 1025, 4097, 5678])
-    def test_matches_one_gemv_exactly(self, panels):
-        rng = np.random.default_rng(panels)
-        rows = rng.standard_normal((panels, 16)) + 1j * rng.standard_normal((panels, 16))
-        got = mehler._panel_sums(rows)
-        want = np.dot(rows, mehler._GL_W)
-        assert np.array_equal(got.view(float), want.view(float))
-
-    def test_blocks_stay_below_the_threading_size(self, monkeypatch):
-        seen = []
+class TestLevelThreads:
+    def test_level_gemv_runs_on_one_thread(self, monkeypatch):
+        # a fake OpenBLAS (get, set) at 7 threads; record the count at
+        # every level gemv
+        history, seen = [7], []
+        monkeypatch.setattr(_blas, "_found", (lambda: history[-1],
+                                              history.append))
         dot = np.dot
 
         def recording(a, b):
-            seen.append(len(a))
+            if b is mehler._GL_W:
+                seen.append(history[-1])
             return dot(a, b)
 
         monkeypatch.setattr(mehler.np, "dot", recording)
-        mehler._panel_sums(np.ones((4097, 16), dtype=complex))
-        assert sum(seen) == 4097
-        assert 1 < min(seen) and max(seen) <= mehler._DOT_ROWS
-        # OpenBLAS threads a complex gemv from 4096 elements on
-        assert mehler._DOT_ROWS * mehler._GL_W.size < 4096
+        x, y, r = TestLevelTaper.CASES[1]
+        got = oscillatory_half_integral(x, y, r)
+        assert got.levels > 1 and len(seen) == got.levels
+        assert set(seen) == {1}
+        # one scope for the whole call, not one per level
+        assert history == [7, 1, 7]
 
 
 class TestNormalization:

@@ -1,4 +1,4 @@
-"""Quadrature layer: local norms over balls and boxes."""
+"""Quadrature layer: local norms over balls."""
 
 import math
 
@@ -10,6 +10,19 @@ from hypothesis import strategies as st
 from hermlp import normquad as NQ
 from hermlp import spectral as sp
 from hermlp.hermite import hermite_batch
+
+
+def on_axes(f):
+    """Axes form of a point integrand f, which maps a (K, dim) array of
+    points to K values: build the tile's nodes from its axes, evaluate,
+    and fold the values back."""
+
+    def at_axes(*axes, lead=slice(None)):
+        mesh = np.meshgrid(axes[0][lead], *axes[1:], indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=-1)
+        return np.asarray(f(pts), dtype=float).reshape(mesh[0].shape)
+
+    return at_axes
 
 
 def ground(pts):
@@ -25,67 +38,43 @@ def ball_volume(n: int, radius: float) -> float:
     return math.pi ** (0.5 * n) / math.gamma(0.5 * n + 1.0) * radius**n
 
 
-def domain_volume(dom: NQ.Domain) -> float:
-    if dom.shape == "ball":
-        return ball_volume(dom.dim, dom.scale)
-    return (2.0 * dom.scale) ** dom.dim
-
-
-BOX1 = NQ.Domain("box", (0.0,), 1.0, NQ.TensorGrid(41))
+# the 1-D ball about 0 of radius 1 is the interval [-1, 1]
+BALL1 = NQ.Domain((0.0,), 1.0, NQ.TensorGrid(41))
 
 
 class TestOracles:
     def test_ground_state_l2_on_unit_box(self):
         # closed form sqrt(erf(1)), frozen from 30-digit arithmetic
-        got = NQ.local_lp_norm(ground, BOX1, 2.0, osc_scale=1.0)
+        got = NQ.local_lp_norm(on_axes(ground), BALL1, 2.0, osc_scale=1.0)
         assert abs(got.value - 0.9179873599073763) < 1e-12
         assert got.error_estimate < 1e-12
 
     def test_ground_state_l4_on_unit_box(self):
-        got = NQ.local_lp_norm(ground, BOX1, 4.0, osc_scale=1.0)
+        got = NQ.local_lp_norm(on_axes(ground), BALL1, 4.0, osc_scale=1.0)
         assert abs(got.value - 0.7855457252168471) < 1e-12
 
     def test_ground_state_sup(self):
         # odd point count puts a node exactly at the peak
-        got = NQ.local_lp_norm(ground, BOX1, math.inf, osc_scale=1.0)
+        got = NQ.local_lp_norm(on_axes(ground), BALL1, math.inf,
+                               osc_scale=1.0)
         assert abs(got.value - math.pi**-0.25) < 1e-15
 
     def test_disc_area_through_indicator(self):
-        disc = NQ.Domain("ball", (0.3, -0.2), 0.7, NQ.TensorGrid(251))
-        got = NQ.local_lp_norm(ones, disc, 2.0, osc_scale=1.0)
+        disc = NQ.Domain((0.3, -0.2), 0.7, NQ.TensorGrid(251))
+        got = NQ.local_lp_norm(on_axes(ones), disc, 2.0, osc_scale=1.0)
         assert abs(got.value - math.sqrt(math.pi * 0.49)) < 3e-3
-
-    def test_product_state_factorizes(self):
-        def edge(pts):
-            pts = np.asarray(pts)
-            return hermite_batch([3], pts[:, 0])[0] * hermite_batch([5], pts[:, 1])[0]
-
-        def h1d(k, col):
-            def f(pts):
-                return hermite_batch([k], np.asarray(pts)[:, 0])[0]
-            return f
-
-        box2 = NQ.Domain("box", (0.1, -0.4), 1.3, NQ.TensorGrid(60))
-        g2 = NQ.local_lp_norm(edge, box2, 2.0, osc_scale=4.0)
-        f1 = NQ.local_lp_norm(h1d(3, 0), NQ.Domain("box", (0.1,), 1.3,
-                                                   NQ.TensorGrid(120)),
-                              2.0, osc_scale=4.0)
-        f2 = NQ.local_lp_norm(h1d(5, 1), NQ.Domain("box", (-0.4,), 1.3,
-                                                   NQ.TensorGrid(120)),
-                              2.0, osc_scale=4.0)
-        assert abs(g2.value - f1.value * f2.value) < 1e-10
 
     def test_global_l2_is_hypot_of_coefficients(self):
         assert sp.DenseEigenfunction2D(1, [3.0, 4.0]).global_l2_norm() == 5.0
         assert sp.DenseEigenfunction2D(4, np.zeros(5)).global_l2_norm() == 0.0
 
-    def test_global_norm_matches_quadrature_over_large_box(self):
+    def test_global_norm_matches_quadrature_over_large_disc(self):
         # level 6 has its turning circle at radius sqrt(14) < 4; outside
-        # the box of half-width 7 the eigenfunction is below 1e-7
+        # the disc of radius 7 the eigenfunction is below 1e-7
         c = np.random.default_rng(3).standard_normal(7)
         dense = sp.DenseEigenfunction2D(6, c)
-        box = NQ.Domain("box", (0.0, 0.0), 7.0, NQ.TensorGrid(220))
-        got = NQ.local_lp_norm(dense, box, 2.0, osc_scale=dense.eigenvalue)
+        disc = NQ.Domain((0.0, 0.0), 7.0, NQ.TensorGrid(220))
+        got = NQ.local_lp_norm(dense, disc, 2.0, osc_scale=dense.eigenvalue)
         assert got.value == pytest.approx(dense.global_l2_norm(), rel=1e-12)
 
 
@@ -102,8 +91,9 @@ class TestInvariants:
                        * hermite_batch([k + 1], x[:, 1])[0]
                        for k, ck in enumerate(c))
 
-        dom = NQ.Domain("ball", (0.0, 0.0), 1.1, NQ.TensorGrid(80))
-        vol = domain_volume(dom)
+        dom = NQ.Domain((0.0, 0.0), 1.1, NQ.TensorGrid(80))
+        vol = ball_volume(dom.dim, dom.scale)
+        f = on_axes(f)
         n2 = NQ.local_lp_norm(f, dom, 2.0, osc_scale=4.0, with_error=False).value
         n4 = NQ.local_lp_norm(f, dom, 4.0, osc_scale=4.0, with_error=False).value
         ni = NQ.local_lp_norm(f, dom, math.inf, osc_scale=4.0,
@@ -114,22 +104,22 @@ class TestInvariants:
     def test_monotone_in_radius(self):
         vals = []
         for r in (0.4, 0.7, 1.0, 1.4):
-            d = NQ.Domain("ball", (0.2,), r, NQ.TensorGrid(160))
-            vals.append(NQ.local_lp_norm(ground, d, 2.0, osc_scale=1.0,
+            d = NQ.Domain((0.2,), r, NQ.TensorGrid(160))
+            vals.append(NQ.local_lp_norm(on_axes(ground), d, 2.0, osc_scale=1.0,
                                          with_error=False).value)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_doubling_resolution_stable(self):
-        a = NQ.local_lp_norm(ground, BOX1, 2.0, osc_scale=1.0,
+        a = NQ.local_lp_norm(on_axes(ground), BALL1, 2.0, osc_scale=1.0,
                              with_error=False).value
-        b = NQ.local_lp_norm(ground,
-                             NQ.Domain("box", (0.0,), 1.0, NQ.TensorGrid(83)),
+        b = NQ.local_lp_norm(on_axes(ground),
+                             NQ.Domain((0.0,), 1.0, NQ.TensorGrid(83)),
                              2.0, osc_scale=1.0, with_error=False).value
         assert abs(a - b) <= 1e-3 * abs(b)
 
     def test_determinism(self):
-        d = NQ.Domain("ball", (0.1, 0.2), 0.8, NQ.TensorGrid(55))
-        a = NQ.local_lp_norm(ground2 := (lambda pts: np.exp(
+        d = NQ.Domain((0.1, 0.2), 0.8, NQ.TensorGrid(55))
+        a = NQ.local_lp_norm(ground2 := on_axes(lambda pts: np.exp(
             -np.sum(np.asarray(pts) ** 2, axis=1))), d, 3.0, osc_scale=2.0)
         b = NQ.local_lp_norm(ground2, d, 3.0, osc_scale=2.0)
         assert a.value == b.value
@@ -141,11 +131,11 @@ def gauss3(pts):
 
 
 class TestBallThreeDim:
-    BALL3 = NQ.Domain("ball", (0.0, 0.0, 0.0), 0.9, NQ.TensorGrid(41))
+    BALL3 = NQ.Domain((0.0, 0.0, 0.0), 0.9, NQ.TensorGrid(41))
 
     def test_volume_and_determinism(self):
-        a = NQ.local_lp_norm(ones, self.BALL3, 2.0, osc_scale=1.0)
-        b = NQ.local_lp_norm(ones, self.BALL3, 2.0, osc_scale=1.0)
+        a = NQ.local_lp_norm(on_axes(ones), self.BALL3, 2.0, osc_scale=1.0)
+        b = NQ.local_lp_norm(on_axes(ones), self.BALL3, 2.0, osc_scale=1.0)
         assert a == b
         err = abs(a.value - math.sqrt(ball_volume(3, 0.9)))
         assert err < 2e-3
@@ -153,7 +143,8 @@ class TestBallThreeDim:
 
     def test_gaussian_within_error_band(self):
         import scipy.integrate as si
-        got = NQ.local_lp_norm(gauss3, self.BALL3, 2.0, osc_scale=1.0)
+        got = NQ.local_lp_norm(on_axes(gauss3), self.BALL3, 2.0,
+                               osc_scale=1.0)
         want = math.sqrt(si.quad(
             lambda r: 4 * math.pi * r * r * math.exp(-r * r), 0.0, 0.9)[0])
         assert abs(got.value - want) < 2 * got.error_estimate
@@ -164,52 +155,49 @@ class TestBallThreeDim:
         def radius2(pts):
             return np.sum(np.asarray(pts) ** 2, axis=1)
 
-        got = NQ.local_lp_norm(radius2, self.BALL3, math.inf, osc_scale=1.0)
+        got = NQ.local_lp_norm(on_axes(radius2), self.BALL3, math.inf,
+                               osc_scale=1.0)
         assert 0.81 - 1e-3 < got.value <= 0.81
 
     def test_translation_invariance(self):
         c = (0.4, -0.7, 1.1)
-        moved = NQ.Domain("ball", c, 0.9, NQ.TensorGrid(41))
+        moved = NQ.Domain(c, 0.9, NQ.TensorGrid(41))
 
         def shifted(pts):
             return gauss3(np.asarray(pts) - np.asarray(c))
 
-        a = NQ.local_lp_norm(gauss3, self.BALL3, 3.0, osc_scale=1.0)
-        b = NQ.local_lp_norm(shifted, moved, 3.0, osc_scale=1.0)
+        a = NQ.local_lp_norm(on_axes(gauss3), self.BALL3, 3.0, osc_scale=1.0)
+        b = NQ.local_lp_norm(on_axes(shifted), moved, 3.0, osc_scale=1.0)
         assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
 class TestValidation:
     def test_spacing_guard_names_required_count(self):
-        coarse = NQ.Domain("box", (0.0,), 1.0, NQ.TensorGrid(10))
+        coarse = NQ.Domain((0.0,), 1.0, NQ.TensorGrid(10))
         with pytest.raises(ValueError, match="points per axis"):
-            NQ.local_lp_norm(ground, coarse, 2.0, osc_scale=100.0)
+            NQ.local_lp_norm(on_axes(ground), coarse, 2.0, osc_scale=100.0)
 
     def test_feature_scale_tightens_guard(self):
-        d = NQ.Domain("box", (0.0,), 1.0, NQ.TensorGrid(41))
-        NQ.local_lp_norm(ground, d, 2.0, osc_scale=1.0, feature_scale=0.5)
+        NQ.local_lp_norm(on_axes(ground), BALL1, 2.0, osc_scale=1.0,
+                         feature_scale=0.5)
         with pytest.raises(ValueError):
-            NQ.local_lp_norm(ground, d, 2.0, osc_scale=1.0, feature_scale=0.01)
+            NQ.local_lp_norm(on_axes(ground), BALL1, 2.0, osc_scale=1.0, feature_scale=0.01)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            NQ.Domain("cone", (0.0,), 1.0, NQ.TensorGrid(4))
+            NQ.Domain((0.0,), -1.0, NQ.TensorGrid(4))
         with pytest.raises(ValueError):
-            NQ.Domain("ball", (0.0,), -1.0, NQ.TensorGrid(4))
-        with pytest.raises(ValueError):
-            NQ.Domain("ball", (), 1.0, NQ.TensorGrid(4))
+            NQ.Domain((), 1.0, NQ.TensorGrid(4))
         with pytest.raises(ValueError):
             NQ.TensorGrid(1)
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
-            NQ.local_lp_norm(ground, BOX1, 0.5, osc_scale=1.0)
+            NQ.local_lp_norm(on_axes(ground), BALL1, 0.5, osc_scale=1.0)
 
 
 class GaussWave2D:
     """exp(-x^2) cos(3 y) on tensor axes."""
-
-    takes_axes = True
 
     def __call__(self, xs, ys, lead=slice(None)):
         xs = xs[lead]
@@ -222,8 +210,6 @@ def gauss_wave_points(pts):
 
 
 class Gauss3D:
-    takes_axes = True
-
     def __call__(self, xs, ys, zs, lead=slice(None)):
         xs = xs[lead]
         return (np.exp(-xs * xs)[:, None, None] * np.exp(-ys * ys)[None, :, None]
@@ -246,35 +232,35 @@ def unique_gather(evaluator):
     return at_points
 
 
-def dense_case(shape):
+def dense_case():
     rng = np.random.default_rng(11)
     dense = sp.DenseEigenfunction2D(30, rng.standard_normal(31))
-    return dense, NQ.Domain(shape, (2.0, 0.5), 0.9, NQ.TensorGrid(70))
+    return dense, NQ.Domain((2.0, 0.5), 0.9, NQ.TensorGrid(70))
 
 
-def sparse_case_2d(shape):
+def sparse_case_2d():
     e = sp.Eigenfunction(2, 30, [(a, 30 - a) for a in (0, 7, 12, 30)],
                          [0.5, -1.0, 0.25, 2.0])
-    return e, NQ.Domain(shape, (2.0, 0.5), 0.9, NQ.TensorGrid(70))
+    return e, NQ.Domain((2.0, 0.5), 0.9, NQ.TensorGrid(70))
 
 
-def sparse_case_3d(shape):
+def sparse_case_3d():
     e = sp.Eigenfunction(3, 8, [(2, 5, 1), (8, 0, 0), (0, 4, 4)],
                          [1.0, -0.75, 0.5])
-    return e, NQ.Domain(shape, (0.3, -0.2, 0.1), 0.45, NQ.TensorGrid(24))
+    return e, NQ.Domain((0.3, -0.2, 0.1), 0.45, NQ.TensorGrid(24))
 
 
 class TestAxesIntegrands:
     """An axes integrand and its point form give bit-identical norms."""
 
     @pytest.mark.parametrize("block", [NQ._BLOCK, 64])
-    @pytest.mark.parametrize("shape", ["ball", "box"])
     @pytest.mark.parametrize("p", [2.0, math.inf])
-    def test_matches_point_callable(self, monkeypatch, block, shape, p):
+    def test_matches_point_callable(self, monkeypatch, block, p):
         monkeypatch.setattr(NQ, "_BLOCK", block)
-        dom = NQ.Domain(shape, (0.3, -0.2), 1.1, NQ.TensorGrid(37))
+        dom = NQ.Domain((0.3, -0.2), 1.1, NQ.TensorGrid(37))
         a = NQ.local_lp_norm(GaussWave2D(), dom, p, osc_scale=3.0)
-        b = NQ.local_lp_norm(gauss_wave_points, dom, p, osc_scale=3.0)
+        b = NQ.local_lp_norm(on_axes(gauss_wave_points), dom, p,
+                             osc_scale=3.0)
         assert a == b
         assert a.nodes == 37 * 37 + 75 * 75
 
@@ -283,21 +269,21 @@ class TestAxesIntegrands:
         for case, suffix in [(dense_case, ""), (sparse_case_2d, "-sparse2"),
                              (sparse_case_3d, "-sparse3")]
         for block in (NQ._BLOCK, 64)])
-    @pytest.mark.parametrize("shape", ["ball", "box"])
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_dense_eigenfunction_matches_gathered_points(self, monkeypatch,
-                                                         block, case, shape, p):
+                                                         block, case, p):
         monkeypatch.setattr(NQ, "_BLOCK", block)
-        evaluator, dom = case(shape)
+        evaluator, dom = case()
         lam = evaluator.eigenvalue
         a = NQ.local_lp_norm(evaluator, dom, p, osc_scale=lam)
-        b = NQ.local_lp_norm(unique_gather(evaluator), dom, p, osc_scale=lam)
+        b = NQ.local_lp_norm(on_axes(unique_gather(evaluator)), dom, p,
+                             osc_scale=lam)
         assert a == b
 
     @pytest.mark.parametrize("case", [dense_case, sparse_case_2d,
                                       sparse_case_3d])
     def test_one_recurrence_per_grid(self, monkeypatch, stepped_points, case):
-        evaluator, dom = case("ball")
+        evaluator, dom = case()
         m = dom.quad.points_per_axis
         # lead blocks of 3 nodes, so the lead axis is cut into at least 3
         monkeypatch.setattr(NQ, "_BLOCK", 3 * m ** (dom.dim - 1))
@@ -316,13 +302,12 @@ class TestAxesIntegrands:
                        for k in range(dom.dim)]
         assert stepped_points.steps == sum(k * m for k in highest)
 
-    @pytest.mark.parametrize("shape", ["ball", "box"])
-    def test_three_dimensional_blocks(self, monkeypatch, shape):
+    def test_three_dimensional_blocks(self, monkeypatch):
         monkeypatch.setattr(NQ, "_BLOCK", 500)  # 20^2 inner nodes: 1 per block
-        dom = NQ.Domain(shape, (0.1, 0.0, -0.2), 0.8, NQ.TensorGrid(20))
+        dom = NQ.Domain((0.1, 0.0, -0.2), 0.8, NQ.TensorGrid(20))
         for p in (2.0, math.inf):
             a = NQ.local_lp_norm(Gauss3D(), dom, p, osc_scale=1.0)
-            b = NQ.local_lp_norm(gauss3_points, dom, p, osc_scale=1.0)
+            b = NQ.local_lp_norm(on_axes(gauss3_points), dom, p, osc_scale=1.0)
             assert a == b
 
 
@@ -408,8 +393,8 @@ class TestExactSum:
             NQ._exact_sum(np.array([INF, -INF]))
 
     def test_norm_hands_fsum_only_bin_sums(self, monkeypatch):
-        # a 1001 x 1001 box is 1,002,001 nodes, in one block
-        dom = NQ.Domain("box", (0.3, -0.2), 1.1, NQ.TensorGrid(1001))
+        # the disc's 1001 x 1001 bounding box is 1,002,001 nodes, in one block
+        dom = NQ.Domain((0.3, -0.2), 1.1, NQ.TensorGrid(1001))
         fsum = math.fsum
         seen = []
         monkeypatch.setattr(NQ.math, "fsum",
