@@ -193,6 +193,21 @@ class TestLevelTaper:
 
 
 class TestLevelThreads:
+    @pytest.mark.parametrize("panels", [4, 255, 256, 257, 511, 766, 1025, 4097, 5678])
+    def test_one_thread_gemv_matches_row_blocks(self, panels):
+        # the level sum's one gemv, on one thread, has the bits of the
+        # same gemv cut into even blocks of at most 255 rows, each below
+        # the size from which OpenBLAS threads a complex gemv (4096
+        # elements); even blocks keep every block a gemv, not a 1-row dot
+        assert 255 * mehler._GL_W.size < 4096
+        rng = np.random.default_rng(panels)
+        rows = rng.standard_normal((panels, 16)) + 1j * rng.standard_normal((panels, 16))
+        with _blas.one_thread():
+            got = np.dot(rows, mehler._GL_W)
+        blocks = np.array_split(rows, -(-panels // 255))
+        want = np.concatenate([np.dot(block, mehler._GL_W) for block in blocks])
+        assert np.array_equal(got.view(float), want.view(float))
+
     def test_level_gemv_runs_on_one_thread(self, monkeypatch):
         # a fake OpenBLAS (get, set) at 7 threads; record the count at
         # every level gemv

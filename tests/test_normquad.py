@@ -64,6 +64,29 @@ class TestOracles:
         got = NQ.local_lp_norm(on_axes(ones), disc, 2.0, osc_scale=1.0)
         assert abs(got.value - math.sqrt(math.pi * 0.49)) < 3e-3
 
+    def test_product_state_on_disc_matches_chord_quadrature(self):
+        def edge(pts):
+            pts = np.asarray(pts)
+            return hermite_batch([3], pts[:, 0])[0] * hermite_batch([5], pts[:, 1])[0]
+
+        # reference: x = cx + r sin(t) makes the disc's chords smooth in t,
+        # so Gauss-Legendre in t and along each chord is spectrally exact
+        cx, cy, r = 0.1, -0.4, 1.3
+        u, wu = np.polynomial.legendre.leggauss(120)
+        t, half = 0.5 * np.pi * u, r * np.cos(0.5 * np.pi * u)
+        ys = cy + half[:, None] * u[None, :]
+        inner = (hermite_batch([5], ys.ravel())[0].reshape(ys.shape) ** 2) @ wu
+        outer = hermite_batch([3], cx + r * np.sin(t))[0] ** 2 * half * inner
+        want = math.sqrt(0.5 * np.pi * float(outer @ (wu * half)))
+
+        disc = NQ.Domain((cx, cy), r, NQ.TensorGrid(60))
+        got = NQ.local_lp_norm(on_axes(edge), disc, 2.0, osc_scale=4.0)
+        # the sharp disc indicator converges at first order in the
+        # spacing; the once-doubled grid bounds that error
+        assert abs(got.value - want) < got.error_estimate < 3e-3
+        state = sp.Eigenfunction(2, 8, [(3, 5)], [1.0])
+        assert NQ.local_lp_norm(state, disc, 2.0, osc_scale=4.0) == got
+
     def test_global_l2_is_hypot_of_coefficients(self):
         assert sp.DenseEigenfunction2D(1, [3.0, 4.0]).global_l2_norm() == 5.0
         assert sp.DenseEigenfunction2D(4, np.zeros(5)).global_l2_norm() == 0.0
@@ -232,32 +255,34 @@ def unique_gather(evaluator):
     return at_points
 
 
-def dense_case():
+# each case runs on its ball and on the concentric ball of half the radius
+def dense_case(shrink=1.0):
     rng = np.random.default_rng(11)
     dense = sp.DenseEigenfunction2D(30, rng.standard_normal(31))
-    return dense, NQ.Domain((2.0, 0.5), 0.9, NQ.TensorGrid(70))
+    return dense, NQ.Domain((2.0, 0.5), 0.9 * shrink, NQ.TensorGrid(70))
 
 
-def sparse_case_2d():
+def sparse_case_2d(shrink=1.0):
     e = sp.Eigenfunction(2, 30, [(a, 30 - a) for a in (0, 7, 12, 30)],
                          [0.5, -1.0, 0.25, 2.0])
-    return e, NQ.Domain((2.0, 0.5), 0.9, NQ.TensorGrid(70))
+    return e, NQ.Domain((2.0, 0.5), 0.9 * shrink, NQ.TensorGrid(70))
 
 
-def sparse_case_3d():
+def sparse_case_3d(shrink=1.0):
     e = sp.Eigenfunction(3, 8, [(2, 5, 1), (8, 0, 0), (0, 4, 4)],
                          [1.0, -0.75, 0.5])
-    return e, NQ.Domain((0.3, -0.2, 0.1), 0.45, NQ.TensorGrid(24))
+    return e, NQ.Domain((0.3, -0.2, 0.1), 0.45 * shrink, NQ.TensorGrid(24))
 
 
 class TestAxesIntegrands:
     """An axes integrand and its point form give bit-identical norms."""
 
     @pytest.mark.parametrize("block", [NQ._BLOCK, 64])
+    @pytest.mark.parametrize("radius", [1.1, 0.55])
     @pytest.mark.parametrize("p", [2.0, math.inf])
-    def test_matches_point_callable(self, monkeypatch, block, p):
+    def test_matches_point_callable(self, monkeypatch, block, radius, p):
         monkeypatch.setattr(NQ, "_BLOCK", block)
-        dom = NQ.Domain((0.3, -0.2), 1.1, NQ.TensorGrid(37))
+        dom = NQ.Domain((0.3, -0.2), radius, NQ.TensorGrid(37))
         a = NQ.local_lp_norm(GaussWave2D(), dom, p, osc_scale=3.0)
         b = NQ.local_lp_norm(on_axes(gauss_wave_points), dom, p,
                              osc_scale=3.0)
@@ -269,11 +294,13 @@ class TestAxesIntegrands:
         for case, suffix in [(dense_case, ""), (sparse_case_2d, "-sparse2"),
                              (sparse_case_3d, "-sparse3")]
         for block in (NQ._BLOCK, 64)])
+    @pytest.mark.parametrize("shrink", [1.0, 0.5])
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_dense_eigenfunction_matches_gathered_points(self, monkeypatch,
-                                                         block, case, p):
+                                                         block, case, shrink,
+                                                         p):
         monkeypatch.setattr(NQ, "_BLOCK", block)
-        evaluator, dom = case()
+        evaluator, dom = case(shrink)
         lam = evaluator.eigenvalue
         a = NQ.local_lp_norm(evaluator, dom, p, osc_scale=lam)
         b = NQ.local_lp_norm(on_axes(unique_gather(evaluator)), dom, p,
@@ -302,9 +329,10 @@ class TestAxesIntegrands:
                        for k in range(dom.dim)]
         assert stepped_points.steps == sum(k * m for k in highest)
 
-    def test_three_dimensional_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("radius", [0.8, 0.4])
+    def test_three_dimensional_blocks(self, monkeypatch, radius):
         monkeypatch.setattr(NQ, "_BLOCK", 500)  # 20^2 inner nodes: 1 per block
-        dom = NQ.Domain((0.1, 0.0, -0.2), 0.8, NQ.TensorGrid(20))
+        dom = NQ.Domain((0.1, 0.0, -0.2), radius, NQ.TensorGrid(20))
         for p in (2.0, math.inf):
             a = NQ.local_lp_norm(Gauss3D(), dom, p, osc_scale=1.0)
             b = NQ.local_lp_norm(on_axes(gauss3_points), dom, p, osc_scale=1.0)
