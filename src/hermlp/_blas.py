@@ -1,41 +1,62 @@
-"""Scope OpenBLAS to one thread around calls that gain nothing from more.
+"""Scope OpenBLAS to one thread, and reach its LAPACK ``dsterf``.
 
-The BLAS calls outside the dense tile product (the Gauss-Legendre and
-Gauss-Hermite eigensolves, the recurrence's norm pre-test, the ``eval``
-Gram product) are too small for a second thread to pay: it saves little
-or no wall time and spins on after each call, so a pass costs more CPU
-than wall time.  Their bits do not depend on the thread count, so
-running them on one thread changes no output.
+The BLAS calls outside the dense tile product (the Gauss-Hermite
+eigensolve and the Gauss-Legendre fallback one, the recurrence's norm
+pre-test, the ``eval`` Gram product)
+are too small for a second thread to pay: it saves little or no wall
+time and spins on after each call, so a pass costs more CPU than wall
+time.  Their bits do not depend on the thread count, so running them on
+one thread changes no output.
 
 The thread count is a process-wide OpenBLAS setting, not a per-thread
 one.  Setting it here is safe because the runner runs cells one after
 another, in one thread; nothing else calls BLAS while a scope is open.
 Without an OpenBLAS in the process, :func:`one_thread` does nothing.
+
+:func:`tridiagonal_eigvalsh` hands a symmetric tridiagonal matrix to the
+same library's ``dsterf``.  ``numpy.linalg.eigvalsh`` runs ``dsyevd``,
+which reduces the dense matrix to tridiagonal form (``dsytrd``) and then
+calls ``dsterf`` on it.  On a matrix that is already tridiagonal every
+Householder reflector of that reduction is the identity (tau = 0), so
+it leaves the diagonal and off-diagonal as they were, and ``dsterf``
+on them gives eigvalsh's bits without its O(n^3) dense work.  Both
+OpenBLAS lookups scan ``/proc/self/maps`` on first use, not at import.
 """
 
 import contextlib
 import ctypes
 
+import numpy as np
+
 _STEMS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
           "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+# dsterf's names, with the integer width of their ILP64 or LP64 interface
+_STERF = (("scipy_dsterf_64_", ctypes.c_int64), ("scipy_dsterf_", ctypes.c_int),
+          ("dsterf_64_", ctypes.c_int64), ("dsterf_", ctypes.c_int))
 _UNSET = object()
 _found = _UNSET  # (get, set) of the loaded OpenBLAS, or None
+_sterf = _UNSET  # (dsterf, its integer type), or None
 
 
-def _lookup():
-    """The thread-count getter and setter of the OpenBLAS mapped into this
-    process, or None if there is none."""
+def _libraries():
+    """Every OpenBLAS mapped into this process, loaded through ctypes."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh
                             if "openblas" in line.lower()})
     except OSError:
-        return None
+        return
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            yield ctypes.CDLL(path)
         except OSError:
             continue
+
+
+def _lookup():
+    """The thread-count getter and setter of the OpenBLAS mapped into this
+    process, or None if there is none."""
+    for lib in _libraries():
         for stem in _STEMS:
             get = getattr(lib, stem.format("get"), None)
             put = getattr(lib, stem.format("set"), None)
@@ -43,6 +64,18 @@ def _lookup():
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
                 return get, put
+    return None
+
+
+def _lookup_sterf():
+    """The ``dsterf`` of the OpenBLAS mapped into this process and its
+    integer type, or None if there is none."""
+    for lib in _libraries():
+        for name, integer in _STERF:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = None
+                return fn, integer
     return None
 
 
@@ -63,3 +96,24 @@ def one_thread():
         yield
     finally:
         put(old)
+
+
+def tridiagonal_eigvalsh(diag, off):
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with
+    diagonal ``diag`` and off-diagonal ``off``, from LAPACK ``dsterf``;
+    None when no ``dsterf`` is mapped or it reports failure (info != 0).
+    """
+    global _sterf
+    if _sterf is _UNSET:
+        _sterf = _lookup_sterf()
+    if _sterf is None:
+        return None
+    fn, integer = _sterf
+    d = np.array(diag, dtype=float)  # dsterf overwrites both
+    e = np.array(off, dtype=float)
+    if e.size != max(d.size - 1, 0):
+        raise ValueError("off-diagonal must be one shorter than the diagonal")
+    n, info = integer(d.size), integer(0)
+    fn(ctypes.byref(n), d.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+       e.ctypes.data_as(ctypes.POINTER(ctypes.c_double)), ctypes.byref(info))
+    return d if info.value == 0 else None

@@ -43,6 +43,8 @@ _RESCALE_LIMIT = 1.0e120
 # 1e120 makes the true sum exceed 1e240, and the computed dot product of a
 # grid under 2^49 points is at least 14/15 of the true sum (or inf).
 _RESCALE_DOT = 1.0e239
+# Elements per chunk of the in-place row conversion of _to_values.
+_CONVERT_CHUNK = 1 << 16
 
 
 def _as_grid(xs) -> np.ndarray:
@@ -61,10 +63,30 @@ def _request(orders, xs) -> tuple[list[int], np.ndarray]:
     return orders, _as_grid(xs)
 
 
-def _row_value(log_scale: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", under="ignore"):
-        mag = np.exp(log_scale + np.log(np.abs(cur)))
-    return np.where(cur == 0.0, 0.0, np.sign(cur) * mag)
+def _to_values(table: np.ndarray, rows, log_scale: np.ndarray) -> None:
+    """Turn the raw recurrence rows ``rows`` of ``table`` into values in
+    place: sign(f) * exp(log_scale + log|f|), zero where f is zero.
+
+    The operations are elementwise, so a chunk of rows gets the bits each
+    row gets on its own.  Rows go in chunks of about ``_CONVERT_CHUNK``
+    elements; a run of consecutive rows is converted as a view, any other
+    set through a gathered copy.
+    """
+    rows = np.unique(np.asarray(rows, dtype=np.intp))
+    step = max(1, _CONVERT_CHUNK // max(1, table.shape[1]))
+    for start in range(0, rows.size, step):
+        at = rows[start:start + step]
+        run = at[-1] - at[0] + 1 == at.size
+        block = table[at[0]:at[-1] + 1] if run else table[at]
+        sign = np.sign(block)  # +0.0 at -0.0 too, so zeros come out +0.0
+        with np.errstate(divide="ignore", under="ignore"):
+            np.abs(block, out=block)
+            np.log(block, out=block)
+            block += log_scale
+            np.exp(block, out=block)
+        block *= sign
+        if not run:
+            table[at] = block
 
 
 def _tables(requests) -> list[np.ndarray]:
@@ -80,6 +102,14 @@ def _tables(requests) -> list[np.ndarray]:
     product rules a rescale out on most steps; only when it cannot does
     the exact max/min test run.  Callers hold BLAS to one thread, so the
     dot product does not wake a thread pool.
+
+    A row is stored raw, as the recurrence state f with the point's log
+    scale kept apart.  The rows read since the last conversion turn into
+    values sign(f) * exp(log_scale + log|f|) in chunked passes
+    (:func:`_to_values`): before each rescale changes a log scale, and once
+    at the end.  A grid that has left the prefix keeps its last log scale
+    in the full-length array, so its rows convert with that.  Every value
+    is the one converting its row as it is read would give, bit for bit.
     """
     out = [np.empty((len(orders), xs.size)) for orders, xs in requests]
     stop = {i: max(orders) for i, (orders, xs) in enumerate(requests)
@@ -90,25 +120,34 @@ def _tables(requests) -> list[np.ndarray]:
     stops = [stop[i] for i in live]
     ends = np.cumsum([requests[i][1].size for i in live]).tolist()
     want: dict[int, list] = {}
+    parts = {}
     for i, end in zip(live, ends):
         orders, xs = requests[i]
-        part = slice(end - xs.size, end)
+        parts[i] = slice(end - xs.size, end)
         rows: dict[int, list[int]] = {}
         for row, k in enumerate(orders):
             rows.setdefault(k, []).append(row)
         for k, at in rows.items():
-            want.setdefault(k, []).append(
-                (out[i], at[0] if len(at) == 1 else at, part))
+            want.setdefault(k, []).append((i, at[0] if len(at) == 1 else at, at))
 
     xs = np.concatenate([requests[i][1] for i in live])
     log_scale = -0.5 * xs * xs - 0.25 * _LOG_PI
+    scales = log_scale  # full length: a grid past the prefix keeps its own
+    read: dict[int, list[int]] = {}  # request -> rows read, still raw
+
+    def convert():
+        for i, rows in read.items():
+            _to_values(out[i], rows, scales[parts[i]])
+        read.clear()
+
     prev = np.zeros(xs.size)
     cur = np.ones(xs.size)
     nxt = np.empty(xs.size)
     last = len(live) - 1
     for k in range(stops[0] + 1):
-        for table, at, part in want.get(k, ()):
-            table[at] = _row_value(log_scale[part], cur[part])
+        for i, index, at in want.get(k, ()):
+            out[i][index] = cur[parts[i]]
+            read.setdefault(i, []).extend(at)
         if k == stops[0]:
             break
         if stops[last] == k:  # the grids that stop here leave the prefix
@@ -123,11 +162,13 @@ def _tables(requests) -> list[np.ndarray]:
         prev, cur, nxt = cur, nxt, prev
         if (np.dot(cur, cur) > _RESCALE_DOT
                 and (cur.max() > _RESCALE_LIMIT or cur.min() < -_RESCALE_LIMIT)):
+            convert()  # the rows read so far use the old log scales
             big = np.flatnonzero(np.abs(cur) > _RESCALE_LIMIT)
             factor = np.abs(cur[big])
             cur[big] /= factor
             prev[big] /= factor
             log_scale[big] += np.log(factor)
+    convert()
     return out
 
 

@@ -31,9 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import legcompanion, legder, legval
 
-from ._blas import one_thread
+from ._blas import one_thread, tridiagonal_eigvalsh
 
 __all__ = [
     "Domain",
@@ -96,28 +96,64 @@ _PLAIN_MAX = 1024
 _rule_cache: dict = {}
 
 
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``leggauss(m)``, bit for bit, without its dense eigensolve.
+
+    The steps and their operation order are leggauss's (numpy 2.x): the
+    eigenvalues of the symmetric companion matrix, one Newton step, the
+    weights from the scaled derivative, symmetrization and the scaling to
+    total 2.  The companion matrix is tridiagonal with a zero diagonal
+    (Golub & Welsch, Math. Comp. 1969), so its eigenvalues come from
+    LAPACK ``dsterf`` in O(m^2), the bits ``eigvalsh`` gets from the same
+    library (see ``_blas``).  Without a ``dsterf``, or when it fails, the
+    dense ``eigvalsh`` runs as in leggauss, on one BLAS thread: its bits
+    do not depend on the count, and a second thread saves less wall time
+    than the CPU time it spins away.
+    """
+    c = np.array([0] * m + [1])
+    scl = 1. / np.sqrt(2 * np.arange(m) + 1)
+    x = tridiagonal_eigvalsh(np.zeros(m),
+                             np.arange(1, m) * scl[:m - 1] * scl[1:m])
+    if x is None:
+        with one_thread():
+            x = np.linalg.eigvalsh(legcompanion(c))
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
+
+
 def _axis_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights on [-1, 1] with about m points.
 
-    Plain Gauss-Legendre up to 1024 points; beyond that the dense
-    eigensolve behind leggauss is the bottleneck, so the interval
-    splits into equal panels with a fixed 33-point rule each (at least
-    m points total, spectrally accurate per panel).  The eigensolve runs
-    on one BLAS thread: the rule's bits do not depend on the count, and a
-    second thread saves less wall time than the CPU time it spins away.
+    Plain Gauss-Legendre up to 1024 points; beyond that, where a plain
+    rule's O(m^2) cost keeps growing, the interval splits into equal
+    panels with a fixed 33-point rule each (at least m points total,
+    spectrally accurate per panel), taken from the cache like any other
+    size.  Every caller of a size shares one cached pair of arrays, so
+    they are read-only.
     """
     rule = _rule_cache.get(m)
     if rule is not None:
         return rule
-    with one_thread():
-        rule = leggauss(m if m <= _PLAIN_MAX else _PANEL_ORDER)
-    if m > _PLAIN_MAX:
+    if m <= _PLAIN_MAX:
+        rule = _gauss_legendre(m)
+    else:
         panels = math.ceil(m / _PANEL_ORDER)
-        bx, bw = rule
+        bx, bw = _axis_rule(_PANEL_ORDER)
         half = 1.0 / panels
         mids = -1.0 + half * (2.0 * np.arange(panels) + 1.0)
         rule = ((mids[:, None] + half * bx[None, :]).ravel(),
                 np.tile(half * bw, panels))
+    for a in rule:
+        a.flags.writeable = False
     if len(_rule_cache) > 32:
         _rule_cache.clear()
     _rule_cache[m] = rule

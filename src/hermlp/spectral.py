@@ -208,8 +208,11 @@ class DenseEigenfunction2D(_AxesEvaluator):
     Coefficient a pairs f_a on the first axis with f_{N-a} on the second,
     so ``dense(xs, ys)`` is the (len(xs), len(ys)) tile
     sum_a c_a f_a(x_i) f_{N-a}(y_j): a Hermite table per axis, both from
-    one recurrence, and one matrix product, which is what makes dense combinations at level a
-    few thousand affordable.  Assigning new ``coefficients`` and
+    one recurrence, and one matrix product, which is what makes dense
+    combinations at level a few thousand affordable.  The second axis's
+    table is built in the order the product reads it, row a holding
+    f_{N-a}, so the product gets a contiguous operand and no reversed
+    copy is made per call.  Assigning new ``coefficients`` and
     evaluating on the same grid again runs no recurrence: many
     combinations over one level share their tables.
     """
@@ -218,7 +221,8 @@ class DenseEigenfunction2D(_AxesEvaluator):
         self.dim = 2
         self.level = int(level)
         self.coefficients = coefficients
-        self._axis_orders = [range(self.level + 1)] * 2
+        self._axis_orders = [range(self.level + 1),
+                             range(self.level, -1, -1)]
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -237,6 +241,12 @@ class DenseEigenfunction2D(_AxesEvaluator):
 
     def __call__(self, xs, ys, *, lead=slice(None)) -> np.ndarray:
         h1, h2 = self._axis_tables(self._node_axes((xs, ys)))
-        h1 = h1[:, lead]
-        # f_a on x pairs with f_{N-a} on y
-        return (self.coefficients[:, None] * h1).T @ h2[::-1]
+        # f_a on x pairs with row a of h2, f_{N-a} on y
+        a = (self.coefficients[:, None] * h1[:, lead]).T
+        if 1 in (len(a), h2.shape[1]):
+            # a one-row or one-column tile is a vector product, which numpy
+            # runs through BLAS only on positive strides; a reversed view
+            # keeps its loop, and its bits, as they were before h2 came in
+            # product order
+            h2 = h2[::-1].copy()[::-1]
+        return a @ h2

@@ -1,12 +1,21 @@
+import ctypes
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from hermlp import _blas
+from hermlp import normquad as NQ
 
 # The leggauss sizes of a seed-0 sweep-tube pass, in call order.
 SWEEP_TUBE_SIZES = (268, 318, 378, 454, 642, 907, 33, 33, 804, 33, 33, 33,
                     33, 146, 189)
+# The axis-rule sizes of a sweep-random pass, levels 200 to 3200.
+SWEEP_RANDOM_SIZES = (268, 318, 378, 454, 642)
+RULE_SIZES = sorted({*range(2, 65), *SWEEP_TUBE_SIZES, *SWEEP_RANDOM_SIZES,
+                     1024})
 
 
 class _FakeBlas:
@@ -80,10 +89,64 @@ class TestScope:
         assert get() == before
 
 
+def _hex(rule):
+    return [[x.hex() for x in a.tolist()] for a in rule]
+
+
 @pytest.mark.parametrize("m", sorted({*range(2, 65), *SWEEP_TUBE_SIZES, 1024}))
 def test_leggauss_bits_do_not_depend_on_the_scope(m):
     want = leggauss(m)
     with _blas.one_thread():
         got = leggauss(m)
-    for a, b in zip(got, want):
-        assert [x.hex() for x in a.tolist()] == [x.hex() for x in b.tolist()]
+    assert _hex(got) == _hex(want)
+
+
+@pytest.fixture
+def no_sterf(monkeypatch):
+    monkeypatch.setattr(_blas, "_lookup_sterf", lambda: None)
+    monkeypatch.setattr(_blas, "_sterf", _blas._UNSET)
+
+
+class TestGaussLegendre:
+    """The axis rule takes the companion eigenvalues from dsterf and must
+    give leggauss's bits, through dsterf and through the eigvalsh
+    fallback."""
+
+    @pytest.mark.parametrize("m", RULE_SIZES)
+    def test_rule_equals_leggauss(self, m):
+        assert _hex(NQ._gauss_legendre(m)) == _hex(leggauss(m))
+
+    @pytest.mark.parametrize("m", [2, 3, 33, 268, 642])
+    def test_fallback_without_dsterf(self, no_sterf, m):
+        assert _hex(NQ._gauss_legendre(m)) == _hex(leggauss(m))
+        assert _blas._sterf is None
+
+    def test_fallback_when_dsterf_fails(self, monkeypatch):
+        calls = []
+
+        def failing(n, d, e, info):
+            calls.append(n._obj.value)
+            info._obj.value = 1
+
+        monkeypatch.setattr(_blas, "_sterf", (failing, ctypes.c_int64))
+        assert _hex(NQ._gauss_legendre(40)) == _hex(leggauss(40))
+        assert calls == [40]
+
+    def test_dsterf_matches_eigvalsh_on_a_tridiagonal_matrix(self):
+        if _blas._lookup_sterf() is None:
+            pytest.skip("no dsterf in this process")
+        rng = np.random.default_rng(3)
+        d, e = rng.standard_normal(200), rng.standard_normal(199)
+        dense = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+        got = _blas.tridiagonal_eigvalsh(d, e)
+        assert _hex([got]) == _hex([np.linalg.eigvalsh(dense)])
+        assert got is not d and np.array_equal(d, dense.diagonal())
+        with pytest.raises(ValueError):
+            _blas.tridiagonal_eigvalsh(d, e[:-1])
+
+    def test_lookups_wait_for_first_use(self):
+        code = ("import hermlp, hermlp.runner, hermlp._blas as b; "
+                "print(b._sterf is b._UNSET, b._found is b._UNSET)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["True", "True"]

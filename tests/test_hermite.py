@@ -412,3 +412,75 @@ class TestOnGrids:
         with pytest.raises(ValueError):
             hm.hermite_on_grids([[1]], [np.array([0.0, np.inf])])
         assert hm.hermite_on_grids([], []) == []
+
+
+def _rescale_steps(xs, k):
+    """The steps k' <= k after which the recurrence over xs rescales."""
+    steps, last = [], None
+    for step, log_scale, _ in _oracle_recurrence(np.asarray(xs, dtype=float), k):
+        if last is not None and log_scale is not last:
+            steps.append(step)
+        last = log_scale
+    return steps
+
+
+class TestBatchedRows:
+    """Rows are stored raw and converted in chunked passes; every value must
+    be the one _oracle_batch gets by converting each row as it is read."""
+
+    def test_rescaling_requests(self):
+        # points near 300 rescale and underflow to zero; points in 30..60
+        # rescale several times on the way to orders they resolve
+        rng = np.random.default_rng(21)
+        xs = np.concatenate([rng.uniform(290.0, 310.0, 13),
+                             rng.uniform(30.0, 60.0, 17), [-300.0, 0.0, 1.5]])
+        steps = _rescale_steps(xs, 2000)
+        assert len(steps) > 10
+        orders = [2000, 0, 1999, 700, 1, steps[3], steps[3] + 1, 1333]
+        got = hm.hermite_batch(orders, xs)
+        assert np.array_equal(got, _oracle_batch(orders, xs))
+        assert np.count_nonzero(got[:, 13:30]) > 50
+
+    def test_duplicate_and_descending_orders(self):
+        rng = np.random.default_rng(22)
+        xs = np.append(rng.uniform(-300.0, 300.0, 40), [0.0, -0.0])
+        descending = list(range(900, -1, -1))
+        duplicates = [5, 900, 5, 0, 433, 900, 433, 5]
+        got = hm.hermite_on_grids([descending, duplicates], [xs, xs[::-1]])
+        assert _rescale_steps(xs, 900)
+        assert np.array_equal(got[0], _oracle_batch(descending, xs))
+        assert np.array_equal(got[1], _oracle_batch(duplicates, xs[::-1]))
+        assert np.array_equal(got[0][::-1], hm.hermite_batch_grid(900, xs))
+
+    def test_zero_states_come_out_positive_zero(self):
+        got = hm.hermite_batch([1, 3, 2], [0.0, -0.0, 40.0])
+        assert np.array_equal(got, _oracle_batch([1, 3, 2], [0.0, -0.0, 40.0]))
+        assert not np.signbit(got[:2, :2]).any()
+
+    def test_grid_that_left_the_prefix_keeps_its_log_scale(self):
+        # the short grid rescales, reads its last rows and leaves the
+        # prefix; the long grid rescales after that, so the short grid's
+        # rows still waiting for conversion must use its own log scale
+        short = np.array([40.0, -42.0, 38.0])
+        long = np.array([299.0, 310.0, -305.0, 0.5, 52.0, -57.0])
+        assert max(_rescale_steps(short, 150)) < 149
+        assert [k for k in _rescale_steps(long, 2000) if k > 150]
+        requests = [[150, 149, 2, 150], [2000, 150, 151]]
+        got = hm.hermite_on_grids(requests, [short, long])
+        assert np.array_equal(got[0], _oracle_batch(requests[0], short))
+        assert np.array_equal(got[1], _oracle_batch(requests[1], long))
+        assert np.all(got[0][[0, 1, 3]] != 0.0)
+
+    def test_one_conversion_per_table_without_rescales(self, monkeypatch):
+        calls = []
+        to_values = hm._to_values
+
+        def counted(table, rows, log_scale):
+            calls.append(len(rows))
+            return to_values(table, rows, log_scale)
+
+        monkeypatch.setattr(hm, "_to_values", counted)
+        xs = np.linspace(-20.0, 20.0, 101)
+        assert not _rescale_steps(xs + 1.0, 300)
+        hm.hermite_on_grids([range(301), range(300, -1, -1)], [xs, xs + 1.0])
+        assert calls == [301, 301]

@@ -219,6 +219,43 @@ class TestValidation:
             NQ.local_lp_norm(on_axes(ground), BALL1, 0.5, osc_scale=1.0)
 
 
+class TestAxisRule:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(NQ, "_rule_cache", {})
+
+    @pytest.mark.parametrize("m", [5, 33, 1282])
+    def test_cached_arrays_are_read_only(self, m):
+        x, w = NQ._axis_rule(m)
+        for a in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+        again = NQ._axis_rule(m)
+        assert again[0] is x and again[1] is w
+
+    def test_panel_rule_is_built_once(self, monkeypatch):
+        built = []
+        rule = NQ._gauss_legendre
+
+        def counted(m):
+            built.append(m)
+            return rule(m)
+
+        monkeypatch.setattr(NQ, "_gauss_legendre", counted)
+        panelled = [NQ._axis_rule(m) for m in (1282, 1812, 1603, 3203, 6403)]
+        NQ._axis_rule(33)
+        assert built == [33]
+        bx, bw = rule(33)
+        for x, w in panelled:
+            panels = x.size // 33
+            half = 1.0 / panels
+            mids = -1.0 + half * (2.0 * np.arange(panels) + 1.0)
+            assert np.array_equal(x, (mids[:, None] + half * bx).ravel())
+            assert np.array_equal(w, np.tile(half * bw, panels))
+
+
 class GaussWave2D:
     """exp(-x^2) cos(3 y) on tensor axes."""
 

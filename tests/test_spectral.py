@@ -345,6 +345,25 @@ class TestDenseEigenfunction2D:
         val = dense(np.array([0.4]), np.array([-1.2]))[0, 0]
         assert val == pytest.approx(-0.37865067677897761934, rel=1e-10)
 
+    @pytest.mark.parametrize("level,size,cross", [
+        (12, 9, 16), (400, 160, 167), (1600, 330, 337), (400, 40, 1)])
+    def test_tile_equals_the_reversed_table_product(self, level, size, cross):
+        # the second table comes in product order; the tile must be the
+        # product with the reversed ascending table, bit for bit, also
+        # for one-row and one-column tiles, which numpy computes as
+        # vector products
+        rng = np.random.default_rng(level + cross)
+        c = rng.standard_normal(level + 1)
+        xs = np.sort(rng.uniform(-4.0, 6.0, size))
+        ys = np.sort(rng.uniform(-5.0, 3.0, cross))
+        h1 = hermite_batch_grid(level, xs)
+        h2 = hermite_batch_grid(level, ys)
+        dense = sp.DenseEigenfunction2D(level, c)
+        for lead in (slice(None), slice(0, size // 3), slice(size // 3, size),
+                     slice(size - 1, size)):
+            want = (c[:, None] * h1[:, lead]).T @ h2[::-1]
+            assert np.array_equal(dense(xs, ys, lead=lead), want), lead
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sp.DenseEigenfunction2D(6, [1.0, 2.0])
