@@ -2,11 +2,10 @@
 
 The BLAS calls outside the dense tile product (the Gauss-Hermite
 eigensolve and the Gauss-Legendre fallback one, the recurrence's norm
-pre-test, the ``eval`` Gram product)
-are too small for a second thread to pay: it saves little or no wall
-time and spins on after each call, so a pass costs more CPU than wall
-time.  Their bits do not depend on the thread count, so running them on
-one thread changes no output.
+pre-test, the ``eval`` Gram product) are too small for a second thread
+to pay: it saves little or no wall time and spins on after each call, so
+a pass costs more CPU than wall time.  Their bits do not depend on the
+thread count, so running them on one thread changes no output.
 
 The thread count is a process-wide OpenBLAS setting, not a per-thread
 one.  Setting it here is safe because the runner runs cells one after
