@@ -12,11 +12,11 @@ import argparse
 import json
 import sys
 
-from .config import EXPERIMENTS, ConfigError, load_config, override_problem
-from .runner import PLOT_KINDS, emit_plot_data, run
+from .config import (EXPERIMENTS, PLOT_KINDS, ConfigError, check_overrides,
+                     load_config)
+from .runner import emit_plot_data, run
 
 EXIT_PASS = 0
-EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 
@@ -68,19 +68,12 @@ def _parse_params(pairs) -> dict:
 def _run_experiment(args) -> int:
     # flags obey the rules of the config entries they override, and are
     # checked before anything runs or is written
-    violations = []
-    for key in ("seed", "tolerance_scale"):
-        value = getattr(args, key)
-        problem = None if value is None else override_problem(key, value)
-        if problem:
-            violations.append(f"--{key.replace('_', '-')}: {problem}")
-    if violations:
-        raise ConfigError(violations)
+    check_overrides({"seed": args.seed,
+                     "tolerance_scale": args.tolerance_scale}, as_flags=True)
     config = load_config(args.config)
     if config.experiment != args.command:
-        print(f"config error: {args.config} is a {config.experiment!r} "
-              f"config, not {args.command!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError([f"{args.config} is a {config.experiment!r} "
+                           f"config, not {args.command!r}"])
     result = run(config, out_dir=args.out, seed=args.seed,
                  tolerance_scale=args.tolerance_scale)
     for a in result.assertions:
@@ -96,13 +89,9 @@ def _run_experiment(args) -> int:
 
 def _run_emit_plot(args) -> int:
     out = args.out or f"plot-{args.kind}.csv"
-    try:
-        header, rows = emit_plot_data(args.kind, run_dir=args.run,
-                                      params=_parse_params(args.param),
-                                      out_path=out)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    header, rows = emit_plot_data(args.kind, run_dir=args.run,
+                                  params=_parse_params(args.param),
+                                  out_path=out)
     print(f"wrote {out} ({len(rows)} rows, columns: {', '.join(header)})")
     return EXIT_PASS
 

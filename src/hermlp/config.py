@@ -9,26 +9,17 @@ radius versus eigenvalue) are all checked here.
 
 The normalized result is an ``ExperimentConfig`` whose ``parameters`` dict has
 all defaults filled in; the runner never re-interprets raw input.
+``plot_params`` checks the parameters of an emit-plot figure the same way.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from .bounds import TubeSpec, tube_delta
-
-EXPERIMENTS = (
-    "eval",
-    "kernel-compare",
-    "sphase-check",
-    "phase-identities",
-    "bounds-table",
-    "construct",
-    "saturate",
-)
 
 _MISSING = object()
 
@@ -53,14 +44,7 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """JSON-ready copy of the normalized config (for run manifests)."""
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "threads": self.threads,
-            "tolerance_scale": self.tolerance_scale,
-            "out": self.out,
-            "parameters": _jsonable(self.parameters),
-        }
+        return _jsonable(asdict(self))
 
 
 def _jsonable(v):
@@ -128,14 +112,15 @@ def _bool(v):
 
 def _choice(options):
     def check(v):
-        if v in options:
+        # same type too: true and 1.0 are not the option 1
+        if any(type(v) is type(o) and v == o for o in options):
             return v, None
         shown = ", ".join(repr(o) for o in options)
         return None, f"must be one of {shown} (got {v!r})"
     return check
 
 
-def _list_of(elem_check, min_len=1, *, increasing=False):
+def _list_of(elem_check, min_len=1, *, increasing=False, distinct=False):
     def check(v):
         if not isinstance(v, list):
             return None, f"must be a list (got {v!r})"
@@ -149,6 +134,10 @@ def _list_of(elem_check, min_len=1, *, increasing=False):
             out.append(x)
         if increasing and any(b <= a for a, b in zip(out, out[1:])):
             return None, "entries must be strictly increasing"
+        # where each entry names an assertion, a repeat would reuse a name
+        for i, x in enumerate(out if distinct else ()):
+            if x in out[:i]:
+                return None, f"[{i}]: repeats [{out.index(x)}] (got {x!r})"
         return out, None
     return check
 
@@ -230,7 +219,8 @@ def _params_kernel_compare(s: _Scope) -> dict:
             "r_values": s.take("r_values", _list_of(_spectrum_r(n)),
                                [102, 202, 402] if n == 2 else None),
             "mu_values": s.take("mu_values",
-                                _list_of(_num_in(0.0, 1.0, lo_open=True)),
+                                _list_of(_num_in(0.0, 1.0, lo_open=True),
+                                         distinct=True),
                                 [0.2, 0.4]),
             "sample_count": s.take("sample_count", _int_in(4, 4096), 16),
             "ratio_limit": s.take("ratio_limit",
@@ -268,7 +258,8 @@ def _params_sphase(s: _Scope) -> dict:
             "lambda_values",
             _list_of(_num_in(1.0, lo_open=True), 2, increasing=True),
             default_lams),
-        "orders": s.take("orders", _list_of(_choice((1, 2))), [1, 2]),
+        "orders": s.take("orders", _list_of(_choice((1, 2)), distinct=True),
+                         [1, 2]),
         "cubic_coefficient": s.take("cubic_coefficient",
                                     _num_in(-0.5, 0.5), 0.2),
         "bump_half_width": s.take("bump_half_width",
@@ -298,7 +289,7 @@ def _params_sphase(s: _Scope) -> dict:
 def _params_phase_identities(s: _Scope) -> dict:
     return {
         "sample_count": s.take("sample_count", _int_in(100, 1_000_000), 10_000),
-        "dims": s.take("dims", _list_of(_int_in(2, 6)), [2, 3]),
+        "dims": s.take("dims", _list_of(_int_in(2, 6), distinct=True), [2, 3]),
         "coordinate_bound": s.take("coordinate_bound",
                                    _num_in(0.05, 0.95), 0.7),
         "hessian_samples": s.take("hessian_samples", _int_in(4, 10_000), 40),
@@ -339,12 +330,15 @@ def _params_bounds_table(s: _Scope) -> dict:
                 s.flag(f"r_values[{i}]",
                        f"exceeds the smallest eigenvalue {lam_min}")
     if lams and mus:
-        floor = min(lams) ** (-4.0 / 3.0)
         for i, mu in enumerate(mus):
-            if mu < floor * (1.0 - 1e-12):
-                s.flag(f"mu_values[{i}]",
-                       f"below the mu floor {floor:.3e} of lambda={min(lams)}")
+            _flag_mu_floor(s, f"mu_values[{i}]", mu, min(lams))
     return out
+
+
+def _flag_mu_floor(s: _Scope, key: str, mu: float, lam: float) -> None:
+    floor = lam ** (-4.0 / 3.0)
+    if mu < floor * (1.0 - 1e-12):
+        s.flag(key, f"below the mu floor {floor:.3e} of lambda={lam}")
 
 
 def _check_tube(s: _Scope, idx: int, n: int, level: int, j: int,
@@ -385,19 +379,13 @@ def _delta_rule(v):
         return None, 'must be {"type": "fixed", "value": d}'\
                      ' or {"type": "case2", "r": r}'
     kind = v.get("type")
-    if kind == "fixed":
-        if set(v) != {"type", "value"}:
-            return None, 'fixed rule takes exactly the key "value"'
-        x, err = _num_in(0.0, lo_open=True)(v.get("value"))
-        return ({"type": "fixed", "value": x}, None) if not err \
-            else (None, f"value: {err}")
-    if kind == "case2":
-        if set(v) != {"type", "r"}:
-            return None, 'case2 rule takes exactly the key "r"'
-        x, err = _num_in(0.0, lo_open=True)(v.get("r"))
-        return ({"type": "case2", "r": x}, None) if not err \
-            else (None, f"r: {err}")
-    return None, f'rule type must be "fixed" or "case2" (got {kind!r})'
+    if kind not in ("fixed", "case2"):
+        return None, f'rule type must be "fixed" or "case2" (got {kind!r})'
+    key = "value" if kind == "fixed" else "r"
+    if set(v) != {"type", key}:
+        return None, f'{kind} rule takes exactly the key "{key}"'
+    x, err = _num_in(0.0, lo_open=True)(v[key])
+    return (None, f"{key}: {err}") if err else ({"type": kind, key: x}, None)
 
 
 def _params_saturate(s: _Scope) -> dict:
@@ -475,6 +463,63 @@ _SCHEMAS: dict[str, Callable[[_Scope], dict]] = {
     "saturate": _params_saturate,
 }
 
+EXPERIMENTS = tuple(_SCHEMAS)
+
+
+# ------------------------------------------------------ plot parameters
+#
+# The --param keys of each emit-plot kind.  A bound slice's lambda is at
+# least 1, the smallest oscillator eigenvalue, so its r grid fits (0, lambda].
+
+def _plot_hermite_profile(s: _Scope) -> dict:
+    out = {"k": s.take("k", _int_in(0), 100),
+           "x_min": s.take("x_min", _num_in(), -16.0),
+           "x_max": s.take("x_max", _num_in(), 16.0),
+           "points": s.take("points", _int_in(2), 1601)}
+    lo, hi = out["x_min"], out["x_max"]
+    if lo is not None and hi is not None and hi <= lo:
+        s.flag("x_max", f"must exceed x_min={lo} (got {hi})")
+    return out
+
+
+def _plot_rho_sigma(s: _Scope) -> dict:
+    return {"n": s.take("n", _int_in(2), 2),
+            "p_max": s.take("p_max", _num_in(2.0, lo_open=True), 20.0),
+            "points": s.take("points", _int_in(2), 181)}
+
+
+def _plot_slice(s: _Scope) -> dict:
+    return {"n": s.take("n", _int_in(1), 2),
+            "lambda": s.take("lambda", _num_in(1.0), 1000.0),
+            "p": s.take("p", _p_norm(), 2.0),
+            "points": s.take("points", _int_in(2), 121)}
+
+
+def _plot_bound_vs_r(s: _Scope) -> dict:
+    out = _plot_slice(s)
+    out["mu"] = s.take("mu", _num_in(0.0, 1.0, lo_open=True), None)
+    out["nu_abs"] = s.take("nu_abs", _num_in(0.0, out["lambda"]), 0.0)
+    if None not in (out["mu"], out["lambda"]):
+        _flag_mu_floor(s, "mu", out["mu"], out["lambda"])
+    return out
+
+
+def _plot_bound_vs_mu(s: _Scope) -> dict:
+    out = _plot_slice(s)
+    out["r"] = s.take("r", _num_in(0.0, out["lambda"], lo_open=True), 1.0)
+    return out
+
+
+_PLOT_SCHEMAS: dict[str, Callable[[_Scope], dict]] = {
+    "hermite-profile": _plot_hermite_profile,
+    "rho-sigma": _plot_rho_sigma,
+    "bound-vs-r": _plot_bound_vs_r,
+    "bound-vs-mu": _plot_bound_vs_mu,
+    "saturate-ratios": lambda s: {},
+}
+
+PLOT_KINDS = tuple(_PLOT_SCHEMAS)
+
 
 # ------------------------------------------------------------- entry points
 
@@ -486,10 +531,32 @@ _OVERRIDABLE = {
 }
 
 
-def override_problem(key: str, value) -> str | None:
-    """What is wrong with ``value`` as an override of the top-level entry
-    ``key`` (``seed`` or ``tolerance_scale``), or None if it is valid."""
-    return _OVERRIDABLE[key](value)[1]
+def check_overrides(overrides: dict, *, as_flags: bool = False) -> None:
+    """Raise ConfigError listing every bad override among ``seed`` and
+    ``tolerance_scale`` (None: not overridden).  ``as_flags`` names the
+    command-line flag (``--tolerance-scale``) rather than the entry."""
+    problems = []
+    for key, value in overrides.items():
+        err = None if value is None else _OVERRIDABLE[key](value)[1]
+        if err:
+            name = "--" + key.replace("_", "-") if as_flags else key
+            problems.append(f"{name}: {err}")
+    if problems:
+        raise ConfigError(problems)
+
+
+def plot_params(kind: str, params: dict) -> dict:
+    """Validate the --param values of one emit-plot kind and fill in the
+    defaults; a ConfigError lists every violation as ``<kind>.<key>``."""
+    if kind not in _PLOT_SCHEMAS:
+        raise ConfigError([f"kind: {_choice(PLOT_KINDS)(kind)[1]}"])
+    violations: list[str] = []
+    scope = _Scope(params, kind, violations)
+    out = _PLOT_SCHEMAS[kind](scope)
+    scope.reject_unknown()
+    if violations:
+        raise ConfigError(violations)
+    return out
 
 
 def parse_config(data, source: str = "config") -> ExperimentConfig:

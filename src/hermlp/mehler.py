@@ -38,6 +38,9 @@ from .stationary import fresnel_leading
 
 WINDOW_END = 3.0 * math.pi / 8.0
 FLAT_END = math.pi / 8.0
+_MAX_LEVELS = 80  # dyadic levels one window integral descends at most
+_PANEL_CAP = 200_000  # Gauss-Legendre panels allowed on one level
+_CONSISTENCY_TOL = 1e-9  # quadrature tolerance of stationary_consistency
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -149,9 +152,8 @@ def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
     return complex(total), ts.size
 
 
-def oscillatory_half_integral(x, y, r: float, tol: float = 1e-8,
-                              max_levels: int = 80,
-                              panel_cap: int = 200_000) -> HalfIntegral:
+def oscillatory_half_integral(x, y, r: float,
+                              tol: float = 1e-8) -> HalfIntegral:
     """The window integral A(x, y) to absolute accuracy ~tol.
 
     Descends dyadic levels toward t = 0; once below every stationary
@@ -184,10 +186,10 @@ def oscillatory_half_integral(x, y, r: float, tol: float = 1e-8,
     # one BLAS thread for every level gemv: a second one would spin on
     # after each call for no speed-up; the level sums keep their bits
     with one_thread():
-        for level in range(max_levels):
+        for level in range(_MAX_LEVELS):
             t_lo = 0.5 * t_hi
             contrib, used = _level_contribution(a2, b, r, n, t_lo, t_hi,
-                                                panel_cap)
+                                                _PANEL_CAP)
             total += contrib
             evals += used
             can_ibp = t_lo <= guard
@@ -221,7 +223,7 @@ def oscillatory_half_integral(x, y, r: float, tol: float = 1e-8,
                                         levels=level + 1, evals=evals)
             t_hi = t_lo
     raise TailConvergenceError(
-        f"no tail convergence in {max_levels} dyadic levels (tol {tol:g})",
+        f"no tail convergence in {_MAX_LEVELS} dyadic levels (tol {tol:g})",
         best=prev_running if prev_running is not None else total,
         achieved=abs((prev_running or total) - total) + tol,
     )
@@ -432,7 +434,7 @@ def kernel_bound_check(n: int, r: int,
     )
 
 
-def stationary_consistency(x, y, r_values, tol: float = 1e-9):
+def stationary_consistency(x, y, r_values):
     """Gap between quadrature and leading model across an eigenvalue sweep.
 
     Coordinates are rescaled (turning sphere at radius one) and held
@@ -450,7 +452,7 @@ def stationary_consistency(x, y, r_values, tol: float = 1e-9):
     residuals = []
     for r in r_values:
         lam = math.sqrt(r)
-        quad = kernel_oscillatory(lam * x, lam * y, r, tol=tol).value
+        quad = kernel_oscillatory(lam * x, lam * y, r, tol=_CONSISTENCY_TOL).value
         model = kernel_stationary_model(lam * x, lam * y, r)
         residuals.append(max(abs(quad - model), 1e-300))
     slope = float(np.polyfit(np.log(r_values), np.log(residuals), 1)[0])

@@ -38,7 +38,8 @@ import numpy as np
 
 from . import bounds, construct, hermite, mehler, phase, spectral, stationary
 from ._blas import one_thread
-from .config import ConfigError, ExperimentConfig, override_problem
+from .config import (ConfigError, ExperimentConfig, check_overrides,
+                     plot_params)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -74,7 +75,6 @@ class _Ctx:
 @dataclass
 class RunResult:
     exit_code: int
-    out_dir: Path
     csv_path: Path
     summary_path: Path
     manifest_path: Path
@@ -698,14 +698,8 @@ def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
     assertions passed), 1 (an assertion failed), or 3 (a cell-level
     computational failure occurred).
     """
-    problems = []
-    for key, value in (("seed", seed), ("tolerance_scale", tolerance_scale)):
-        problem = None if value is None else override_problem(key, value)
-        if problem:
-            problems.append(f"{key}: {problem}")
-    if problems:
-        raise ConfigError(problems)
-    started = time.time()
+    check_overrides({"seed": seed, "tolerance_scale": tolerance_scale})
+    started = time.perf_counter()
     stamp = datetime.now(timezone.utc).isoformat()
     ctx = _Ctx(
         params=config.parameters,
@@ -746,22 +740,18 @@ def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
                      "numpy": np.__version__,
                      "hermlp": _package_version()},
         "timing": {"started_utc": stamp,
-                   "duration_seconds": time.time() - started},
+                   "duration_seconds": time.perf_counter() - started},
         "artifacts": {"results": "results.csv", "summary": "summary.json"},
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
                              + "\n", encoding="utf-8")
-    return RunResult(exit_code=exit_code, out_dir=out, csv_path=csv_path,
+    return RunResult(exit_code=exit_code, csv_path=csv_path,
                      summary_path=summary_path, manifest_path=manifest_path,
                      assertions=ctx.assertions, summary=summary)
 
 
 # -------------------------------------------------------------- plot data
-
-PLOT_KINDS = ("hermite-profile", "rho-sigma", "bound-vs-r", "bound-vs-mu",
-              "saturate-ratios")
-
 
 def emit_plot_data(kind: str, *, run_dir=None, params: dict | None = None,
                    out_path=None):
@@ -770,83 +760,60 @@ def emit_plot_data(kind: str, *, run_dir=None, params: dict | None = None,
     Generator kinds (profiles, exponent curves, envelope slices) compute
     fresh from ``params``; ``saturate-ratios`` reprocesses a completed
     saturate run found in ``run_dir``.  Returns (header, rows) and writes
-    them to ``out_path`` when given.
+    them to ``out_path`` when given.  Bad input, ``params`` checked by
+    ``config.plot_params`` included, raises ConfigError before any work.
     """
-    params = dict(params or {})
+    p = plot_params(kind, params or {})
     if kind == "hermite-profile":
-        k = int(params.pop("k", 100))
-        lo = float(params.pop("x_min", -16.0))
-        hi = float(params.pop("x_max", 16.0))
-        m = int(params.pop("points", 1601))
-        _no_extra(params)
-        if k < 0 or m < 2 or hi <= lo:
-            raise ValueError("need k >= 0, points >= 2 and x_max > x_min")
-        xs = np.linspace(lo, hi, m)
-        vals = hermite.hermite_batch([k], xs)[0]
-        approx, envelope, regime = hermite.szego_eval(k, xs)
+        xs = np.linspace(p["x_min"], p["x_max"], p["points"])
+        vals = hermite.hermite_batch([p["k"]], xs)[0]
+        approx, envelope, regime = hermite.szego_eval(p["k"], xs)
         header = ("x", "value", "szego", "envelope", "regime")
         rows = [[float(x), float(v), float(a), float(e),
                  hermite.Regime(g).name.lower()]
                 for x, v, a, e, g in zip(xs, vals, approx, envelope, regime)]
     elif kind == "rho-sigma":
-        n = int(params.pop("n", 2))
-        p_max = float(params.pop("p_max", 20.0))
-        m = int(params.pop("points", 181))
-        _no_extra(params)
-        if n < 2 or p_max <= 2.0 or m < 2:
-            raise ValueError("need n >= 2, p_max > 2 and points >= 2")
+        n, p_max = p["n"], p["p_max"]
         kinks = [("sogge-kink", bounds.sogge_kink(n)),
                  ("rho-kink", bounds.rho_kink(n)),
                  ("thangavelu-kink", bounds.thangavelu_kink(n))]
-        pts = [(float(p), "") for p in np.linspace(2.0, p_max, m)]
+        pts = [(float(pv), "") for pv in np.linspace(2.0, p_max, p["points"])]
         pts += [(pk, tag) for tag, pk in kinks if pk <= p_max]
         pts.sort()
         header = ("p", "sigma", "rho", "marker")
-        rows = [[p, bounds.sogge_exponent(n, p),
-                 bounds.global_lp_exponent(n, p), tag] for p, tag in pts]
+        rows = [[pv, bounds.sogge_exponent(n, pv),
+                 bounds.global_lp_exponent(n, pv), tag] for pv, tag in pts]
     elif kind == "bound-vs-r":
-        n, lam, pv, m = _slice_params(params)
-        mu = params.pop("mu", None)
-        nu_abs = float(params.pop("nu_abs", 0.0))
-        _no_extra(params)
-        rs = np.geomspace(lam ** (-4.0 / 3.0), lam, m)
+        n, lam, pv, mu = p["n"], p["lambda"], p["p"], p["mu"]
+        rs = np.geomspace(lam ** (-4.0 / 3.0), lam, p["points"])
         header = ("r", "mu", "branch", "log_value", "value")
         rows = []
         for r in rs:
-            b = (bounds.lambda_lp_at_mu(n, lam, float(r), float(mu), pv)
+            b = (bounds.lambda_lp_at_mu(n, lam, float(r), mu, pv)
                  if mu is not None
-                 else bounds.lambda_lp(n, lam, float(r), nu_abs, pv))
+                 else bounds.lambda_lp(n, lam, float(r), p["nu_abs"], pv))
             rows.append([float(r), b.mu, b.branch, b.log_value, b.value])
     elif kind == "bound-vs-mu":
-        n, lam, pv, m = _slice_params(params)
-        r = float(params.pop("r", 1.0))
-        _no_extra(params)
-        if not 0.0 < r <= lam:
-            raise ValueError(f"need 0 < r <= lambda={lam} (got r={r})")
-        mus = np.geomspace(lam ** (-4.0 / 3.0), 1.0, m)
+        n, lam, pv, r = p["n"], p["lambda"], p["p"], p["r"]
+        mus = np.geomspace(lam ** (-4.0 / 3.0), 1.0, p["points"])
         header = ("mu", "branch", "log_value", "value")
         rows = [[float(mu), b.branch, b.log_value, b.value]
                 for mu in mus
                 for b in [bounds.lambda_lp_at_mu(n, lam, r, float(mu), pv)]]
-    elif kind == "saturate-ratios":
-        _no_extra(params)
+    else:
         if run_dir is None:
-            raise ValueError("saturate-ratios needs a completed run "
-                             "directory (--run)")
+            raise ConfigError(["saturate-ratios needs a completed run "
+                               "directory (--run)"])
         src = Path(run_dir) / "results.csv"
         if not src.is_file():
-            raise ValueError(f"no completed run at {run_dir}")
+            raise ConfigError([f"no completed run at {run_dir}"])
         with open(src, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            head = tuple(next(reader, ()))
-            if head != SATURATE_HEADER:
-                raise ValueError(f"{src} is not a saturate run")
+            if tuple(next(reader, ())) != SATURATE_HEADER:
+                raise ConfigError([f"{src} is not a saturate run"])
             header = ("kind", "n", "lambda", "r", "p", "ratio")
             rows = [[rec[0], rec[1], rec[3], rec[7], rec[8], rec[11]]
                     for rec in reader if rec[-1] == "ok"]
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}; expected one of "
-                         + ", ".join(PLOT_KINDS))
 
     if out_path is not None:
         out_path = Path(out_path)
@@ -854,19 +821,3 @@ def emit_plot_data(kind: str, *, run_dir=None, params: dict | None = None,
         _write_csv(out_path, header, rows)
     return header, rows
 
-
-def _slice_params(params: dict) -> tuple:
-    """Pop and check the n, lambda, p and points of a bound slice."""
-    n = int(params.pop("n", 2))
-    lam = float(params.pop("lambda", 1000.0))
-    p = params.pop("p", 2.0)
-    m = int(params.pop("points", 121))
-    if n < 1 or m < 2 or not lam > 0.0:
-        raise ValueError("need n >= 1, points >= 2 and lambda > 0")
-    return n, lam, (math.inf if p == "inf" else float(p)), m
-
-
-def _no_extra(params: dict) -> None:
-    if params:
-        raise ValueError("unknown plot parameters: "
-                         + ", ".join(sorted(params)))

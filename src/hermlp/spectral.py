@@ -12,7 +12,6 @@ used as the reference for the oscillatory-integral evaluator.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -26,7 +25,8 @@ def multiplicity(level: int, dim: int) -> int:
 
 
 def _index_array(level: int, dim: int) -> np.ndarray:
-    """The (multiplicity, dim) array of :func:`level_indices`, in its order.
+    """All multi-indices alpha >= 0 with |alpha| = level: the rows of a
+    (multiplicity, dim) array, lexicographically decreasing.
 
     Built one axis at a time: every row with ``rest`` left to spend is
     repeated rest + 1 times, taking rest, rest - 1, ..., 0 on the new
@@ -43,42 +43,35 @@ def _index_array(level: int, dim: int) -> np.ndarray:
     return np.column_stack([rows, rest])
 
 
-def level_indices(level: int, dim: int) -> Iterator[tuple[int, ...]]:
-    """All multi-indices alpha >= 0 with |alpha| = level, lexicographically
-    decreasing from (level, 0, ..., 0).
-    """
-    if level < 0 or dim < 1:
-        raise ValueError("need level >= 0 and dim >= 1")
-    yield from map(tuple, _index_array(level, dim).tolist())
+_INDEX_CAP = 2_000_000  # most indices the exact sum takes from dim 3 on
 
 
-def projection_kernel_sum(level: int, dim: int, x, y, index_cap: int = 2_000_000) -> float:
+def projection_kernel_sum(level: int, dim: int, x, y) -> float:
     """Spectral projection kernel at (x, y) as the exact eigenbasis sum.
 
     Cost is O(level) in one and two dimensions and O(multiplicity * dim)
-    otherwise; ``index_cap`` guards the general path, before anything is
+    otherwise; ``_INDEX_CAP`` guards the general path, before anything is
     allocated.  For dim >= 3 the per-index products are gathered from one
     Hermite table over the whole index array, axis by axis left to right,
     and the terms are summed strictly left to right in
-    :func:`level_indices` order (a cumulative sum, not numpy's pairwise
+    :func:`_index_array` order (a cumulative sum, not numpy's pairwise
     ``sum``), so the result is the scalar loop's bit for bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != (dim,) or y.shape != (dim,):
         raise ValueError("points must have shape (dim,)")
-    h = _kernel_table(level, dim, np.concatenate([x, y]), index_cap)
+    h = _kernel_table(level, dim, np.concatenate([x, y]))
     return _kernel_from_table(h, level, dim)
 
 
-def _kernel_table(level: int, dim: int, points: np.ndarray,
-                  index_cap: int = 2_000_000) -> np.ndarray:
+def _kernel_table(level: int, dim: int, points: np.ndarray) -> np.ndarray:
     """The Hermite table :func:`_kernel_from_table` reads on ``points``:
     order ``level`` alone in one dimension, orders 0..level otherwise.
-    From dim 3 on, a level above ``index_cap`` indices raises first."""
+    From dim 3 on, a level above ``_INDEX_CAP`` indices raises first."""
     if dim == 1:
         return hermite_batch([level], points)
-    if dim >= 3 and multiplicity(level, dim) > index_cap:
+    if dim >= 3 and multiplicity(level, dim) > _INDEX_CAP:
         raise ValueError("eigenspace too large for direct summation")
     return hermite_batch_grid(level, points)
 

@@ -26,6 +26,7 @@ import numpy as np
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 PANEL_BLOCK = 1024  # panels per amplitude/phase call in the reference quadrature
+_STATIONARITY_TOL = 1e-9  # first-order term allowed, relative to the largest
 
 
 # ---------------------------------------------------------------- series ----
@@ -99,9 +100,6 @@ class SPExpansion:
         return acc * complex(math.cos(lam * self.phase_at_center),
                              math.sin(lam * self.phase_at_center))
 
-    def leading(self) -> SPTerm:
-        return self.terms[0]
-
 
 def fresnel_leading(lam: float, phase_value: float, curvature: float,
                     amp_value: float) -> complex:
@@ -114,8 +112,7 @@ def fresnel_leading(lam: float, phase_value: float, curvature: float,
     return mag * complex(math.cos(ang), math.sin(ang))
 
 
-def expand_from_series(phase_coeffs, amp_coeffs, m: int,
-                       stationarity_tol: float = 1e-9) -> SPExpansion:
+def expand_from_series(phase_coeffs, amp_coeffs, m: int) -> SPExpansion:
     """Build the order-m expansion from Taylor coefficients at the point.
 
     ``phase_coeffs[i]`` is the coefficient of t^i of the phase about the
@@ -135,7 +132,7 @@ def expand_from_series(phase_coeffs, amp_coeffs, m: int,
     if amp.size < need + 1:
         amp = np.pad(amp, (0, need + 1 - amp.size))
     scale = np.max(np.abs(phase)) or 1.0
-    if abs(phase[1]) > stationarity_tol * scale:
+    if abs(phase[1]) > _STATIONARITY_TOL * scale:
         raise ValueError("phase series has a first-order term: not a stationary point")
     curvature = 2.0 * phase[2]
     if curvature == 0.0:

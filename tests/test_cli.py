@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -112,6 +113,26 @@ class TestConfigSchema:
         (msg,) = violations_of({"experiment": "sphase-check", "parameters": {
             "cubic_coefficient": 0.3, "bump_half_width": 0.8}})
         assert "need 6*|c|*width < 1" in msg
+
+    @pytest.mark.parametrize("experiment, params, violation", [
+        ("sphase-check", {"orders": [1, 1]},
+         "parameters.orders: [1]: repeats [0] (got 1)"),
+        ("phase-identities", {"dims": [2, 3, 2]},
+         "parameters.dims: [2]: repeats [0] (got 2)"),
+        ("kernel-compare", {"mode": "bound-check", "mu_values": [0.2, 0.2]},
+         "parameters.mu_values: [1]: repeats [0] (got 0.2)")])
+    def test_repeated_entries_refused(self, experiment, params, violation):
+        # each entry names an assertion and a metric; a repeat would give
+        # summary.json two assertions of one name and overwrite the metric
+        got = violations_of({"experiment": experiment, "parameters": params})
+        assert got == (violation,)
+
+    @pytest.mark.parametrize("order", [True, 1.0])
+    def test_choice_wants_the_option_type(self, order):
+        (msg,) = violations_of({"experiment": "sphase-check",
+                                "parameters": {"orders": [order]}})
+        assert msg == ("parameters.orders: [0]: must be one of 1, 2 "
+                       f"(got {order!r})")
 
     def test_bounds_radius_and_mu_floors(self):
         got = violations_of({"experiment": "bounds-table", "parameters": {
@@ -257,6 +278,22 @@ class TestRunnerArtifacts:
             -1.6281548213314583, rel=1e-6)
         assert a["gaussian-exactness"].observed < 1e-12
 
+    def test_stationary_kernel_consistency(self, tmp_path):
+        cfg = parse_config({"experiment": "sphase-check", "parameters": {
+            "lambda_values": [100.0, 215.443469003188],
+            "consistency_r_values": [101, 201]}})
+        res = run(cfg, out_dir=tmp_path)
+        assert res.exit_code == 0
+        _, rows = read_csv(res.csv_path)
+        consistency = [row for row in rows if row[0] == "kernel-consistency"]
+        assert [(row[1], row[2]) for row in consistency] == [
+            ("0", "101.0"), ("0", "201.0")]
+        assert float(consistency[0][3]) > float(consistency[1][3]) > 0.0
+        slope = res.summary["metrics"]["kernel_consistency_slope"]
+        gate = by_name(res)["kernel-consistency-slope"]
+        assert gate.passed and gate.observed == slope
+        assert slope <= -0.4
+
     def test_kernel_cross_small(self, tmp_path):
         cfg = parse_config({"experiment": "kernel-compare", "parameters": {
             "mode": "cross-validate", "r_values": [21], "pair_count": 8}})
@@ -352,6 +389,15 @@ class TestRunnerArtifacts:
         assert manifest["config"]["experiment"] == "bounds-table"
         assert manifest["config"]["parameters"]["p_values"][-1] == "inf"
         assert "numpy" in manifest["versions"]
+        assert manifest["timing"]["duration_seconds"] >= 0.0
+
+    def test_duration_ignores_wall_clock_steps(self, tmp_path, monkeypatch):
+        # a wall clock stepped back during the run gives no negative span
+        steps = iter(range(10**6))
+        monkeypatch.setattr(time, "time", lambda: 1e9 - next(steps))
+        res = run(parse_config({"experiment": "bounds-table"}),
+                  out_dir=tmp_path)
+        manifest = json.loads(Path(res.manifest_path).read_text())
         assert manifest["timing"]["duration_seconds"] >= 0.0
 
     def test_tolerance_scale_loosens_limits(self, tmp_path):
@@ -502,7 +548,7 @@ class TestEmitPlot:
         _, rows = emit_plot_data("bound-vs-mu", params={})
         assert {row[1] for row in rows} == {"tube-low-p", "cap-low-p"}
 
-    @pytest.mark.parametrize("kind, params, match", [
+    @pytest.mark.parametrize("kind, params, rule", [
         ("bound-vs-r", {"points": 0}, "points >= 2"),
         ("bound-vs-r", {"points": 1}, "points >= 2"),
         ("bound-vs-r", {"n": 0}, "n >= 1"),
@@ -511,11 +557,65 @@ class TestEmitPlot:
         ("bound-vs-mu", {"lambda": 0}, "lambda > 0"),
         ("bound-vs-mu", {"lambda": 1000, "r": 5000}, "r <= lambda"),
         ("bound-vs-mu", {"r": 0}, "0 < r")])
-    def test_bound_slices_reject_bad_input(self, kind, params, match):
+    def test_bound_slices_reject_bad_input(self, kind, params, rule):
+        # refused before numpy sees the value (no warning), with one
+        # violation tagged by the key the rule is about and its value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(ConfigError) as err:
                 emit_plot_data(kind, params=params)
+        (violation,) = err.value.violations
+        tag, _, problem = violation.partition(": ")
+        refused_kind, _, key = tag.partition(".")
+        assert refused_kind == kind
+        assert key in rule.split()
+        assert f"(got {params[key]!r}" in problem
+
+    def test_refuses_fractional_order(self):
+        # int(2.7) used to plot order 2 without a word
+        with pytest.raises(ConfigError) as err:
+            emit_plot_data("hermite-profile", params={"k": 2.7})
+        assert err.value.violations == (
+            "hermite-profile.k: must be an integer (got 2.7)",)
+
+    def test_refuses_mu_outside_unit_interval(self):
+        with pytest.raises(ConfigError) as err:
+            emit_plot_data("bound-vs-r", params={"mu": 2.0})
+        assert err.value.violations == (
+            "bound-vs-r.mu: must be <= 1.0 (got 2.0)",)
+
+    def test_refuses_mu_below_floor(self):
+        with pytest.raises(ConfigError) as err:
+            emit_plot_data("bound-vs-r", params={"lambda": 1000, "mu": 1e-5})
+        assert err.value.violations == (
+            "bound-vs-r.mu: below the mu floor 1.000e-04 of lambda=1000.0",)
+
+    def test_lists_every_bad_key(self):
+        with pytest.raises(ConfigError) as err:
+            emit_plot_data("bound-vs-r", params={"n": 0, "points": 1,
+                                                 "nu_abs": -1.0, "zz": 1})
+        assert err.value.violations == (
+            "bound-vs-r.n: must be >= 1 (got 0)",
+            "bound-vs-r.points: must be >= 2 (got 1)",
+            "bound-vs-r.nu_abs: must be >= 0.0 (got -1.0)",
+            "bound-vs-r.zz: unknown entry")
+
+    @pytest.mark.parametrize("kind, params, violation", [
+        ("hermite-profile", {"x_min": 3.0, "x_max": 3.0},
+         "hermite-profile.x_max: must exceed x_min=3.0 (got 3.0)"),
+        ("rho-sigma", {"n": 1}, "rho-sigma.n: must be >= 2 (got 1)"),
+        ("rho-sigma", {"p_max": 2}, "rho-sigma.p_max: must be > 2.0 (got 2)"),
+        ("bound-vs-r", {"lambda": 10, "nu_abs": 11},
+         "bound-vs-r.nu_abs: must be <= 10.0 (got 11)"),
+        ("bound-vs-r", {"lambda": 0.5},
+         "bound-vs-r.lambda: must be >= 1.0 (got 0.5)"),
+        ("bound-vs-mu", {"p": 1.5},
+         'bound-vs-mu.p: must be >= 2.0 (got 1.5) or the string "inf"'),
+        ("saturate-ratios", {"k": 1}, "saturate-ratios.k: unknown entry")])
+    def test_plot_schema_rules(self, kind, params, violation):
+        with pytest.raises(ConfigError) as err:
+            emit_plot_data(kind, params=params)
+        assert err.value.violations == (violation,)
 
     def test_bound_slices_read_p_once(self):
         for kind in ("bound-vs-r", "bound-vs-mu"):
@@ -533,20 +633,22 @@ class TestEmitPlot:
 
     def test_saturate_ratios_rejects_other_runs(self, tmp_path):
         run(parse_config({"experiment": "bounds-table"}), out_dir=tmp_path)
-        with pytest.raises(ValueError, match="not a saturate run"):
+        with pytest.raises(ConfigError, match="not a saturate run"):
             emit_plot_data("saturate-ratios", run_dir=tmp_path)
 
     def test_saturate_ratios_needs_run_dir(self, tmp_path):
-        with pytest.raises(ValueError, match="needs a completed run"):
+        with pytest.raises(ConfigError, match="needs a completed run"):
             emit_plot_data("saturate-ratios")
-        with pytest.raises(ValueError, match="no completed run"):
+        with pytest.raises(ConfigError, match="no completed run"):
             emit_plot_data("saturate-ratios", run_dir=tmp_path / "nope")
 
     def test_unknown_kind_and_params(self):
-        with pytest.raises(ValueError, match="unknown plot kind"):
+        with pytest.raises(ConfigError, match="kind: must be one of "
+                           "'hermite-profile', .* \\(got 'histogram'\\)"):
             emit_plot_data("histogram")
-        with pytest.raises(ValueError, match="unknown plot parameters: zz"):
+        with pytest.raises(ConfigError) as err:
             emit_plot_data("hermite-profile", params={"zz": 1})
+        assert err.value.violations == ("hermite-profile.zz: unknown entry",)
 
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "profile.csv"
@@ -655,14 +757,41 @@ class TestCommandLine:
         code = cli.main(["emit-plot", "--kind", "bound-vs-r",
                          "--param", "points=0", "--out", str(out)])
         assert code == 2
-        assert "points >= 2" in capsys.readouterr().err
+        assert ("bound-vs-r.points: must be >= 2 (got 0)"
+                in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, param, violation", [
+        ("rho-sigma", "p_max=inf",
+         "rho-sigma.p_max: must be a number (got 'inf')"),
+        ("bound-vs-r", "lambda=Infinity",
+         "bound-vs-r.lambda: must be finite (got inf)"),
+        ("hermite-profile", "k=2.7",
+         "hermite-profile.k: must be an integer (got 2.7)"),
+        ("bound-vs-r", "mu=2.0", "bound-vs-r.mu: must be <= 1.0 (got 2.0)")])
+    def test_emit_plot_names_the_refused_key(self, tmp_path, capsys, kind,
+                                             param, violation):
+        out = tmp_path / "x.csv"
+        code = cli.main(["emit-plot", "--kind", kind, "--param", param,
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error:\n  {violation}\n"
+        assert not out.exists()
+
+    def test_emit_plot_lists_all_bad_params(self, tmp_path, capsys):
+        code = cli.main(["emit-plot", "--kind", "rho-sigma",
+                         "--out", str(tmp_path / "x.csv"),
+                         "--param", "n=1", "--param", "points=1.5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error:\n  rho-sigma.n: must be >= 2 (got 1)\n"
+            "  rho-sigma.points: must be an integer (got 1.5)\n")
 
     def test_emit_plot_unknown_kind_exits_2(self, tmp_path, capsys):
         code = cli.main(["emit-plot", "--kind", "pie",
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "unknown plot kind" in capsys.readouterr().err
+        assert "kind: must be one of" in capsys.readouterr().err
 
     def test_emit_plot_malformed_param_exits_2(self, tmp_path, capsys):
         code = cli.main(["emit-plot", "--kind", "rho-sigma",
@@ -676,7 +805,7 @@ class TestCommandLine:
                          "--out", str(tmp_path / "x.csv"),
                          "--param", "zz=1"])
         assert code == 2
-        assert "unknown plot parameters" in capsys.readouterr().err
+        assert "rho-sigma.zz: unknown entry" in capsys.readouterr().err
 
     def test_crash_outside_cells_exits_3(self, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):
@@ -737,7 +866,7 @@ class TestCommandLine:
         done = launch("emit-plot", "--kind", "pie",
                       "--out", str(tmp_path / "x.csv"))
         assert done.returncode == 2
-        assert "unknown plot kind" in done.stderr
+        assert "kind: must be one of" in done.stderr
 
     def test_run_all_configs_script(self, tmp_path):
         repo = Path(__file__).resolve().parents[1]

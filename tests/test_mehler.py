@@ -343,10 +343,11 @@ class TestRefusals:
         with pytest.raises(ValueError):
             kernel_oscillatory([0.1] * 4, [2.2] * 4, 10)
 
-    def test_tail_budget_exhaustion_reports_estimate(self):
+    def test_tail_budget_exhaustion_reports_estimate(self, monkeypatch):
+        monkeypatch.setattr(mehler, "_MAX_LEVELS", 5)
         with pytest.raises(TailConvergenceError) as exc:
             oscillatory_half_integral(
-                np.array([0.4]), np.array([0.4]), 21.0, tol=1e-9, max_levels=5
+                np.array([0.4]), np.array([0.4]), 21.0, tol=1e-9
             )
         assert math.isfinite(exc.value.achieved)
 

@@ -48,22 +48,22 @@ def _scalar_indices(level, dim):
 
 class TestIndexEnumeration:
     def test_small_case_exact_order(self):
-        assert list(sp.level_indices(2, 3)) == [
-            (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
+        assert sp._index_array(2, 3).tolist() == [
+            [2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2],
         ]
 
     def test_matches_scalar_enumeration(self):
         for dim in range(1, 6):
             for level in range(12):
-                assert list(sp.level_indices(level, dim)) == \
+                assert list(map(tuple, sp._index_array(level, dim).tolist())) == \
                     list(_scalar_indices(level, dim))
 
     def test_dim_one(self):
-        assert list(sp.level_indices(9, 1)) == [(9,)]
+        assert sp._index_array(9, 1).tolist() == [[9]]
 
     @given(st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=5))
     def test_count_and_content(self, level, dim):
-        seen = list(sp.level_indices(level, dim))
+        seen = list(map(tuple, sp._index_array(level, dim).tolist()))
         assert len(seen) == sp.multiplicity(level, dim)
         assert len(set(seen)) == len(seen)
         for alpha in seen:
@@ -172,9 +172,10 @@ class TestKernelSum:
                 assert got == want
                 assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
-    def test_index_cap(self):
+    def test_index_cap(self, monkeypatch):
+        monkeypatch.setattr(sp, "_INDEX_CAP", 1000)
         with pytest.raises(ValueError):
-            sp.projection_kernel_sum(400, 5, np.zeros(5), np.zeros(5), index_cap=1000)
+            sp.projection_kernel_sum(400, 5, np.zeros(5), np.zeros(5))
 
     def test_rejects_points_of_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
@@ -284,7 +285,7 @@ class TestChunkedTile:
     def _case(dim):
         rng = np.random.default_rng(dim)
         level = {1: 7, 2: 9, 3: 6}[dim]
-        indices = [alpha for alpha in sp.level_indices(level, dim)
+        indices = [alpha for alpha in sp._index_array(level, dim).tolist()
                    if rng.random() < 0.7]
         coefficients = rng.standard_normal(len(indices))
         sizes = {1: (53,), 2: (23, 17), 3: (11, 7, 5)}[dim]

@@ -88,7 +88,7 @@ class TestExpansionStructure:
 
     def test_leading_term_is_fresnel(self):
         e = sph.expand_from_series(cubic_phase_series(), sph.smooth_bump_series(28, BUMP_W), 1)
-        lead = e.leading()
+        lead = e.terms[0]
         lam = 137.0
         assert lead.coefficient * lam**lead.power == pytest.approx(
             sph.fresnel_leading(lam, 0.0, 1.0, 1.0), rel=1e-14
