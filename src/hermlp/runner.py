@@ -760,8 +760,8 @@ def emit_plot_data(kind: str, *, run_dir=None, params: dict | None = None,
     Generator kinds (profiles, exponent curves, envelope slices) compute
     fresh from ``params``; ``saturate-ratios`` reprocesses a completed
     saturate run found in ``run_dir``.  Returns (header, rows) and writes
-    them to ``out_path`` when given.  Bad input, ``params`` checked by
-    ``config.plot_params`` included, raises ConfigError before any work.
+    them to ``out_path`` when given.  Bad input raises ConfigError before
+    any work; ``config.plot_params`` checks ``params``.
     """
     p = plot_params(kind, params or {})
     if kind == "hermite-profile":
@@ -820,4 +820,3 @@ def emit_plot_data(kind: str, *, run_dir=None, params: dict | None = None,
         out_path.parent.mkdir(parents=True, exist_ok=True)
         _write_csv(out_path, header, rows)
     return header, rows
-

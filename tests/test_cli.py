@@ -571,25 +571,6 @@ class TestEmitPlot:
         assert key in rule.split()
         assert f"(got {params[key]!r}" in problem
 
-    def test_refuses_fractional_order(self):
-        # int(2.7) used to plot order 2 without a word
-        with pytest.raises(ConfigError) as err:
-            emit_plot_data("hermite-profile", params={"k": 2.7})
-        assert err.value.violations == (
-            "hermite-profile.k: must be an integer (got 2.7)",)
-
-    def test_refuses_mu_outside_unit_interval(self):
-        with pytest.raises(ConfigError) as err:
-            emit_plot_data("bound-vs-r", params={"mu": 2.0})
-        assert err.value.violations == (
-            "bound-vs-r.mu: must be <= 1.0 (got 2.0)",)
-
-    def test_refuses_mu_below_floor(self):
-        with pytest.raises(ConfigError) as err:
-            emit_plot_data("bound-vs-r", params={"lambda": 1000, "mu": 1e-5})
-        assert err.value.violations == (
-            "bound-vs-r.mu: below the mu floor 1.000e-04 of lambda=1000.0",)
-
     def test_lists_every_bad_key(self):
         with pytest.raises(ConfigError) as err:
             emit_plot_data("bound-vs-r", params={"n": 0, "points": 1,
@@ -601,6 +582,12 @@ class TestEmitPlot:
             "bound-vs-r.zz: unknown entry")
 
     @pytest.mark.parametrize("kind, params, violation", [
+        # int(2.7) used to plot order 2, and mu = 2.0 was plotted as given
+        ("hermite-profile", {"k": 2.7},
+         "hermite-profile.k: must be an integer (got 2.7)"),
+        ("bound-vs-r", {"mu": 2.0}, "bound-vs-r.mu: must be <= 1.0 (got 2.0)"),
+        ("bound-vs-r", {"lambda": 1000, "mu": 1e-5},
+         "bound-vs-r.mu: below the mu floor 1.000e-04 of lambda=1000.0"),
         ("hermite-profile", {"x_min": 3.0, "x_max": 3.0},
          "hermite-profile.x_max: must exceed x_min=3.0 (got 3.0)"),
         ("rho-sigma", {"n": 1}, "rho-sigma.n: must be >= 2 (got 1)"),

@@ -55,8 +55,8 @@ class TestIndexEnumeration:
     def test_matches_scalar_enumeration(self):
         for dim in range(1, 6):
             for level in range(12):
-                assert list(map(tuple, sp._index_array(level, dim).tolist())) == \
-                    list(_scalar_indices(level, dim))
+                got = map(tuple, sp._index_array(level, dim).tolist())
+                assert list(got) == list(_scalar_indices(level, dim))
 
     def test_dim_one(self):
         assert sp._index_array(9, 1).tolist() == [[9]]
@@ -173,9 +173,12 @@ class TestKernelSum:
                 assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_index_cap(self, monkeypatch):
+        # level 10 in five dimensions has 1001 indices
         monkeypatch.setattr(sp, "_INDEX_CAP", 1000)
-        with pytest.raises(ValueError):
-            sp.projection_kernel_sum(400, 5, np.zeros(5), np.zeros(5))
+        with pytest.raises(ValueError, match="too large"):
+            sp.projection_kernel_sum(10, 5, np.zeros(5), np.zeros(5))
+        monkeypatch.setattr(sp, "_INDEX_CAP", 1001)
+        assert sp.projection_kernel_sum(10, 5, np.zeros(5), np.zeros(5)) > 0
 
     def test_rejects_points_of_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
