@@ -223,14 +223,12 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     lead_block = max(1, _BLOCK // max(1, m ** (n - 1)))
     parts = []
     best = 0.0
-    count = 0
     for start in range(0, m, lead_block):
         lead = slice(start, min(m, start + lead_block))
         vals = np.abs(np.asarray(f(*axes, lead=lead), dtype=float))
         block = [axes[0][lead]] + axes[1:]
         inside = _outer([(a - c) ** 2 for a, c in zip(block, dom.center)],
                         np.add) <= r2
-        count += vals.size
         if p == math.inf:
             if np.any(inside):
                 best = max(best, float(np.max(vals[inside])))
@@ -242,10 +240,12 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
             contrib **= p
             contrib *= wtile[inside]
             parts.append(_exact_sum(contrib))
+            del wtile, contrib
+        # free before the next f call, or two blocks' tiles share the heap
+        del vals, inside
     if p == math.inf:
-        return best, count
-    total = math.fsum(parts)
-    return total ** (1.0 / p), count
+        return best, m ** n
+    return math.fsum(parts) ** (1.0 / p), m ** n
 
 
 def local_lp_norm(f, dom: Domain, p: float, *, osc_scale: float,

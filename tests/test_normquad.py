@@ -1,6 +1,7 @@
 """Quadrature layer: local norms over balls."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,29 @@ class TestAxesIntegrands:
             a = NQ.local_lp_norm(Gauss3D(), dom, p, osc_scale=1.0)
             b = NQ.local_lp_norm(on_axes(gauss3_points), dom, p, osc_scale=1.0)
             assert a == b
+
+
+class TestBlockMemory:
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_no_earlier_tile_is_alive_at_the_next_block(self, monkeypatch, p):
+        m, rows = 400, 50
+        monkeypatch.setattr(NQ, "_BLOCK", rows * m)
+        tile_bytes = rows * m * 8
+        traced = []
+
+        def tile(*axes, lead=slice(None)):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return np.ones((len(axes[0][lead]), len(axes[1])))
+
+        dom = NQ.Domain((0.0, 0.0), 1.0, NQ.TensorGrid(m))
+        tracemalloc.start()
+        try:
+            NQ.local_lp_norm(tile, dom, p, osc_scale=1.0, with_error=False)
+        finally:
+            tracemalloc.stop()
+        assert len(traced) == m // rows
+        # what the first block found is the floor: the grid and its rule
+        assert max(traced) - traced[0] < tile_bytes / 4
 
 
 def fsum_outcome(sum_fn, values):
