@@ -50,7 +50,7 @@ def main() -> int:
         if args.quick and path.stem in SLOW:
             report.append((path.stem, "skipped", 0.0))
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             config = load_config(path)
         except ConfigError as exc:
@@ -67,7 +67,7 @@ def main() -> int:
         worst = max(worst, result.exit_code)
         verdict = {0: "pass", 1: "ASSERTION FAIL"}.get(
             result.exit_code, "COMPUTE FAIL")
-        report.append((path.stem, verdict, time.time() - t0))
+        report.append((path.stem, verdict, time.perf_counter() - t0))
 
     print()
     width = max(len(name) for name, _, _ in report)

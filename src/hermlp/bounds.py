@@ -39,6 +39,7 @@ __all__ = [
     "max_local_bound",
     "mu_params",
     "rho_kink",
+    "saturate_cell",
     "sogge_exponent",
     "sogge_kink",
     "thangavelu_kink",
@@ -315,6 +316,25 @@ def tube_delta(rule: dict, n: int, level: int, j: int) -> float:
     lam = math.sqrt(2 * level + n)
     mu = 0.75 if j == 0 else 2.0 ** (-2 * j)
     return (lam * math.sqrt(mu) / rule["r"]) ** -0.5
+
+
+def saturate_cell(case: dict, level: int) -> tuple[TubeSpec, tuple, float]:
+    """Tube, ball center nu and radius r of one saturate cell.
+
+    case3 puts a width-2**(-k/2) tube in annulus k of the line and the
+    radius-lam*2**(-2k) ball just inside the turning point; case2 and
+    random take the case2 width of the case's radius r and center the
+    ball on the tube.  Raises ValueError when the tube is infeasible.
+    """
+    if case["kind"] == "case3":
+        k = case["k"]
+        tube = TubeSpec.from_level(1, level, k, 2.0 ** (-0.5 * k))
+        r = tube.lam * 2.0 ** (-2 * k)
+        return tube, (tube.lam - r,), r
+    n, j, r = case["n"], case["j"], case["r"]
+    delta = tube_delta({"type": "case2", "r": r}, n, level, j)
+    tube = TubeSpec.from_level(n, level, j, delta)
+    return tube, (tube.x1_star,) + (0.0,) * (n - 1), r
 
 
 # ------------------------------------------------- max over translations ----

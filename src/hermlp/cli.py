@@ -58,6 +58,8 @@ def _parse_params(pairs) -> dict:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise ConfigError([f"--param {pair!r}: expected KEY=VALUE"])
+        if key in params:
+            raise ConfigError([f"--param {key}: given more than once"])
         try:
             params[key] = json.loads(raw)
         except json.JSONDecodeError:

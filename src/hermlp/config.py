@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
-from .bounds import TubeSpec, tube_delta
+from .bounds import TubeSpec, saturate_cell, tube_delta
 
 _MISSING = object()
 
@@ -341,11 +341,10 @@ def _flag_mu_floor(s: _Scope, key: str, mu: float, lam: float) -> None:
         s.flag(key, f"below the mu floor {floor:.3e} of lambda={lam}")
 
 
-def _check_tube(s: _Scope, idx: int, n: int, level: int, j: int,
-                delta: float) -> None:
-    """Flag levels[idx] when its tube geometry is infeasible."""
+def _check_tube(s: _Scope, idx: int, level: int, tube: Callable) -> None:
+    """Flag levels[idx] when tube(), its tube geometry, is infeasible."""
     try:
-        TubeSpec.from_level(n, level, j, delta)
+        tube()
     except ValueError as exc:
         s.flag(f"levels[{idx}]", f"{exc} at level {level}")
 
@@ -365,9 +364,10 @@ def _params_construct(s: _Scope) -> dict:
     out["delta"] = rule
     if None in (out["n"], out["levels"], out["j"]) or rule is None:
         return out
+    n, j = out["n"], out["j"]
     for idx, level in enumerate(out["levels"]):
-        _check_tube(s, idx, out["n"], level, out["j"],
-                    tube_delta(rule, out["n"], level, out["j"]))
+        _check_tube(s, idx, level, lambda: TubeSpec.from_level(
+            n, level, j, tube_delta(rule, n, level, j)))
     lo, hi = out["amp_ratio_min"], out["amp_ratio_max"]
     if lo is not None and hi is not None and hi <= lo:
         s.flag("amp_ratio_max", "must exceed amp_ratio_min")
@@ -428,28 +428,24 @@ def _saturate_case(cs: _Scope, kind: str) -> dict:
     if kind == "case3":
         case["n"] = cs.take("n", _choice((1,)), 1)
         case["k"] = cs.take("k", _int_in(1, 40), 1)
-        if case["levels"] and case["k"] is not None:
-            for idx, level in enumerate(case["levels"]):
-                _check_tube(cs, idx, 1, level, case["k"],
-                            2.0 ** (-0.5 * case["k"]))
-        return case
-    case["n"] = cs.take("n", _choice((2,)) if kind == "random"
-                        else _int_in(2, 8), 2)
-    case["j"] = cs.take("j", _int_in(0, 40), 0)
-    case["r"] = cs.take("r", _num_in(0.0, lo_open=True), 1.0)
-    if kind == "random":
-        case["per_level"] = cs.take("per_level", _int_in(1, 10_000), 100)
-    if None in (case["n"], case["levels"], case["j"], case["r"]):
+        needed = ("levels", "k")
+    else:
+        case["n"] = cs.take("n", _choice((2,)) if kind == "random"
+                            else _int_in(2, 8), 2)
+        case["j"] = cs.take("j", _int_in(0, 40), 0)
+        case["r"] = cs.take("r", _num_in(0.0, lo_open=True), 1.0)
+        if kind == "random":
+            case["per_level"] = cs.take("per_level", _int_in(1, 10_000), 100)
+        needed = ("levels", "n", "j", "r")
+    if any(case[key] is None for key in needed):
         return case
     for idx, level in enumerate(case["levels"]):
-        lam = math.sqrt(2 * level + case["n"])
-        if case["r"] > lam:
+        lam = None if kind == "case3" else math.sqrt(2 * level + case["n"])
+        if lam is not None and case["r"] > lam:
             cs.flag(f"levels[{idx}]",
                     f"r={case['r']} exceeds the eigenvalue {lam:.4g}")
             continue
-        rule = {"type": "case2", "r": case["r"]}
-        _check_tube(cs, idx, case["n"], level, case["j"],
-                    tube_delta(rule, case["n"], level, case["j"]))
+        _check_tube(cs, idx, level, lambda: saturate_cell(case, level))
     return case
 
 

@@ -225,23 +225,23 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     best = 0.0
     for start in range(0, m, lead_block):
         lead = slice(start, min(m, start + lead_block))
-        vals = np.abs(np.asarray(f(*axes, lead=lead), dtype=float))
+        tile = np.asarray(f(*axes, lead=lead), dtype=float)
         block = [axes[0][lead]] + axes[1:]
         inside = _outer([(a - c) ** 2 for a, c in zip(block, dom.center)],
                         np.add) <= r2
+        # only the ball's nodes go on; the integrand's tile is not written
+        vals = tile[inside]
+        del tile
+        np.abs(vals, out=vals)
         if p == math.inf:
-            if np.any(inside):
-                best = max(best, float(np.max(vals[inside])))
+            best = max(best, float(vals.max(initial=0.0)))
         else:
             # outside nodes would only add exact zeros; _exact_sum returns
             # the correctly rounded sum of the rest, as math.fsum would
-            wtile = _outer([wts[lead]] + [wts] * (n - 1), np.multiply)
-            contrib = vals[inside]
-            contrib **= p
-            contrib *= wtile[inside]
-            parts.append(_exact_sum(contrib))
-            del wtile, contrib
-        # free before the next f call, or two blocks' tiles share the heap
+            vals **= p
+            vals *= _outer([wts[lead]] + [wts] * (n - 1), np.multiply)[inside]
+            parts.append(_exact_sum(vals))
+        # free before the next f call, or two blocks' arrays share the heap
         del vals, inside
     if p == math.inf:
         return best, m ** n

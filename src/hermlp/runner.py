@@ -211,7 +211,7 @@ def _kernel_cross_mode(ctx: _Ctx):
     cells = [(r, sx, sy) for r in p["r_values"] for sx, sy in pairs]
     header = ("r", "x", "y", "spectral", "quadrature", "rel_error",
               "imag_residual", "evals", "status")
-    rows = _flatten(_collect(ctx, cell, cells, header))
+    rows = _collect(ctx, cell, cells, header)
     oks = [row for row in rows if row[-1] == "ok"]
     if oks:
         ctx.check("cross-validation-relative-error",
@@ -239,7 +239,7 @@ def _kernel_bound_mode(ctx: _Ctx):
              for r in p["r_values"]]
     header = ("n", "r", "mu", "normalizer", "max_ratio", "median_ratio",
               "diagonal_ratio", "count", "status")
-    rows = _flatten(_collect(ctx, cell, cells, header))
+    rows = _collect(ctx, cell, cells, header)
     oks = [row for row in rows if row[-1] == "ok"]
     if oks:
         ctx.check("bound-check-max-ratio", max(row[4] for row in oks),
@@ -386,7 +386,7 @@ def _run_phase_identities(ctx: _Ctx):
             ("mixed-hessian-fd", worst_fd, p["tol_mixed_fd"]))]
 
     header = ("check", "n", "samples", "max_residual", "tolerance", "status")
-    rows = _flatten(_collect(ctx, cell, list(enumerate(dims)), header))
+    rows = _collect(ctx, cell, list(enumerate(dims)), header)
     for check, n, _, worst, tol, status in rows:
         if status == "ok":
             ctx.check(f"{check}-n{n}", worst, tol * ctx.scale)
@@ -537,7 +537,7 @@ def _run_construct(ctx: _Ctx):
 
     header = ("n", "N", "lambda", "j", "delta", "set_size", "bin_index",
               "bin_fraction", "target", "measured", "amp_ratio", "status")
-    rows = _flatten(_collect(ctx, cell, list(p["levels"]), header))
+    rows = _collect(ctx, cell, list(p["levels"]), header)
     oks = [row for row in rows if row[-1] == "ok"]
     if oks:
         ctx.check("bin-fraction-pigeonhole", min(row[7] for row in oks),
@@ -552,69 +552,44 @@ def _run_construct(ctx: _Ctx):
 
 # --------------------------------------------------------------- saturate
 
-def _tube_case_row(kind: str, rep, nu: tuple, r: float, p_norm: float):
-    e, tube = rep.eigenfunction, rep.tube
-    ratio = construct.saturation_ratio(rep, nu, r, p_norm)
-    bound = bounds.lambda_lp(e.dim, tube.lam, r, math.hypot(*nu), p_norm)
-    return [kind, e.dim, e.level, tube.lam, tube.j, tube.delta,
-            _fmt_point(nu), r, p_norm, ratio * bound.value, bound.value,
-            ratio, "ok"]
-
-
-def _random_level_rows(ctx: _Ctx, case_idx: int, case: dict, level: int):
-    j, r, p_norm = case["j"], case["r"], case["p"]
-    delta = bounds.tube_delta({"type": "case2", "r": r}, 2, level, j)
-    tube = bounds.TubeSpec.from_level(2, level, j, delta)
-    nu = (tube.x1_star, 0.0)
-    bound = bounds.lambda_lp(2, tube.lam, r, math.hypot(*nu), p_norm)
-    # one evaluator per level: every draw reuses its two axis tables
-    e = spectral.DenseEigenfunction2D(level, np.zeros(level + 1))
-    rows = []
-    for i in range(case["per_level"]):
-        rng = np.random.default_rng(_cell_seed(ctx.seed, case_idx, level, i))
-        coeffs = rng.standard_normal(level + 1)
-        coeffs /= np.linalg.norm(coeffs)
-        e.coefficients = coeffs
-        measured = construct.ball_lp_norm(e, nu, r, p_norm, tube.half_width)
-        rows.append([f"random-{i}", 2, level, tube.lam, j, delta,
-                     _fmt_point(nu), r, p_norm, measured, bound.value,
-                     measured / bound.value, "ok"])
-    return rows
-
-
 def _run_saturate(ctx: _Ctx):
     p = ctx.params
-    cells = [(case_idx, level) for case_idx, case in enumerate(p["cases"])
-             for level in case["levels"]]
 
     def cell(args):
         case_idx, level = args
         case = p["cases"][case_idx]
-        if case["kind"] == "case2":
-            n, j, r = case["n"], case["j"], case["r"]
-            delta = bounds.tube_delta({"type": "case2", "r": r}, n, level, j)
-            rep = construct.build_concentrated(n, level, j, delta)
-            nu = (rep.tube.x1_star,) + (0.0,) * (n - 1)
-            return [_tube_case_row("case2", rep, nu, r, case["p"])]
-        if case["kind"] == "case3":
-            k = case["k"]
-            rep = construct.build_concentrated(1, level, k, 2.0 ** (-0.5 * k))
-            r = rep.tube.lam * 2.0 ** (-2 * k)
-            return [_tube_case_row("case3", rep, (rep.tube.lam - r,), r,
-                                   case["p"])]
-        return _random_level_rows(ctx, case_idx, case, level)
+        tube, nu, r = bounds.saturate_cell(case, level)
+        n, p_norm = len(nu), case["p"]
+        bound = bounds.lambda_lp(n, tube.lam, r, math.hypot(*nu), p_norm).value
+        geometry = [n, level, tube.lam, tube.j, tube.delta, _fmt_point(nu), r,
+                    p_norm]
+        if case["kind"] != "random":
+            rep = construct.build_concentrated(n, level, tube.j, tube.delta)
+            ratio = construct.saturation_ratio(rep, nu, r, p_norm)
+            return [[case["kind"], *geometry, ratio * bound, bound, ratio,
+                     "ok"]]
+        # one evaluator per level: every draw reuses its two axis tables
+        e = spectral.DenseEigenfunction2D(level, np.zeros(level + 1))
+        rows = []
+        for i in range(case["per_level"]):
+            seed = _cell_seed(ctx.seed, case_idx, level, i)
+            coeffs = np.random.default_rng(seed).standard_normal(level + 1)
+            coeffs /= np.linalg.norm(coeffs)
+            e.coefficients = coeffs
+            measured = construct.ball_lp_norm(e, nu, r, p_norm,
+                                              tube.half_width)
+            rows.append([f"random-{i}", *geometry, measured, bound,
+                         measured / bound, "ok"])
+        return rows
 
-    per_cell = _collect(ctx, cell, cells, SATURATE_HEADER)
-    rows = _flatten(per_cell)
-
-    sweep_ratios = []
+    rows, sweep_ratios = [], []
     for case_idx, case in enumerate(p["cases"]):
-        if case["kind"] == "random":
-            continue
-        series = [(row[3], row[11]) for chunk, (ci, _) in
-                  zip(per_cell, cells) for row in chunk
-                  if ci == case_idx and row[-1] == "ok"]
-        if not series:
+        case_rows = _collect(ctx, cell, [(case_idx, level)
+                                         for level in case["levels"]],
+                             SATURATE_HEADER)
+        rows += case_rows
+        series = [(row[3], row[11]) for row in case_rows if row[-1] == "ok"]
+        if case["kind"] == "random" or not series:
             continue
         ratios = [s[1] for s in series]
         sweep_ratios.extend(ratios)
@@ -649,22 +624,17 @@ def _collect(ctx: _Ctx, cell_fn, cells, header: tuple) -> list:
     Each cell returns its list of rows.  A cell that raises leaves a
     single row as wide as ``header``, empty but for the status column, and
     a ``computational_failures`` entry labelled with the cell; the run
-    continues.  Returns the per-cell row lists in cell order.
+    continues.  Returns the rows of all cells in cell order.
     """
-    chunks = []
+    rows = []
     for args in cells:
         try:
-            chunk = cell_fn(args)
+            rows += cell_fn(args)
         except Exception as exc:  # recorded, run continues
             err = f"{type(exc).__name__}: {exc}"
             ctx.failures.append({"cell": str(args), "error": err})
-            chunk = [[""] * (len(header) - 1) + [f"error: {err}"]]
-        chunks.append(chunk)
-    return chunks
-
-
-def _flatten(chunks) -> list:
-    return [row for chunk in chunks for row in chunk]
+            rows.append([""] * (len(header) - 1) + [f"error: {err}"])
+    return rows
 
 
 _RUNNERS = {
@@ -759,11 +729,15 @@ def emit_plot_data(kind: str, *, run_dir=None, params: dict | None = None,
 
     Generator kinds (profiles, exponent curves, envelope slices) compute
     fresh from ``params``; ``saturate-ratios`` reprocesses a completed
-    saturate run found in ``run_dir``.  Returns (header, rows) and writes
-    them to ``out_path`` when given.  Bad input raises ConfigError before
-    any work; ``config.plot_params`` checks ``params``.
+    saturate run found in ``run_dir``, which no other kind takes.  Returns
+    (header, rows) and writes them to ``out_path`` when given.  Bad input
+    raises ConfigError before any work; ``config.plot_params`` checks
+    ``params``.
     """
     p = plot_params(kind, params or {})
+    if run_dir is not None and kind != "saturate-ratios":
+        raise ConfigError(["--run: only saturate-ratios reads a run "
+                           f"directory (got kind {kind!r})"])
     if kind == "hermite-profile":
         xs = np.linspace(p["x_min"], p["x_max"], p["points"])
         vals = hermite.hermite_batch([p["k"]], xs)[0]

@@ -20,9 +20,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_config(name, out_dir):
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = run(load_config(CONFIGS / name), out_dir=out_dir)
-    return result, time.time() - t0
+    return result, time.perf_counter() - t0
 
 
 def named(result):
@@ -173,12 +173,12 @@ def test_criterion_8_kernel_size_bound(tmp_path):
 
 
 def test_criterion_9_determinism(tmp_path):
-    t0 = time.time()
+    t0 = time.perf_counter()
     first = run(load_config(CONFIGS / "determinism.json"),
                 out_dir=tmp_path / "first")
     second = run(load_config(CONFIGS / "determinism.json"),
                  out_dir=tmp_path / "second")
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     csv_same = (Path(first.csv_path).read_bytes()
                 == Path(second.csv_path).read_bytes())
     summary_same = (Path(first.summary_path).read_bytes()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import hermlp
-from hermlp import cli, construct, hermite, runner, spectral
+from hermlp import cli, construct, hermite, spectral
 from hermlp.config import ConfigError, load_config, parse_config
 from hermlp.runner import SATURATE_HEADER, emit_plot_data, run
 
@@ -176,12 +176,18 @@ class TestConfigSchema:
             "cases": [{"levels": [100]},
                       {"kind": "case3", "n": 2, "levels": [100]},
                       {"kind": "case2", "levels": [3], "r": 10.0},
-                      {"kind": "sideways", "levels": [100]}]}})
+                      {"kind": "sideways", "levels": [100]},
+                      {"kind": "case3", "n": 2, "k": 3, "levels": [1]}]}})
         assert any(m == "parameters.cases[0].kind: missing required entry"
                    for m in got)
         assert any("cases[1].n: must be one of 1" in m for m in got)
         assert any("exceeds the eigenvalue" in m for m in got)
         assert any("cases[3].kind: must be one of" in m for m in got)
+        # a bad n does not hide the infeasible tube of a case3 level
+        assert got[-2:] == (
+            "parameters.cases[4].n: must be one of 1 (got 2)",
+            "parameters.cases[4].levels[0]: 2**j = 8 exceeds lam**(2/3) = "
+            "1.44225; the annulus is empty at level 1")
 
     def test_saturate_case2_delta_rule_feasibility(self):
         # r chosen so the induced tube width leaves the admissible window
@@ -453,7 +459,7 @@ class TestRunnerArtifacts:
 
 
     @pytest.mark.parametrize("per_level", [1, 4])
-    def test_random_level_builds_axis_tables_once(self, monkeypatch,
+    def test_random_level_builds_axis_tables_once(self, monkeypatch, tmp_path,
                                                   stepped_points, per_level):
         calls = []
         real = spectral.hermite_on_grids
@@ -463,16 +469,16 @@ class TestRunnerArtifacts:
             return real(orders, grids)
 
         monkeypatch.setattr(spectral, "hermite_on_grids", counted)
-        ctx = runner._Ctx(params={}, seed=0, scale=1.0)
-        case = {"kind": "random", "n": 2, "j": 0, "r": 1.0, "p": 2.0,
-                "per_level": per_level, "levels": [60]}
-        rows = runner._random_level_rows(ctx, 0, case, 60)
+        cfg = parse_config({"experiment": "saturate", "parameters": {
+            "cases": [{"kind": "random", "levels": [60],
+                       "per_level": per_level}]}})
+        _, rows = read_csv(run(cfg, out_dir=tmp_path).csv_path)
         # one recurrence over both axes, each stepped to order 60
         assert len(calls) == 1 and len(calls[0]) == 2
         assert stepped_points.steps == 60 * sum(calls[0])
         assert [row[0] for row in rows] == [f"random-{i}"
                                             for i in range(per_level)]
-        assert all(row[-1] == "ok" and row[9] > 0.0 for row in rows)
+        assert all(row[-1] == "ok" and float(row[9]) > 0.0 for row in rows)
 
     @pytest.mark.parametrize("case, axes", [
         ({"kind": "case2", "n": 2, "levels": [200]}, 2),
@@ -773,6 +779,23 @@ class TestCommandLine:
         assert capsys.readouterr().err == (
             "config error:\n  rho-sigma.n: must be >= 2 (got 1)\n"
             "  rho-sigma.points: must be an integer (got 1.5)\n")
+
+    def test_emit_plot_repeated_param_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli.main(["emit-plot", "--kind", "rho-sigma", "--out", str(out),
+                         "--param", "n=2", "--param", "n=3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error:\n  --param n: given more than once\n")
+        assert not out.exists()
+
+    def test_emit_plot_run_for_generator_kind_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli.main(["emit-plot", "--kind", "rho-sigma", "--out", str(out),
+                         "--run", str(tmp_path / "nonexistent")])
+        assert code == 2
+        assert "--run: only saturate-ratios reads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_emit_plot_unknown_kind_exits_2(self, tmp_path, capsys):
         code = cli.main(["emit-plot", "--kind", "pie",

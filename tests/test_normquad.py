@@ -400,6 +400,92 @@ class TestBlockMemory:
         assert max(traced) - traced[0] < tile_bytes / 4
 
 
+    def test_peak_at_the_block_size(self):
+        # one 2^20-node block of 512 lead rows: past the integrand's tile
+        # and the ball mask, only the ball's nodes (pi/4 of a tile) are kept
+        m = 2048
+        tile_bytes = NQ._BLOCK * 8
+
+        def tile(*axes, lead=slice(None)):
+            return np.ones((len(axes[0][lead]), len(axes[1])))
+
+        dom = NQ.Domain((0.0, 0.0), 1.0, NQ.TensorGrid(m))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = NQ.local_lp_norm(tile, dom, 2.0, osc_scale=1.0,
+                                   with_error=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.value == pytest.approx(math.sqrt(math.pi), rel=1e-3)
+        assert (peak - start) / tile_bytes < 3.5
+
+
+def full_tile_value(f, dom, p, m):
+    """The reduction that takes |f| and the weights on the whole tile and
+    masks afterwards, for comparison with NQ._tensor_value."""
+    n = dom.dim
+    x, w = NQ._axis_rule(m)
+    m = len(x)
+    axes = [dom.center[k] + dom.scale * x for k in range(n)]
+    wts = dom.scale * w
+    r2 = dom.scale * dom.scale
+    lead_block = max(1, NQ._BLOCK // max(1, m ** (n - 1)))
+    parts, best = [], 0.0
+    for start in range(0, m, lead_block):
+        lead = slice(start, min(m, start + lead_block))
+        vals = np.abs(np.asarray(f(*axes, lead=lead), dtype=float))
+        block = [axes[0][lead]] + axes[1:]
+        inside = NQ._outer([(a - c) ** 2 for a, c in zip(block, dom.center)],
+                           np.add) <= r2
+        if p == math.inf:
+            if np.any(inside):
+                best = max(best, float(np.max(vals[inside])))
+        else:
+            wtile = NQ._outer([wts[lead]] + [wts] * (n - 1), np.multiply)
+            contrib = vals[inside]
+            contrib **= p
+            contrib *= wtile[inside]
+            parts.append(NQ._exact_sum(contrib))
+    if p == math.inf:
+        return best, m ** n
+    return math.fsum(parts) ** (1.0 / p), m ** n
+
+
+class TestGatheredReduction:
+    # dyadic nodes k/8 on a ball of radius 2 about 0.5: every node is
+    # exact, so the nodes at distance 2 sit exactly on the sphere
+    NODES = np.arange(-8, 9) / 8.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+    def test_equals_the_full_tile_reduction(self, monkeypatch, n, p):
+        rng = np.random.default_rng(n)
+        weights = rng.uniform(0.5, 1.5, self.NODES.size)
+        monkeypatch.setattr(NQ, "_axis_rule", lambda m: (self.NODES, weights))
+        monkeypatch.setattr(NQ, "_BLOCK", 3 * self.NODES.size ** (n - 1))
+        dom = NQ.Domain((0.5,) * n, 2.0, NQ.TensorGrid(2))
+        tiles = []
+
+        def f(*axes, lead=slice(None)):
+            shape = (len(axes[0][lead]),) + tuple(len(a) for a in axes[1:])
+            tile = rng.standard_normal(shape) * 10.0 ** rng.integers(
+                -3, 4, shape)
+            tiles.append((tile, tile.copy()))
+            return tile
+
+        on_sphere = sum(np.meshgrid(*[(2.0 * self.NODES) ** 2] * n)) == 4.0
+        assert on_sphere.any() and not on_sphere.all()
+        got = NQ._tensor_value(f, dom, p, 2)
+        assert len(tiles) == math.ceil(self.NODES.size / 3)
+        # the integrand's tiles were only read
+        assert all(np.array_equal(tile, kept) for tile, kept in tiles)
+        replay = iter([kept for _, kept in tiles])
+        assert got == full_tile_value(lambda *axes, lead: next(replay),
+                                      dom, p, 2)
+
+
 def fsum_outcome(sum_fn, values):
     """The value (with the sign of a zero) or the exception of a sum."""
     try:
