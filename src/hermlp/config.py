@@ -322,6 +322,10 @@ def _params_bounds_table(s: _Scope) -> dict:
                                _num_in(0.0, lo_open=True), 1e-12),
         "tol_slope": s.take("tol_slope", _num_in(0.0, lo_open=True), 1e-6),
     }
+    for i, n in enumerate(out["n_values"] or ()):
+        if out["include_max_table"] and n < 2:
+            s.flag(f"n_values[{i}]", f"the max table is stated for n >= 2 "
+                   f"(got {n}); set include_max_table to false")
     lams, rs, mus = out["lambda_values"], out["r_values"], out["mu_values"]
     if lams and rs:
         lam_min = min(lams)

@@ -13,14 +13,18 @@ bodies (cells run in grid order, and every random draw is keyed by cell
 position).  The manifest carries timestamps and is the one artifact
 excluded from that guarantee.
 
-Cell-level computational failures (a quadrature that cannot converge, an
-infeasible tube) are recorded in place: the row stays, numeric columns are
-emptied, the status column carries the error, and the run continues.  Any
-such failure forces exit code 3; failed assertions alone give 1.
+``_collect`` is the one failure path: it runs cells, writes the status
+column, and records a computational failure (a quadrature that cannot
+converge, an infeasible tube) in place of the cell's rows: one row, empty
+but for the error in its status column.  The run continues and writes all
+three artifacts.  An experiment is itself one cell, labelled with its
+name, so a failure outside its own cells is contained too.  Any failure
+forces exit code 3; failed assertions alone give 1.
 
-``tolerance_scale`` loosens every assertion limit by the given factor; it
-rescales allowed-error magnitudes (band widths, slope windows, residual
-ceilings), never measured values.
+``tolerance_scale`` loosens every assertion limit, in ``_Ctx.check``
+alone: a positive ceiling or a negative floor is multiplied by it, a
+negative ceiling or a positive floor divided by it.  Measured values are
+never rescaled.
 """
 
 from __future__ import annotations
@@ -61,12 +65,17 @@ class _Ctx:
     params: dict
     seed: int
     scale: float
+    header: tuple = ()  # the results.csv columns before "status"
+    rows: list = field(default_factory=list)  # results.csv, with status
     assertions: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
     def check(self, name: str, observed: float, limit: float,
               op: str = "<=") -> None:
+        """Assert ``observed op limit``, ``limit`` loosened by the scale."""
+        s = self.scale
+        limit = limit * s if (op == "<=") == (limit > 0) else limit / s
         ok = observed <= limit if op == "<=" else observed >= limit
         self.assertions.append(
             Assertion(name, float(observed), float(limit), op, bool(ok)))
@@ -124,6 +133,7 @@ def _slope(xs, ys) -> float:
 
 def _run_eval(ctx: _Ctx):
     p = ctx.params
+    ctx.header = ("check", "k", "value")
     rows: list = []
 
     # The eigensolve and the product are too small for a second BLAS
@@ -135,9 +145,8 @@ def _run_eval(ctx: _Ctx):
         gram = (table * (weights * np.exp(nodes * nodes))) @ table.T
     dev = np.abs(gram - np.eye(p["k_max_ortho"] + 1))
     for k in range(p["k_max_ortho"] + 1):
-        rows.append(["orthonormality", k, float(dev[k].max()), "ok"])
-    ctx.check("orthonormality-deviation", float(dev.max()),
-              p["tol_ortho"] * ctx.scale)
+        rows.append(["orthonormality", k, float(dev[k].max())])
+    ctx.check("orthonormality-deviation", float(dev.max()), p["tol_ortho"])
 
     # Five-point second differences; the step balances the h^4 truncation
     # against roundoff growing like eps/h^2, which keeps the relative
@@ -168,12 +177,11 @@ def _run_eval(ctx: _Ctx):
     residuals = [eigen_residual(k, *cell, v[0])
                  for k, cell, v in zip(ks, cells, values)]
     for k, res in zip(ks, residuals):
-        rows.append(["eigen-equation", k, res, "ok"])
-    ctx.check("eigen-equation-residual", max(residuals),
-              p["tol_eigen"] * ctx.scale)
+        rows.append(["eigen-equation", k, res])
+    ctx.check("eigen-equation-residual", max(residuals), p["tol_eigen"])
     ctx.metrics["orthonormality_max"] = float(dev.max())
     ctx.metrics["eigen_residual_max"] = max(residuals)
-    return ("check", "k", "value", "status"), rows
+    return rows
 
 
 # --------------------------------------------------------- kernel-compare
@@ -189,6 +197,8 @@ def _run_kernel_compare(ctx: _Ctx):
 
 def _kernel_cross_mode(ctx: _Ctx):
     p = ctx.params
+    ctx.header = ("r", "x", "y", "spectral", "quadrature", "rel_error",
+                  "imag_residual", "evals")
     rng = np.random.default_rng(_cell_seed(ctx.seed))
     pairs = []
     while len(pairs) < p["pair_count"]:
@@ -206,23 +216,22 @@ def _kernel_cross_mode(ctx: _Ctx):
                                        tol=p["quad_tol"])
         rel = abs(kv.value - direct) / max(abs(direct), _REL_FLOOR)
         return [[r, sx, sy, direct, kv.value, rel, kv.imag_residual,
-                 kv.evals, "ok"]]
+                 kv.evals]]
 
     cells = [(r, sx, sy) for r in p["r_values"] for sx, sy in pairs]
-    header = ("r", "x", "y", "spectral", "quadrature", "rel_error",
-              "imag_residual", "evals", "status")
-    rows = _collect(ctx, cell, cells, header)
-    oks = [row for row in rows if row[-1] == "ok"]
+    oks = _collect(ctx, cell, cells)
     if oks:
         ctx.check("cross-validation-relative-error",
-                  max(row[5] for row in oks), p["tol_rel"] * ctx.scale)
+                  max(row[5] for row in oks), p["tol_rel"])
         ctx.check("cross-validation-imag-residual",
-                  max(row[6] for row in oks), p["tol_imag"] * ctx.scale)
-    return header, rows
+                  max(row[6] for row in oks), p["tol_imag"])
+    return []
 
 
 def _kernel_bound_mode(ctx: _Ctx):
     p = ctx.params
+    ctx.header = ("n", "r", "mu", "normalizer", "max_ratio", "median_ratio",
+                  "diagonal_ratio", "count")
 
     def cell(args):
         mu_idx, mu, r = args
@@ -233,31 +242,29 @@ def _kernel_bound_mode(ctx: _Ctx):
                                        seed=seed)
         rep = mehler.kernel_bound_check(p["n"], r, spec)
         return [[p["n"], r, mu, rep.normalizer, rep.max_ratio,
-                 rep.median_ratio, rep.diagonal_ratio, rep.count, "ok"]]
+                 rep.median_ratio, rep.diagonal_ratio, rep.count]]
 
     cells = [(i, mu, r) for i, mu in enumerate(p["mu_values"])
              for r in p["r_values"]]
-    header = ("n", "r", "mu", "normalizer", "max_ratio", "median_ratio",
-              "diagonal_ratio", "count", "status")
-    rows = _collect(ctx, cell, cells, header)
-    oks = [row for row in rows if row[-1] == "ok"]
+    oks = _collect(ctx, cell, cells)
     if oks:
         ctx.check("bound-check-max-ratio", max(row[4] for row in oks),
-                  p["ratio_limit"] * ctx.scale)
+                  p["ratio_limit"])
     for mu in p["mu_values"]:
         series = [(row[1], row[4]) for row in oks if row[2] == mu]
         if len(series) >= 2:
             slope = _slope([s[0] for s in series], [s[1] for s in series])
             ctx.check(f"bound-check-growth-slope-mu-{mu}", abs(slope),
-                      p["slope_limit"] * ctx.scale)
+                      p["slope_limit"])
             ctx.metrics[f"slope_mu_{mu}"] = slope
-    return header, rows
+    return []
 
 
 # ----------------------------------------------------------- sphase-check
 
 def _run_sphase(ctx: _Ctx):
     p = ctx.params
+    ctx.header = ("check", "order", "lambda", "value")
     gamma, width = p["cubic_coefficient"], p["bump_half_width"]
     phase_series = np.zeros(31)
     phase_series[2], phase_series[3] = 0.5, gamma
@@ -282,11 +289,10 @@ def _run_sphase(ctx: _Ctx):
         errs = [abs(exp_m.evaluate(lam) - ref)
                 for lam, ref in zip(p["lambda_values"], refs)]
         for lam, err in zip(p["lambda_values"], errs):
-            rows.append(["remainder", m, lam, err, "ok"])
+            rows.append(["remainder", m, lam, err])
         slope = _slope(p["lambda_values"], errs)
         ctx.metrics[f"remainder_slope_m{m}"] = slope
-        ctx.check(f"remainder-slope-m{m}", slope,
-                  -(m - margins[m] * ctx.scale))
+        ctx.check(f"remainder-slope-m{m}", slope, -(m - margins[m]))
 
     # pure quadratic phase: the engine's one-term expansion and the closed
     # Fresnel formula must both land on sqrt(2 pi / lam) e^{i pi/4} exactly
@@ -304,19 +310,19 @@ def _run_sphase(ctx: _Ctx):
             want = amp0 * math.sqrt(2.0 * math.pi / (lam * abs(curv))) * \
                 np.exp(1j * (lam * ph0 + math.copysign(math.pi / 4.0, curv)))
             exact_err = max(exact_err, abs(lead - want) / abs(want))
-        rows.append(["gaussian-exactness", 1, lam, exact_err, "ok"])
-    ctx.check("gaussian-exactness", exact_err, p["gaussian_tol"] * ctx.scale)
+        rows.append(["gaussian-exactness", 1, lam, exact_err])
+    ctx.check("gaussian-exactness", exact_err, p["gaussian_tol"])
 
     if p["consistency_r_values"]:
         sx, sy = p["consistency_point"]
         slope, residuals = mehler.stationary_consistency(
             np.array([sx]), np.array([sy]), p["consistency_r_values"])
         for r, res in zip(p["consistency_r_values"], residuals):
-            rows.append(["kernel-consistency", 0, float(r), res, "ok"])
+            rows.append(["kernel-consistency", 0, float(r), res])
         ctx.metrics["kernel_consistency_slope"] = slope
         ctx.check("kernel-consistency-slope", slope,
-                  p["consistency_slope_limit"] * ctx.scale)
-    return ("check", "order", "lambda", "value", "status"), rows
+                  p["consistency_slope_limit"])
+    return rows
 
 
 # ------------------------------------------------------- phase-identities
@@ -333,6 +339,7 @@ def _interior_pair(rng, n: int, bound: float):
 
 def _run_phase_identities(ctx: _Ctx):
     p = ctx.params
+    ctx.header = ("check", "n", "samples", "max_residual", "tolerance")
     dims = p["dims"]
     t_per_pair = 20
     pair_count = max(1, p["sample_count"] // (len(dims) * t_per_pair))
@@ -379,18 +386,15 @@ def _run_phase_identities(ctx: _Ctx):
                     max(1.0, 1.0 / pt.sin2t)))
 
         samples = pair_count * t_per_pair
-        return [[check, n, samples, worst, tol, "ok"] for check, worst, tol in (
+        return [[check, n, samples, worst, tol] for check, worst, tol in (
             ("derivative-factorization", worst_fact, p["tol_factorization"]),
             ("curvature-vs-fd", worst_curv, p["tol_curvature"]),
             ("mixed-hessian-closed", worst_closed, p["tol_mixed_closed"]),
             ("mixed-hessian-fd", worst_fd, p["tol_mixed_fd"]))]
 
-    header = ("check", "n", "samples", "max_residual", "tolerance", "status")
-    rows = _collect(ctx, cell, list(enumerate(dims)), header)
-    for check, n, _, worst, tol, status in rows:
-        if status == "ok":
-            ctx.check(f"{check}-n{n}", worst, tol * ctx.scale)
-    return header, rows
+    for check, n, _, worst, tol in _collect(ctx, cell, list(enumerate(dims))):
+        ctx.check(f"{check}-n{n}", worst, tol)
+    return []
 
 
 def _fd_mixed_hessian(x, y, kind: str, n: int) -> np.ndarray:
@@ -421,6 +425,8 @@ def _fd_mixed_hessian(x, y, kind: str, n: int) -> np.ndarray:
 
 def _run_bounds_table(ctx: _Ctx):
     p = ctx.params
+    ctx.header = ("table", "n", "lambda", "r", "mu", "p", "branch",
+                  "log_value", "value")
     rows = []
     for n in p["n_values"]:
         for lam in p["lambda_values"]:
@@ -430,20 +436,18 @@ def _run_bounds_table(ctx: _Ctx):
                         b = bounds.lambda_lp_at_mu(n, lam, r, mu, pv)
                         rows.append(["at-mu", n, lam, r, mu,
                                      _fmt(pv), b.branch, b.log_value,
-                                     b.value, "ok"])
+                                     b.value])
                     if p["include_max_table"]:
                         b = bounds.max_local_bound(n, lam, r, pv)
                         rows.append(["max", n, lam, r, b.mu, _fmt(pv),
-                                     b.branch, b.log_value, b.value, "ok"])
+                                     b.branch, b.log_value, b.value])
     _bounds_identities(ctx)
-    header = ("table", "n", "lambda", "r", "mu", "p", "branch",
-              "log_value", "value", "status")
-    return header, rows
+    return rows
 
 
 def _bounds_identities(ctx: _Ctx) -> None:
     p = ctx.params
-    tol = p["tol_identity"] * ctx.scale
+    tol = p["tol_identity"]
     kink_dev = 0.0
     for n in p["n_values"]:
         pc = bounds.sogge_kink(n)
@@ -517,13 +521,15 @@ def _bounds_identities(ctx: _Ctx) -> None:
             slope = (b.log_value - a.log_value) / (math.log(mb)
                                                    - math.log(ma))
             slope_dev = max(slope_dev, abs(slope + 0.25))
-    ctx.check("quarter-power-mu-slope", slope_dev, p["tol_slope"] * ctx.scale)
+    ctx.check("quarter-power-mu-slope", slope_dev, p["tol_slope"])
 
 
 # -------------------------------------------------------------- construct
 
 def _run_construct(ctx: _Ctx):
     p = ctx.params
+    ctx.header = ("n", "N", "lambda", "j", "delta", "set_size", "bin_index",
+                  "bin_fraction", "target", "measured", "amp_ratio")
 
     def cell(level: int):
         delta = bounds.tube_delta(p["delta"], p["n"], level, p["j"])
@@ -533,27 +539,24 @@ def _run_construct(ctx: _Ctx):
         return [[p["n"], level, rep.tube.lam, p["j"], delta,
                  len(rep.eigenfunction.indices), rep.bin_index,
                  rep.bin_fraction, rep.target_amplitude, median,
-                 median / rep.target_amplitude, "ok"]]
+                 median / rep.target_amplitude]]
 
-    header = ("n", "N", "lambda", "j", "delta", "set_size", "bin_index",
-              "bin_fraction", "target", "measured", "amp_ratio", "status")
-    rows = _collect(ctx, cell, list(p["levels"]), header)
-    oks = [row for row in rows if row[-1] == "ok"]
+    oks = _collect(ctx, cell, list(p["levels"]))
     if oks:
         ctx.check("bin-fraction-pigeonhole", min(row[7] for row in oks),
                   1.0 / p["m_bins"], op=">=")
         ratios = [row[10] for row in oks]
-        ctx.check("amplitude-ratio-low", min(ratios),
-                  p["amp_ratio_min"] / ctx.scale, op=">=")
-        ctx.check("amplitude-ratio-high", max(ratios),
-                  p["amp_ratio_max"] * ctx.scale)
-    return header, rows
+        ctx.check("amplitude-ratio-low", min(ratios), p["amp_ratio_min"],
+                  op=">=")
+        ctx.check("amplitude-ratio-high", max(ratios), p["amp_ratio_max"])
+    return []
 
 
 # --------------------------------------------------------------- saturate
 
 def _run_saturate(ctx: _Ctx):
     p = ctx.params
+    ctx.header = SATURATE_HEADER[:-1]
 
     def cell(args):
         case_idx, level = args
@@ -566,8 +569,7 @@ def _run_saturate(ctx: _Ctx):
         if case["kind"] != "random":
             rep = construct.build_concentrated(n, level, tube.j, tube.delta)
             ratio = construct.saturation_ratio(rep, nu, r, p_norm)
-            return [[case["kind"], *geometry, ratio * bound, bound, ratio,
-                     "ok"]]
+            return [[case["kind"], *geometry, ratio * bound, bound, ratio]]
         # one evaluator per level: every draw reuses its two axis tables
         e = spectral.DenseEigenfunction2D(level, np.zeros(level + 1))
         rows = []
@@ -579,62 +581,60 @@ def _run_saturate(ctx: _Ctx):
             measured = construct.ball_lp_norm(e, nu, r, p_norm,
                                               tube.half_width)
             rows.append([f"random-{i}", *geometry, measured, bound,
-                         measured / bound, "ok"])
+                         measured / bound])
         return rows
 
-    rows, sweep_ratios = [], []
+    all_ratios, sweep_ratios = [], []
     for case_idx, case in enumerate(p["cases"]):
-        case_rows = _collect(ctx, cell, [(case_idx, level)
-                                         for level in case["levels"]],
-                             SATURATE_HEADER)
-        rows += case_rows
-        series = [(row[3], row[11]) for row in case_rows if row[-1] == "ok"]
-        if case["kind"] == "random" or not series:
+        oks = _collect(ctx, cell, [(case_idx, level)
+                                   for level in case["levels"]])
+        ratios = [row[11] for row in oks]
+        all_ratios += ratios
+        if case["kind"] == "random" or not ratios:
             continue
-        ratios = [s[1] for s in series]
-        sweep_ratios.extend(ratios)
+        sweep_ratios += ratios
         tag = f"{case['kind']}-{case_idx}"
         ctx.check(f"band-ratio-{tag}", max(ratios) / min(ratios),
-                  p["band_limit"] * ctx.scale)
-        if len(series) >= 2:
-            slope = _slope([s[0] for s in series], ratios)
+                  p["band_limit"])
+        if len(ratios) >= 2:
+            slope = _slope([row[3] for row in oks], ratios)
             ctx.metrics[f"slope_{tag}"] = slope
-            ctx.check(f"trend-slope-{tag}", abs(slope),
-                      p["slope_limit"] * ctx.scale)
+            ctx.check(f"trend-slope-{tag}", abs(slope), p["slope_limit"])
 
-    all_ratios = [row[11] for row in rows if row[-1] == "ok"]
     if all_ratios:
         ctx.metrics["c_upper"] = p["upper_bound"]
         ctx.metrics["max_ratio"] = max(all_ratios)
-        ctx.check("upper-bound", max(all_ratios),
-                  p["upper_bound"] * ctx.scale)
-    if sweep_ratios and all_ratios:
+        ctx.check("upper-bound", max(all_ratios), p["upper_bound"])
+    if sweep_ratios:
         med = float(np.median(sweep_ratios))
         ctx.metrics["sweep_median"] = med
-        ctx.check("median-factor", max(all_ratios),
-                  p["median_factor"] * med * ctx.scale)
-    return SATURATE_HEADER, rows
+        ctx.check("median-factor", max(all_ratios), p["median_factor"] * med)
+    return []
 
 
 # ------------------------------------------------------- failure handling
 
-def _collect(ctx: _Ctx, cell_fn, cells, header: tuple) -> list:
-    """Run cells, turning per-cell exceptions into error rows.
+def _collect(ctx: _Ctx, cell_fn, cells) -> list:
+    """Run cells in order, adding their rows to ``ctx.rows`` with a status.
 
-    Each cell returns its list of rows.  A cell that raises leaves a
-    single row as wide as ``header``, empty but for the status column, and
-    a ``computational_failures`` entry labelled with the cell; the run
-    continues.  Returns the rows of all cells in cell order.
+    Each cell returns its list of rows, without a status; each row gets
+    ``"ok"``.  A cell that raises leaves a single row as wide as
+    ``ctx.header``, empty but for ``error: ...`` in the status column, and
+    a ``computational_failures`` entry labelled ``str(args)``; the run
+    continues.  Returns the rows of the cells that succeeded, in order.
     """
-    rows = []
+    done = []
     for args in cells:
         try:
-            rows += cell_fn(args)
+            rows = cell_fn(args)
         except Exception as exc:  # recorded, run continues
             err = f"{type(exc).__name__}: {exc}"
             ctx.failures.append({"cell": str(args), "error": err})
-            rows.append([""] * (len(header) - 1) + [f"error: {err}"])
-    return rows
+            ctx.rows.append([""] * len(ctx.header) + [f"error: {err}"])
+            continue
+        ctx.rows += [row + ["ok"] for row in rows]
+        done += rows
+    return done
 
 
 _RUNNERS = {
@@ -664,26 +664,25 @@ def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
 
     Keyword overrides take precedence over the config's own values and obey
     the rules of its entries: a bad one raises ConfigError before anything
-    runs or is written.  Returns a RunResult whose exit_code is 0 (all
-    assertions passed), 1 (an assertion failed), or 3 (a cell-level
-    computational failure occurred).
+    runs or is written.  The experiment is one ``_collect`` cell that
+    returns the rows it made outside its own cells.  Returns a RunResult
+    whose exit_code is 0 (all assertions passed), 1 (an assertion failed),
+    or 3 (a computational failure, in a cell or outside one, occurred).
     """
     check_overrides({"seed": seed, "tolerance_scale": tolerance_scale})
     started = time.perf_counter()
     stamp = datetime.now(timezone.utc).isoformat()
-    ctx = _Ctx(
-        params=config.parameters,
-        seed=config.seed if seed is None else seed,
-        scale=(config.tolerance_scale if tolerance_scale is None
-               else tolerance_scale),
-    )
-    header, rows = _RUNNERS[config.experiment](ctx)
+    ctx = _Ctx(params=config.parameters,
+               seed=config.seed if seed is None else seed,
+               scale=(config.tolerance_scale if tolerance_scale is None
+                      else tolerance_scale))
+    _collect(ctx, lambda name: _RUNNERS[name](ctx), [config.experiment])
 
     out = Path(out_dir if out_dir is not None
                else (config.out or f"runs/{config.experiment}"))
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, ctx.header + ("status",), ctx.rows)
 
     passed = all(a.passed for a in ctx.assertions)
     exit_code = 3 if ctx.failures else (0 if passed else 1)
@@ -691,7 +690,7 @@ def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
         "experiment": config.experiment,
         "seed": ctx.seed,
         "tolerance_scale": ctx.scale,
-        "row_count": len(rows),
+        "row_count": len(ctx.rows),
         "assertions": [vars(a) for a in ctx.assertions],
         "metrics": ctx.metrics,
         "computational_failures": ctx.failures,

@@ -7,6 +7,7 @@ echo of them), and records a one-line verdict that the terminal summary
 echoes after the run.
 """
 
+import csv
 import time
 from pathlib import Path
 
@@ -22,7 +23,14 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def run_config(name, out_dir):
     t0 = time.perf_counter()
     result = run(load_config(CONFIGS / name), out_dir=out_dir)
-    return result, time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    # every shipped config writes a full, failure-free results.csv
+    with open(result.csv_path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header[-1] == "status", header
+    assert all(len(row) == len(header) for row in rows)
+    assert all(row[-1] == "ok" for row in rows)
+    return result, elapsed
 
 
 def named(result):

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import hermlp
-from hermlp import cli, construct, hermite, spectral
+from hermlp import (bounds, cli, construct, hermite, mehler, phase, runner,
+                    spectral, stationary)
 from hermlp.config import ConfigError, load_config, parse_config
-from hermlp.runner import SATURATE_HEADER, emit_plot_data, run
+from hermlp.runner import SATURATE_HEADER, _Ctx, emit_plot_data, run
 
 
 def violations_of(data):
@@ -141,6 +142,15 @@ class TestConfigSchema:
         assert any("exceeds the smallest eigenvalue 1000.0" in m for m in got)
         assert any("below the mu floor" in m for m in got)
 
+    def test_max_table_needs_n_at_least_2(self):
+        got = violations_of({"experiment": "bounds-table", "parameters": {
+            "n_values": [2, 1], "lambda_values": [1000.0]}})
+        assert got == ("parameters.n_values[1]: the max table is stated for "
+                       "n >= 2 (got 1); set include_max_table to false",)
+        cfg = parse_config({"experiment": "bounds-table", "parameters": {
+            "n_values": [1], "include_max_table": False}})
+        assert cfg.parameters["n_values"] == [1]
+
     def test_infinite_p_spelled_as_string(self):
         cfg = parse_config({"experiment": "bounds-table", "parameters": {
             "p_values": [2, "inf"]}})
@@ -220,6 +230,34 @@ class TestConfigSchema:
 EVAL_SMALL = {"experiment": "eval", "parameters": {
     "k_max_ortho": 40, "k_max_eigen": 80, "quad_points": 64,
     "eigen_samples": 4}}
+
+SPHASE_CONSISTENCY = {"experiment": "sphase-check", "parameters": {
+    "lambda_values": [100.0, 215.443469003188],
+    "consistency_r_values": [101, 201, 401]}}
+
+# One small config per experiment, kernel-compare in both modes, and a
+# library call made inside one of its cells.  eval, sphase-check and
+# bounds-table have no cells of their own: the experiment is its one cell.
+CONTAINED = {
+    "eval": (EVAL_SMALL, hermite, "hermite_on_grids"),
+    "kernel-cross": ({"experiment": "kernel-compare", "parameters": {
+        "r_values": [21], "pair_count": 3}}, mehler, "kernel_oscillatory"),
+    "kernel-bound": ({"experiment": "kernel-compare", "parameters": {
+        "mode": "bound-check", "r_values": [102, 202], "mu_values": [0.2],
+        "sample_count": 4}}, mehler, "kernel_bound_check"),
+    "sphase-check": (SPHASE_CONSISTENCY, stationary, "expand_from_series"),
+    "phase-identities": ({"experiment": "phase-identities", "parameters": {
+        "sample_count": 400, "dims": [2, 3], "hessian_samples": 4}},
+        phase, "mixed_hessian"),
+    "bounds-table": ({"experiment": "bounds-table"}, bounds,
+                     "max_local_bound"),
+    "construct": ({"experiment": "construct", "parameters": {
+        "levels": [100, 200]}}, construct, "build_concentrated"),
+    "saturate": ({"experiment": "saturate", "parameters": {
+        "cases": [{"kind": "case2", "levels": [100, 200]},
+                  {"kind": "random", "levels": [50], "per_level": 2}]}},
+        bounds, "saturate_cell"),
+}
 
 SATURATE_MINI = {"experiment": "saturate", "parameters": {
     "slope_limit": 0.25,
@@ -457,6 +495,86 @@ class TestRunnerArtifacts:
         assert [f["cell"] for f in failures] == ["200", "400"]
         assert res.summary["passed"] is False
 
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("op, limit, scaled", [
+        ("<=", 0.4, {0.5: 0.2, 1.0: 0.4, 2.0: 0.8}),
+        ("<=", -0.4, {0.5: -0.8, 1.0: -0.4, 2.0: -0.2}),
+        (">=", 0.4, {0.5: 0.8, 1.0: 0.4, 2.0: 0.2}),
+        (">=", -0.4, {0.5: -0.2, 1.0: -0.4, 2.0: -0.8})])
+    def test_check_moves_limits_to_the_passing_side(self, scale, op, limit,
+                                                    scaled):
+        # a scale above 1 moves every limit toward the side where the check
+        # passes, whatever its sign; a scale below 1 moves it away
+        ctx = _Ctx(params={}, seed=0, scale=scale)
+        ctx.check("gate", limit, limit, op)
+        (a,) = ctx.assertions
+        assert (a.name, a.observed, a.limit, a.op) == (
+            "gate", limit, scaled[scale], op)
+        assert a.passed == (scale >= 1.0)
+
+    def test_tolerance_scale_loosens_negative_ceilings(self, tmp_path):
+        # the consistency slope's ceiling is negative: a large scale moves
+        # it toward zero, so the run that passes at 1 passes at 1000 too
+        for scale in (1.0, 1000.0):
+            res = run(parse_config(SPHASE_CONSISTENCY),
+                      out_dir=tmp_path / str(scale), tolerance_scale=scale)
+            assert res.exit_code == 0
+            gate = by_name(res)["kernel-consistency-slope"]
+            assert gate.limit == -0.4 / scale and gate.passed
+            assert by_name(res)["remainder-slope-m2"].limit == -1.7 / scale
+
+    def test_crash_outside_cells_writes_every_artifact(self, tmp_path):
+        # the second radius needs more Mehler panels than the cap allows;
+        # the failure is the experiment's, recorded after its first gates
+        cfg = parse_config({"experiment": "sphase-check", "parameters": {
+            "lambda_values": [100.0, 215.443469003188],
+            "consistency_r_values": [101, 100000001]}})
+        res = run(cfg, out_dir=tmp_path)
+        assert res.exit_code == 3
+        for path in (res.csv_path, res.summary_path, res.manifest_path):
+            assert path.is_file()
+        header, rows = read_csv(res.csv_path)
+        assert header == ("check", "order", "lambda", "value", "status")
+        assert len(rows) == 1 and set(rows[0][:-1]) == {""}
+        assert rows[0][-1].startswith("error: TailConvergenceError: ")
+        (failure,) = res.summary["computational_failures"]
+        assert failure["cell"] == "sphase-check"
+        assert [a.name for a in res.assertions] == [
+            "remainder-slope-m1", "remainder-slope-m2", "gaussian-exactness"]
+        assert res.summary["row_count"] == 1
+
+    @pytest.mark.parametrize("where", ["in-cell", "outside"])
+    @pytest.mark.parametrize("name", sorted(CONTAINED))
+    def test_every_experiment_contains_crashes(self, tmp_path, monkeypatch,
+                                               name, where):
+        data, module, attr = CONTAINED[name]
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        if where == "in-cell":
+            monkeypatch.setattr(module, attr, explode)
+        else:  # the first assertion, made after the experiment's cells
+            monkeypatch.setattr(runner._Ctx, "check", explode)
+        bodies = []
+        for out in ("a", "b"):
+            res = run(parse_config(data), out_dir=tmp_path / out)
+            assert res.exit_code == 3
+            for path in (res.csv_path, res.summary_path, res.manifest_path):
+                assert path.is_file()
+            header, rows = read_csv(res.csv_path)
+            assert header[-1] == "status"
+            assert all(len(row) == len(header) for row in rows)
+            errors = [row for row in rows if row[-1] != "ok"]
+            assert errors and all(
+                row[-1] == "error: RuntimeError: boom" for row in errors)
+            failures = res.summary["computational_failures"]
+            assert len(failures) == len(errors)
+            if where == "outside":
+                assert failures[-1]["cell"] == data["experiment"]
+            bodies.append((res.csv_path.read_bytes(),
+                           res.summary_path.read_bytes()))
+        assert bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("per_level", [1, 4])
     def test_random_level_builds_axis_tables_once(self, monkeypatch, tmp_path,
@@ -816,6 +934,23 @@ class TestCommandLine:
                          "--param", "zz=1"])
         assert code == 2
         assert "rho-sigma.zz: unknown entry" in capsys.readouterr().err
+
+    def test_max_table_for_n_1_exits_2(self, tmp_path, capsys):
+        params = {"n_values": [1, 2], "lambda_values": [1000.0]}
+        path = write_json(tmp_path, {"experiment": "bounds-table",
+                                     "parameters": params})
+        out = tmp_path / "out"
+        code = cli.main(["bounds-table", "--config", path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "parameters.n_values[0]" in err
+        assert "set include_max_table to false" in err
+        assert not out.exists()
+        path = write_json(tmp_path, {"experiment": "bounds-table",
+                                     "parameters": {"n_values": [1],
+                                                    "include_max_table": False}})
+        assert cli.main(["bounds-table", "--config", path,
+                         "--out", str(out)]) == 0
 
     def test_crash_outside_cells_exits_3(self, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):
