@@ -7,7 +7,8 @@ beats 0), so CI can gate on this script alone.  --quick skips the one
 long-running sweep.  --compare DIR then byte-compares each config's
 results.csv and summary.json with DIR/<config>/ (the output root of an
 earlier run, say of another commit), prints the files that differ and
-exits 1 on any difference.
+exits 1 on any difference.  An --only name that matches no config exits 2
+before anything runs.  Each computational failure is printed to stderr.
 """
 
 import argparse
@@ -37,6 +38,11 @@ def main() -> int:
     args = ap.parse_args()
 
     paths = sorted(args.configs_dir.glob("*.json"))
+    unknown = sorted(set(args.only) - {p.stem for p in paths})
+    if unknown:
+        print(f"no config named {', '.join(unknown)} in {args.configs_dir}",
+              file=sys.stderr)
+        return 2
     if args.only:
         paths = [p for p in paths if p.stem in args.only]
     if not paths:
@@ -64,6 +70,9 @@ def main() -> int:
             mark = "PASS" if a.passed else "FAIL"
             print(f"{path.stem}: {mark} {a.name}: "
                   f"{a.observed:.6g} {a.op} {a.limit:.6g}")
+        for item in result.summary["computational_failures"]:
+            print(f"{path.stem}: ERROR cell {item['cell']}: {item['error']}",
+                  file=sys.stderr)
         worst = max(worst, result.exit_code)
         verdict = {0: "pass", 1: "ASSERTION FAIL"}.get(
             result.exit_code, "COMPUTE FAIL")

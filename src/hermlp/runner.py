@@ -13,13 +13,14 @@ bodies (cells run in grid order, and every random draw is keyed by cell
 position).  The manifest carries timestamps and is the one artifact
 excluded from that guarantee.
 
-``_collect`` is the one failure path: it runs cells, writes the status
-column, and records a computational failure (a quadrature that cannot
-converge, an infeasible tube) in place of the cell's rows: one row, empty
-but for the error in its status column.  The run continues and writes all
-three artifacts.  An experiment is itself one cell, labelled with its
-name, so a failure outside its own cells is contained too.  Any failure
-forces exit code 3; failed assertions alone give 1.
+``_collect`` is the one row path and the one failure path: a cell returns
+or yields its rows, and ``_collect`` writes each with its status column as
+it arrives.  A computational failure (a quadrature that cannot converge,
+an infeasible tube) follows the rows the cell gave before it as one row,
+empty but for the error in its status column.  The run continues and
+writes all three artifacts.  An experiment is itself one cell, labelled
+with its name, so a failure outside its own cells is contained too.  Any
+failure forces exit code 3; failed assertions alone give 1.
 
 ``tolerance_scale`` loosens every assertion limit, in ``_Ctx.check``
 alone: a positive ceiling or a negative floor is multiplied by it, a
@@ -134,7 +135,6 @@ def _slope(xs, ys) -> float:
 def _run_eval(ctx: _Ctx):
     p = ctx.params
     ctx.header = ("check", "k", "value")
-    rows: list = []
 
     # The eigensolve and the product are too small for a second BLAS
     # thread to pay; it would only spin on through the next config.
@@ -145,7 +145,7 @@ def _run_eval(ctx: _Ctx):
         gram = (table * (weights * np.exp(nodes * nodes))) @ table.T
     dev = np.abs(gram - np.eye(p["k_max_ortho"] + 1))
     for k in range(p["k_max_ortho"] + 1):
-        rows.append(["orthonormality", k, float(dev[k].max())])
+        yield ["orthonormality", k, float(dev[k].max())]
     ctx.check("orthonormality-deviation", float(dev.max()), p["tol_ortho"])
 
     # Five-point second differences; the step balances the h^4 truncation
@@ -177,11 +177,10 @@ def _run_eval(ctx: _Ctx):
     residuals = [eigen_residual(k, *cell, v[0])
                  for k, cell, v in zip(ks, cells, values)]
     for k, res in zip(ks, residuals):
-        rows.append(["eigen-equation", k, res])
+        yield ["eigen-equation", k, res]
     ctx.check("eigen-equation-residual", max(residuals), p["tol_eigen"])
     ctx.metrics["orthonormality_max"] = float(dev.max())
     ctx.metrics["eigen_residual_max"] = max(residuals)
-    return rows
 
 
 # --------------------------------------------------------- kernel-compare
@@ -225,7 +224,6 @@ def _kernel_cross_mode(ctx: _Ctx):
                   max(row[5] for row in oks), p["tol_rel"])
         ctx.check("cross-validation-imag-residual",
                   max(row[6] for row in oks), p["tol_imag"])
-    return []
 
 
 def _kernel_bound_mode(ctx: _Ctx):
@@ -257,7 +255,6 @@ def _kernel_bound_mode(ctx: _Ctx):
             ctx.check(f"bound-check-growth-slope-mu-{mu}", abs(slope),
                       p["slope_limit"])
             ctx.metrics[f"slope_mu_{mu}"] = slope
-    return []
 
 
 # ----------------------------------------------------------- sphase-check
@@ -282,14 +279,13 @@ def _run_sphase(ctx: _Ctx):
             panels=max(300, int(3 * lam)), nodes=16)
 
     refs = [reference(lam) for lam in p["lambda_values"]]
-    rows = []
     margins = {1: p["slope_margin_m1"], 2: p["slope_margin_m2"]}
     for m in p["orders"]:
         exp_m = stationary.expand_from_series(phase_series, amp_series, m)
         errs = [abs(exp_m.evaluate(lam) - ref)
                 for lam, ref in zip(p["lambda_values"], refs)]
         for lam, err in zip(p["lambda_values"], errs):
-            rows.append(["remainder", m, lam, err])
+            yield ["remainder", m, lam, err]
         slope = _slope(p["lambda_values"], errs)
         ctx.metrics[f"remainder_slope_m{m}"] = slope
         ctx.check(f"remainder-slope-m{m}", slope, -(m - margins[m]))
@@ -310,7 +306,7 @@ def _run_sphase(ctx: _Ctx):
             want = amp0 * math.sqrt(2.0 * math.pi / (lam * abs(curv))) * \
                 np.exp(1j * (lam * ph0 + math.copysign(math.pi / 4.0, curv)))
             exact_err = max(exact_err, abs(lead - want) / abs(want))
-        rows.append(["gaussian-exactness", 1, lam, exact_err])
+        yield ["gaussian-exactness", 1, lam, exact_err]
     ctx.check("gaussian-exactness", exact_err, p["gaussian_tol"])
 
     if p["consistency_r_values"]:
@@ -318,11 +314,10 @@ def _run_sphase(ctx: _Ctx):
         slope, residuals = mehler.stationary_consistency(
             np.array([sx]), np.array([sy]), p["consistency_r_values"])
         for r, res in zip(p["consistency_r_values"], residuals):
-            rows.append(["kernel-consistency", 0, float(r), res])
+            yield ["kernel-consistency", 0, float(r), res]
         ctx.metrics["kernel_consistency_slope"] = slope
         ctx.check("kernel-consistency-slope", slope,
                   p["consistency_slope_limit"])
-    return rows
 
 
 # ------------------------------------------------------- phase-identities
@@ -394,7 +389,6 @@ def _run_phase_identities(ctx: _Ctx):
 
     for check, n, _, worst, tol in _collect(ctx, cell, list(enumerate(dims))):
         ctx.check(f"{check}-n{n}", worst, tol)
-    return []
 
 
 def _fd_mixed_hessian(x, y, kind: str, n: int) -> np.ndarray:
@@ -427,22 +421,19 @@ def _run_bounds_table(ctx: _Ctx):
     p = ctx.params
     ctx.header = ("table", "n", "lambda", "r", "mu", "p", "branch",
                   "log_value", "value")
-    rows = []
     for n in p["n_values"]:
         for lam in p["lambda_values"]:
             for r in p["r_values"]:
                 for pv in p["p_values"]:
                     for mu in p["mu_values"]:
                         b = bounds.lambda_lp_at_mu(n, lam, r, mu, pv)
-                        rows.append(["at-mu", n, lam, r, mu,
-                                     _fmt(pv), b.branch, b.log_value,
-                                     b.value])
+                        yield ["at-mu", n, lam, r, mu, _fmt(pv),
+                               b.branch, b.log_value, b.value]
                     if p["include_max_table"]:
                         b = bounds.max_local_bound(n, lam, r, pv)
-                        rows.append(["max", n, lam, r, b.mu, _fmt(pv),
-                                     b.branch, b.log_value, b.value])
+                        yield ["max", n, lam, r, b.mu, _fmt(pv),
+                               b.branch, b.log_value, b.value]
     _bounds_identities(ctx)
-    return rows
 
 
 def _bounds_identities(ctx: _Ctx) -> None:
@@ -549,7 +540,6 @@ def _run_construct(ctx: _Ctx):
         ctx.check("amplitude-ratio-low", min(ratios), p["amp_ratio_min"],
                   op=">=")
         ctx.check("amplitude-ratio-high", max(ratios), p["amp_ratio_max"])
-    return []
 
 
 # --------------------------------------------------------------- saturate
@@ -609,7 +599,6 @@ def _run_saturate(ctx: _Ctx):
         med = float(np.median(sweep_ratios))
         ctx.metrics["sweep_median"] = med
         ctx.check("median-factor", max(all_ratios), p["median_factor"] * med)
-    return []
 
 
 # ------------------------------------------------------- failure handling
@@ -617,23 +606,23 @@ def _run_saturate(ctx: _Ctx):
 def _collect(ctx: _Ctx, cell_fn, cells) -> list:
     """Run cells in order, adding their rows to ``ctx.rows`` with a status.
 
-    Each cell returns its list of rows, without a status; each row gets
-    ``"ok"``.  A cell that raises leaves a single row as wide as
-    ``ctx.header``, empty but for ``error: ...`` in the status column, and
-    a ``computational_failures`` entry labelled ``str(args)``; the run
-    continues.  Returns the rows of the cells that succeeded, in order.
+    Each cell returns or yields its rows, without a status; each row gets
+    ``"ok"`` as it arrives.  A cell that raises keeps the rows it gave
+    before the failure, then leaves one row as wide as ``ctx.header``,
+    empty but for ``error: ...`` in the status column, and a
+    ``computational_failures`` entry labelled ``str(args)``; the run
+    continues.  Returns every row that got ``"ok"``, in order.
     """
     done = []
     for args in cells:
         try:
-            rows = cell_fn(args)
+            for row in cell_fn(args):
+                ctx.rows.append(row + ["ok"])
+                done.append(row)
         except Exception as exc:  # recorded, run continues
             err = f"{type(exc).__name__}: {exc}"
             ctx.failures.append({"cell": str(args), "error": err})
             ctx.rows.append([""] * len(ctx.header) + [f"error: {err}"])
-            continue
-        ctx.rows += [row + ["ok"] for row in rows]
-        done += rows
     return done
 
 
@@ -665,7 +654,7 @@ def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
     Keyword overrides take precedence over the config's own values and obey
     the rules of its entries: a bad one raises ConfigError before anything
     runs or is written.  The experiment is one ``_collect`` cell that
-    returns the rows it made outside its own cells.  Returns a RunResult
+    yields the rows it makes outside its own cells.  Returns a RunResult
     whose exit_code is 0 (all assertions passed), 1 (an assertion failed),
     or 3 (a computational failure, in a cell or outside one, occurred).
     """
@@ -676,7 +665,8 @@ def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
                seed=config.seed if seed is None else seed,
                scale=(config.tolerance_scale if tolerance_scale is None
                       else tolerance_scale))
-    _collect(ctx, lambda name: _RUNNERS[name](ctx), [config.experiment])
+    _collect(ctx, lambda name: _RUNNERS[name](ctx) or (),
+             [config.experiment])
 
     out = Path(out_dir if out_dir is not None
                else (config.out or f"runs/{config.experiment}"))

@@ -30,6 +30,7 @@ def run_config(name, out_dir):
     assert header[-1] == "status", header
     assert all(len(row) == len(header) for row in rows)
     assert all(row[-1] == "ok" for row in rows)
+    assert result.summary["row_count"] == len(rows)
     return result, elapsed
 
 

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import hermlp
-from hermlp import (bounds, cli, construct, hermite, mehler, phase, spectral,
-                    stationary)
+from hermlp import (bounds, cli, construct, hermite, mehler, phase, runner,
+                    spectral, stationary)
 from hermlp.config import ConfigError, load_config, parse_config
 from hermlp.runner import SATURATE_HEADER, _Ctx, emit_plot_data, run
 
@@ -254,6 +254,32 @@ CONTAINED = {
         "cases": [{"kind": "case2", "levels": [100, 200]},
                   {"kind": "random", "levels": [50], "per_level": 2}]}},
         bounds, "saturate_cell"),
+}
+
+# An experiment whose last stage fails: the library call patched to raise
+# (None: the config alone fails), a config that makes the same earlier rows
+# and then succeeds, the check column of those rows, the assertions made
+# before the failure, and the error that fails it.
+SPHASE_SMALL = {"experiment": "sphase-check", "parameters": {
+    "lambda_values": [100.0, 215.443469003188]}}
+EVAL_TINY = {"experiment": "eval", "parameters": {
+    "k_max_ortho": 20, "k_max_eigen": 40, "quad_points": 64,
+    "eigen_samples": 4}}
+LATE_FAILURES = {
+    "eval": (EVAL_TINY, (hermite, "hermite_on_grids"), EVAL_TINY,
+             ["orthonormality"] * 21, ["orthonormality-deviation"],
+             "RuntimeError: boom"),
+    "sphase-check": (
+        {"experiment": "sphase-check", "parameters": {
+            **SPHASE_SMALL["parameters"],
+            "consistency_r_values": [101, 100000001]}},
+        None, SPHASE_SMALL, ["remainder"] * 4 + ["gaussian-exactness"] * 2,
+        ["remainder-slope-m1", "remainder-slope-m2", "gaussian-exactness"],
+        "TailConvergenceError: "),
+    "bounds-table": (
+        {"experiment": "bounds-table"}, (runner, "_bounds_identities"),
+        {"experiment": "bounds-table"}, (["at-mu"] * 4 + ["max"]) * 20, [],
+        "RuntimeError: boom"),
 }
 
 SATURATE_MINI = {"experiment": "saturate", "parameters": {
@@ -532,13 +558,40 @@ class TestRunnerArtifacts:
             assert path.is_file()
         header, rows = read_csv(res.csv_path)
         assert header == ("check", "order", "lambda", "value", "status")
-        assert len(rows) == 1 and set(rows[0][:-1]) == {""}
-        assert rows[0][-1].startswith("error: TailConvergenceError: ")
+        # the rows made before the failure stay, in order, then its error
+        assert [(row[0], row[-1]) for row in rows[:-1]] == (
+            [("remainder", "ok")] * 4 + [("gaussian-exactness", "ok")] * 2)
+        assert set(rows[-1][:-1]) == {""}
+        assert rows[-1][-1].startswith("error: TailConvergenceError: ")
         (failure,) = res.summary["computational_failures"]
         assert failure["cell"] == "sphase-check"
         assert [a.name for a in res.assertions] == [
             "remainder-slope-m1", "remainder-slope-m2", "gaussian-exactness"]
-        assert res.summary["row_count"] == 1
+        assert res.summary["row_count"] == 7
+
+    @pytest.mark.parametrize("name", sorted(LATE_FAILURES))
+    def test_rows_survive_a_late_failure(self, tmp_path, monkeypatch, name):
+        data, patch, clean, checks, names, error = LATE_FAILURES[name]
+        _, want = read_csv(run(parse_config(clean),
+                               out_dir=tmp_path / "clean").csv_path)
+        want = want[:len(checks)]
+        assert [row[0] for row in want] == checks
+        if patch is not None:
+            def explode(*args, **kwargs):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(*patch, explode)
+        res = run(parse_config(data), out_dir=tmp_path / "late")
+        assert res.exit_code == 3
+        header, rows = read_csv(res.csv_path)
+        # every row made before the failure, in order, then its one error
+        assert rows[:-1] == want and all(row[-1] == "ok" for row in want)
+        assert set(rows[-1][:-1]) == {""}
+        assert rows[-1][-1].startswith(f"error: {error}")
+        assert [f["cell"] for f in res.summary["computational_failures"]] == [
+            data["experiment"]]
+        assert res.summary["row_count"] == len(rows)
+        assert [a.name for a in res.assertions] == names
 
     @pytest.mark.parametrize("where", ["in-cell", "outside"])
     @pytest.mark.parametrize("name", sorted(CONTAINED))
@@ -1027,6 +1080,34 @@ class TestCommandLine:
         for name in ("bounds-table", "determinism"):
             for artifact in ("results.csv", "summary.json", "manifest.json"):
                 assert (tmp_path / name / artifact).is_file()
+
+    def test_run_all_configs_refuses_unknown_names(self, tmp_path):
+        # a misspelled name next to a good one would silently shrink a
+        # --compare gate to the configs that matched
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        done = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "run_all_configs.py"),
+             "--only", "bounds-table", "--only", "hermite-evall",
+             "--only", "nope", "--out-root", str(tmp_path)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert "no config named hermite-evall, nope in " in done.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_all_configs_prints_failures(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        write_json(configs, LATE_FAILURES["sphase-check"][0], "large-r.json")
+        done = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "run_all_configs.py"),
+             "--configs-dir", str(configs), "--out-root", str(tmp_path)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 3
+        assert ("large-r: ERROR cell sphase-check: TailConvergenceError: "
+                in done.stderr)
 
     def test_run_all_configs_compare(self, tmp_path):
         repo = Path(__file__).resolve().parents[1]
