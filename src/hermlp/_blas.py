@@ -1,9 +1,9 @@
 """Scope OpenBLAS to one thread, and reach its LAPACK ``dsterf``.
 
-The BLAS calls outside the dense tile product (the Gauss-Hermite
-eigensolve and the Gauss-Legendre fallback one, the recurrence's norm
-pre-test, the ``eval`` Gram product) are too small for a second thread
-to pay: it saves little or no wall time and spins on after each call, so
+The BLAS calls other than eigenfunction tile products of 64 terms or
+more (the tile products of fewer terms, the Gauss-Hermite eigensolve and
+the Gauss-Legendre fallback one, the recurrence's norm pre-test, the
+``eval`` Gram product) are too small for a second thread to pay: it saves little or no wall time and spins on after each call, so
 a pass costs more CPU than wall time.  Their bits do not depend on the
 thread count, so running them on one thread changes no output.
 

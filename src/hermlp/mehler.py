@@ -40,7 +40,7 @@ WINDOW_END = 3.0 * math.pi / 8.0
 FLAT_END = math.pi / 8.0
 _MAX_LEVELS = 80  # dyadic levels one window integral descends at most
 _PANEL_CAP = 200_000  # Gauss-Legendre panels allowed on one level
-_CONSISTENCY_TOL = 1e-9  # quadrature tolerance of stationary_consistency
+_CONSISTENCY_TOL = 1e-9  # quadrature tolerance of consistency_residual
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -434,26 +434,19 @@ def kernel_bound_check(n: int, r: int,
     )
 
 
-def stationary_consistency(x, y, r_values):
-    """Gap between quadrature and leading model across an eigenvalue sweep.
+def consistency_residual(x, y, r) -> float:
+    """Gap between quadrature and the leading model at eigenvalue r.
 
-    Coordinates are rescaled (turning sphere at radius one) and held
-    fixed while r runs through `r_values`, so the gap isolates the
-    next-order stationary-phase corrections; returns the fitted
-    log-log slope and the per-eigenvalue residuals.  A slope near -1
-    (one extra half-power per order, squared against the leading
-    R^{-1/2}) certifies the expansion; anything at or below -0.4 rules
-    out a stalled remainder.
+    Coordinates are rescaled (turning sphere at radius one), so over an
+    eigenvalue sweep at fixed (x, y) the gap isolates the next-order
+    stationary-phase corrections.  Its log-log slope in r near -1 (one
+    extra half-power per order, squared against the leading R^{-1/2})
+    certifies the expansion; anything at or below -0.4 rules out a
+    stalled remainder.  The gap is floored at 1e-300, so its log is
+    finite.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if len(r_values) < 2:
-        raise ValueError("need at least two eigenvalues to fit a slope")
-    residuals = []
-    for r in r_values:
-        lam = math.sqrt(r)
-        quad = kernel_oscillatory(lam * x, lam * y, r, tol=_CONSISTENCY_TOL).value
-        model = kernel_stationary_model(lam * x, lam * y, r)
-        residuals.append(max(abs(quad - model), 1e-300))
-    slope = float(np.polyfit(np.log(r_values), np.log(residuals), 1)[0])
-    return slope, residuals
+    lam = math.sqrt(r)
+    x = lam * np.atleast_1d(np.asarray(x, dtype=float))
+    y = lam * np.atleast_1d(np.asarray(y, dtype=float))
+    quad = kernel_oscillatory(x, y, r, tol=_CONSISTENCY_TOL).value
+    return max(abs(quad - kernel_stationary_model(x, y, r)), 1e-300)

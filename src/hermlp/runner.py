@@ -311,10 +311,11 @@ def _run_sphase(ctx: _Ctx):
 
     if p["consistency_r_values"]:
         sx, sy = p["consistency_point"]
-        slope, residuals = mehler.stationary_consistency(
-            np.array([sx]), np.array([sy]), p["consistency_r_values"])
-        for r, res in zip(p["consistency_r_values"], residuals):
-            yield ["kernel-consistency", 0, float(r), res]
+        residuals = []
+        for r in p["consistency_r_values"]:
+            residuals.append(mehler.consistency_residual([sx], [sy], r))
+            yield ["kernel-consistency", 0, float(r), residuals[-1]]
+        slope = _slope(p["consistency_r_values"], residuals)
         ctx.metrics["kernel_consistency_slope"] = slope
         ctx.check("kernel-consistency-slope", slope,
                   p["consistency_slope_limit"])

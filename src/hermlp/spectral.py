@@ -3,18 +3,21 @@
 An eigenspace is labeled by its level N >= 0: the eigenvalue is
 lambda^2 = 2N + n with multiplicity binom(N+n-1, n-1), and a product
 basis is indexed by the multi-indices alpha with |alpha| = N.  This
-module enumerates those indices, evaluates eigenfunctions (single basis
-elements and dense coefficient combinations on tensor grids), and
-provides the exact finite-sum form of the spectral projection kernel
-used as the reference for the oscillatory-integral evaluator.
+module enumerates those indices, evaluates coefficient combinations over
+one eigenspace on tensor grids (one evaluator, :class:`Eigenfunction`,
+whose every tile is one matrix product), and provides the exact
+finite-sum form of the spectral projection kernel used as the reference
+for the oscillatory-integral evaluator.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
+from ._blas import one_thread
 from .hermite import hermite_batch, hermite_batch_grid, hermite_on_grids
 
 
@@ -95,29 +98,69 @@ def _kernel_from_table(h: np.ndarray, level: int, dim: int):
     return np.cumsum(np.concatenate([[0.0], px * py]))[-1]
 
 
-class _AxesEvaluator:
-    """Axes integrand for ``normquad.local_lp_norm``: called with one 1-D
-    node array per axis and a ``lead`` slice of the first, it returns the
-    tile on ``axes[0][lead] x axes[1] x ...``.  The tables of all axes
-    come from one recurrence over the orders ``_axis_orders`` lists per
-    axis, and the last grid's are kept, its nodes compared by value, so
-    all lead blocks of a grid, or repeated calls on it, share that one
-    recurrence.
+# Tile products of fewer terms than this run with OpenBLAS held to one
+# thread: the 2-9-term tube tiles gain nothing from a second thread, which
+# spins on after each product (it raised sweep-tube CPU time by 30-55%).
+# The random draws' products, 201 terms and more, keep OpenBLAS's own
+# threads; their last bits depend on the thread count (ROADMAP item 2).
+_ONE_THREAD_TERMS = 64
+
+
+class Eigenfunction:
+    """Coefficient combination over one eigenspace, on tensor axes.
+
+    ``e(x_0, ..., x_{n-1})`` is the tile sum_alpha c_alpha
+    prod_k f_{alpha_k}(x_k[i_k]), shape (len(x_0), ..., len(x_{n-1})).
+    It is the axes integrand of ``normquad.local_lp_norm``: called with a
+    ``lead`` slice of the first axis, it returns the tile on
+    ``x_0[lead] x x_1 x ...``.
+
+    Each axis has one Hermite table with a row per term, in term order,
+    and all of them come from one recurrence (a repeated order is stepped
+    once and copied to each term that uses it).  The tables of the last
+    grid are kept, its nodes compared by value, so all lead blocks of a
+    grid, or repeated calls on it, share that one recurrence; assigning
+    new ``coefficients`` runs none either.  A tile is one matrix product:
+    the (points of the first axes x terms) matrix of each coefficient
+    times its first-axes factors, times the last axis's table.
     """
 
     _kept = None  # (node arrays of all axes, their tables)
 
-    def _node_axes(self, axes) -> list:
-        if len(axes) != self.dim:
-            raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
-        axes = [np.asarray(a, dtype=float) for a in axes]
-        if any(a.ndim != 1 for a in axes):
-            raise ValueError("axes must be 1-D node arrays")
-        return axes
+    def __init__(self, dim: int, level: int, indices, coefficients):
+        self.dim = int(dim)
+        self.level = int(level)
+        self.indices = tuple(tuple(int(a) for a in alpha) for alpha in indices)
+        if not self.indices:
+            raise ValueError("eigenfunction needs at least one term")
+        if len(set(self.indices)) != len(self.indices):
+            raise ValueError("duplicate multi-index")
+        for alpha in self.indices:
+            if len(alpha) != self.dim:
+                raise ValueError(f"index {alpha} has wrong dimension")
+            if sum(alpha) != self.level or min(alpha) < 0:
+                raise ValueError(f"index {alpha} is not in level {self.level}")
+        self.coefficients = coefficients
+        self._axis_orders = list(zip(*self.indices))
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self._coefficients
+
+    @coefficients.setter
+    def coefficients(self, values) -> None:
+        values = np.asarray(values, dtype=float).copy()
+        if values.shape != (len(self.indices),):
+            raise ValueError("need one coefficient per index")
+        self._coefficients = values
+
+    @property
+    def eigenvalue(self) -> float:
+        return math.sqrt(2 * self.level + self.dim)
 
     def global_l2_norm(self) -> float:
         """Exact L^2(R^n) norm: the product basis is orthonormal."""
-        c = np.asarray(self.coefficients, dtype=float)
+        c = self._coefficients
         return math.sqrt(math.fsum(c * c))
 
     def _axis_tables(self, axes) -> list:
@@ -129,117 +172,39 @@ class _AxesEvaluator:
             self._kept = kept
         return kept[1]
 
-
-# Eigenfunction tiles are built in chunks of lead rows of about this many
-# elements, so each term's product and its sum into the tile stay in cache.
-# On the tiles of a sweep-tube pass, 2^15 and 2^16 were the fastest
-# (about 0.37 s against 0.69 s for whole-tile terms); 2^13 and 2^18 were
-# about 0.1 s slower.
-_TILE_CHUNK = 1 << 15
-
-
-class Eigenfunction(_AxesEvaluator):
-    """Sparse coefficient combination over one eigenspace, on tensor axes.
-
-    ``e(x_0, ..., x_{n-1})`` is the tile sum_alpha c_alpha
-    prod_k f_{alpha_k}(x_k[i_k]), shape (len(x_0), ..., len(x_{n-1})),
-    from one Hermite table per axis over the orders its indices use.
-    """
-
-    def __init__(self, dim: int, level: int, indices, coefficients):
-        self.dim = int(dim)
-        self.level = int(level)
-        self.indices = tuple(tuple(int(a) for a in alpha) for alpha in indices)
-        self.coefficients = tuple(float(c) for c in coefficients)
-        if len(self.indices) != len(self.coefficients):
-            raise ValueError("indices and coefficients differ in length")
-        if not self.indices:
-            raise ValueError("eigenfunction needs at least one term")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("duplicate multi-index")
-        for alpha in self.indices:
-            if len(alpha) != self.dim:
-                raise ValueError(f"index {alpha} has wrong dimension")
-            if sum(alpha) != self.level or min(alpha) < 0:
-                raise ValueError(f"index {alpha} is not in level {self.level}")
-        self._axis_orders = [sorted({a[k] for a in self.indices})
-                             for k in range(self.dim)]
-        self._rows = [tuple(orders.index(a) for a, orders
-                            in zip(alpha, self._axis_orders))
-                      for alpha in self.indices]
-
-    @property
-    def eigenvalue(self) -> float:
-        return math.sqrt(2 * self.level + self.dim)
-
     def __call__(self, *axes, lead=slice(None)) -> np.ndarray:
-        axes = self._node_axes(axes)
+        if len(axes) != self.dim:
+            raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if any(a.ndim != 1 for a in axes):
+            raise ValueError("axes must be 1-D node arrays")
         tables = list(self._axis_tables(axes))
         tables[0] = tables[0][:, lead]
-        acc = np.zeros((tables[0].shape[1],) + tuple(a.size for a in axes[1:]))
-        step = max(1, _TILE_CHUNK // max(1, math.prod(acc.shape[1:])))
-        buf = np.empty((min(step, len(acc)),) + acc.shape[1:])
-        for start in range(0, len(acc), step):
-            part = acc[start:start + step]
-            term = buf[:len(part)]
-            first = tables[0][:, start:start + step]
-            for rows, c in zip(self._rows, self.coefficients):
-                if self.dim == 1:
-                    np.multiply(c, first[rows[0]], out=term)
-                else:
-                    head = c * first[rows[0]]
-                    for table, row in zip(tables[1:-1], rows[1:-1]):
-                        head = head[..., None] * table[row]
-                    np.multiply(head[..., None], tables[-1][rows[-1]], out=term)
-                part += term
-        return acc
-
-
-class DenseEigenfunction2D(_AxesEvaluator):
-    """Full 2-D eigenspace combination, evaluated on tensor grids.
-
-    Coefficient a pairs f_a on the first axis with f_{N-a} on the second,
-    so ``dense(xs, ys)`` is the (len(xs), len(ys)) tile
-    sum_a c_a f_a(x_i) f_{N-a}(y_j): a Hermite table per axis, both from
-    one recurrence, and one matrix product, which is what makes dense
-    combinations at level a few thousand affordable.  The second axis's
-    table is built in the order the product reads it, row a holding
-    f_{N-a}, so the product gets a contiguous operand and no reversed
-    copy is made per call.  Assigning new ``coefficients`` and
-    evaluating on the same grid again runs no recurrence: many
-    combinations over one level share their tables.
-    """
-
-    def __init__(self, level: int, coefficients):
-        self.dim = 2
-        self.level = int(level)
-        self.coefficients = coefficients
-        self._axis_orders = [range(self.level + 1),
-                             range(self.level, -1, -1)]
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self._coefficients
-
-    @coefficients.setter
-    def coefficients(self, values) -> None:
-        values = np.asarray(values, dtype=float).copy()
-        if values.shape != (self.level + 1,):
-            raise ValueError("coefficient vector must have length level + 1")
-        self._coefficients = values
-
-    @property
-    def eigenvalue(self) -> float:
-        return math.sqrt(2 * self.level + 2)
-
-    def __call__(self, xs, ys, *, lead=slice(None)) -> np.ndarray:
-        h1, h2 = self._axis_tables(self._node_axes((xs, ys)))
-        # f_a on x pairs with row a of h2, f_{N-a} on y
-        a = (self.coefficients[:, None] * h1[:, lead]).T
-        if 1 in (len(a), h2.shape[1]):
+        *first, last = tables
+        head = self._coefficients[:, None]
+        for table in first:
+            head = (head[:, :, None] * table[:, None]).reshape(len(head), -1)
+        if 1 in (head.shape[1], last.shape[1]):
             # a one-row or one-column tile is a vector product, which numpy
             # runs through BLAS only on positive strides; a reversed view
-            # keeps its loop, and its bits, as they were before h2 came in
-            # product order
-            h2 = h2[::-1].copy()[::-1]
-        return a @ h2
+            # keeps numpy's own loop, which adds the terms one by one from
+            # zero, as the shipped outputs were computed
+            last = last[::-1].copy()[::-1]
+        few = len(head) < _ONE_THREAD_TERMS
+        with one_thread() if few else contextlib.nullcontext():
+            tile = head.T @ last
+        return tile.reshape([t.shape[1] for t in tables])
+
+
+class DenseEigenfunction2D(Eigenfunction):
+    """The combination over a whole 2-D eigenspace: coefficient a is the
+    term (a, N - a), so ``dense(xs, ys)`` is the (len(xs), len(ys)) tile
+    sum_a c_a f_a(x_i) f_{N-a}(y_j), one product of N + 1 terms."""
+
+    def __init__(self, level: int, coefficients):
+        level = int(level)
+        super().__init__(2, level, [(a, level - a) for a in range(level + 1)],
+                         coefficients)
+
+    # bound here too: benchmark tracing counts this class's own __call__
+    __call__ = Eigenfunction.__call__

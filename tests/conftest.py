@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hermlp import hermite
+from hermlp import _blas, hermite
 
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=60)
 settings.load_profile("ci")
@@ -49,6 +49,29 @@ def stepped_points(monkeypatch):
     counter = _SteppedPoints()
     monkeypatch.setattr(hermite, "np", counter)
     return counter
+
+
+class _FakeBlas:
+    """A (get, set) pair that records every count it is set to."""
+
+    def __init__(self, count):
+        self.count = count
+        self.history = []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+        self.history.append(count)
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """OpenBLAS stood in for by a fake at 7 threads."""
+    fake = _FakeBlas(7)
+    monkeypatch.setattr(_blas, "_found", (fake.get, fake.set))
+    return fake
 
 
 def pytest_terminal_summary(terminalreporter):

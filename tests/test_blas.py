@@ -18,28 +18,6 @@ RULE_SIZES = sorted({*range(2, 65), *SWEEP_TUBE_SIZES, *SWEEP_RANDOM_SIZES,
                      1024})
 
 
-class _FakeBlas:
-    """A (get, set) pair that records every count it is set to."""
-
-    def __init__(self, count):
-        self.count = count
-        self.history = []
-
-    def get(self):
-        return self.count
-
-    def set(self, count):
-        self.count = count
-        self.history.append(count)
-
-
-@pytest.fixture
-def fake_blas(monkeypatch):
-    fake = _FakeBlas(7)
-    monkeypatch.setattr(_blas, "_found", (fake.get, fake.set))
-    return fake
-
-
 def _openblas():
     found = _blas._lookup()
     if found is None:

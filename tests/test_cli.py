@@ -110,6 +110,13 @@ class TestConfigSchema:
         assert msg == ("parameters.min_separation: cannot exceed the box"
                        " diameter 1.8")
 
+    def test_consistency_slope_needs_two_radii(self):
+        # the kernel-consistency slope is fitted to one row per radius
+        (msg,) = violations_of({"experiment": "sphase-check", "parameters": {
+            "consistency_r_values": [101]}})
+        assert msg == ("parameters.consistency_r_values: needs at least 2"
+                       " entries (got 1)")
+
     def test_cubic_term_must_not_degenerate_phase(self):
         (msg,) = violations_of({"experiment": "sphase-check", "parameters": {
             "cubic_coefficient": 0.3, "bump_half_width": 0.8}})
@@ -273,7 +280,10 @@ LATE_FAILURES = {
         {"experiment": "sphase-check", "parameters": {
             **SPHASE_SMALL["parameters"],
             "consistency_r_values": [101, 100000001]}},
-        None, SPHASE_SMALL, ["remainder"] * 4 + ["gaussian-exactness"] * 2,
+        None, {"experiment": "sphase-check", "parameters": {
+            **SPHASE_SMALL["parameters"], "consistency_r_values": [101, 201]}},
+        ["remainder"] * 4 + ["gaussian-exactness"] * 2
+        + ["kernel-consistency"],
         ["remainder-slope-m1", "remainder-slope-m2", "gaussian-exactness"],
         "TailConvergenceError: "),
     "bounds-table": (
@@ -558,16 +568,19 @@ class TestRunnerArtifacts:
             assert path.is_file()
         header, rows = read_csv(res.csv_path)
         assert header == ("check", "order", "lambda", "value", "status")
-        # the rows made before the failure stay, in order, then its error
+        # the rows made before the failure stay, in order, then its error;
+        # the first radius's consistency row is one of them
         assert [(row[0], row[-1]) for row in rows[:-1]] == (
-            [("remainder", "ok")] * 4 + [("gaussian-exactness", "ok")] * 2)
+            [("remainder", "ok")] * 4 + [("gaussian-exactness", "ok")] * 2
+            + [("kernel-consistency", "ok")])
+        assert rows[-2][2] == "101.0"
         assert set(rows[-1][:-1]) == {""}
         assert rows[-1][-1].startswith("error: TailConvergenceError: ")
         (failure,) = res.summary["computational_failures"]
         assert failure["cell"] == "sphase-check"
         assert [a.name for a in res.assertions] == [
             "remainder-slope-m1", "remainder-slope-m2", "gaussian-exactness"]
-        assert res.summary["row_count"] == 7
+        assert res.summary["row_count"] == 8
 
     @pytest.mark.parametrize("name", sorted(LATE_FAILURES))
     def test_rows_survive_a_late_failure(self, tmp_path, monkeypatch, name):
@@ -1137,6 +1150,46 @@ class TestCommandLine:
         assert len(differ) == 1
         assert differ[0].endswith(str(Path("determinism", "results.csv")))
         assert "1 differ" in done.stdout
+
+    def test_run_all_configs_compare_names_moved_cells(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+
+        def run_all(out_root, *extra):
+            return subprocess.run(
+                [sys.executable, str(repo / "scripts" / "run_all_configs.py"),
+                 "--only", "determinism", "--out-root", str(out_root),
+                 *extra], cwd=tmp_path, env=env, capture_output=True,
+                text=True)
+
+        assert run_all(tmp_path / "run").returncode == 0
+        # the reference: a copy of the run with one cell and one metric
+        # edited
+        ref = tmp_path / "ref" / "determinism"
+        ref.mkdir(parents=True)
+        with open(tmp_path / "run" / "determinism" / "results.csv",
+                  newline="") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("measured")
+        measured = rows[3][column]
+        rows[3][column] = repr(2.0 * float(measured))
+        with open(ref / "results.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        summary = json.loads(
+            (tmp_path / "run" / "determinism" / "summary.json").read_text())
+        summary["metrics"]["c_upper"] = 5.0
+        (ref / "summary.json").write_text(json.dumps(summary))
+
+        done = run_all(tmp_path / "new", "--compare", str(tmp_path / "ref"))
+        assert done.returncode == 1
+        cells = [line.strip() for line in done.stdout.splitlines()
+                 if line.startswith("  ")]
+        assert cells == [
+            f"determinism: results.csv row 3 ({rows[3][0]}) measured: "
+            f"{rows[3][column]} -> {measured} (rel -0.5)",
+            "determinism: summary.json metric c_upper: 5.0 -> 4.0 "
+            "(rel -0.2)"]
+        assert "compared 2 files" in done.stdout and "2 differ" in done.stdout
 
     @pytest.mark.parametrize("pairs", ["1", "0"])
     def test_bench_pairs_rejects_too_few_pairs(self, tmp_path, pairs):

@@ -230,8 +230,8 @@ class TestEigenfunction:
         assert e.eigenvalue == pytest.approx(math.sqrt(14), rel=1e-15)
 
     def test_one_l2_norm_for_both_evaluators(self):
-        # fsum is correctly rounded, so the shared method gives the scalar
-        # loop's bits for the sparse tuple and the dense array alike
+        # fsum is correctly rounded, so the norm is the scalar loop's bits
+        # whichever constructor built the evaluator
         level = 40
         c = np.random.default_rng(11).standard_normal(level + 1)
         want = math.sqrt(math.fsum(float(x) * float(x) for x in c))
@@ -268,22 +268,54 @@ class TestEigenfunction:
             e(np.zeros((3, 2)), np.zeros(3))  # not a 1-D axis
 
 
-def _term_loop(e, axes, lead):
-    """The tile as whole-tile terms: each term's full product, added to the
-    tile in index order, as the evaluator did before it built chunks."""
+def _axis_tables(e, axes, lead):
+    """One table per axis from ``hermite_batch``, a row per term in term
+    order; the first axis's columns cut to ``lead``."""
     tables = [hermite_batch([alpha[k] for alpha in e.indices], axis)
               for k, axis in enumerate(axes)]
     tables[0] = tables[0][:, lead]
-    acc = np.zeros((tables[0].shape[1],) + tuple(a.size for a in axes[1:]))
+    return tables
+
+
+def _term_loop(e, axes, lead):
+    """The tile as whole-tile terms, each added to the tile in term order,
+    and the same sum of the terms' magnitudes."""
+    tables = _axis_tables(e, axes, lead)
+    acc = np.zeros([t.shape[1] for t in tables])
+    size = np.zeros_like(acc)
     for i, c in enumerate(e.coefficients):
         term = c * tables[0][i]
         for table in tables[1:]:
             term = term[..., None] * table[i]
         acc += term
-    return acc
+        size += np.abs(term)
+    return acc, size
 
 
-class TestChunkedTile:
+def _factor_product(e, axes, lead):
+    """The tile as one explicit product: column i of the left matrix holds
+    term i's coefficient times its first-axes factors, on every point of
+    those axes; the right matrix is the last axis's table.  A one-row or
+    one-column product is summed term by term from zero, as numpy's own
+    vector loop does."""
+    tables = _axis_tables(e, axes, lead)
+    columns = []
+    for i, c in enumerate(e.coefficients):
+        column = np.array([c])
+        for table in tables[:-1]:
+            column = np.multiply.outer(column, table[i]).ravel()
+        columns.append(column)
+    left, right = np.column_stack(columns), tables[-1]
+    if 1 in (len(left), right.shape[1]):
+        tile = np.zeros((len(left), right.shape[1]))
+        for i in range(len(columns)):
+            tile += left[:, i:i + 1] * right[i]
+    else:
+        tile = left @ right
+    return tile.reshape([t.shape[1] for t in tables])
+
+
+class TestTileProduct:
     @staticmethod
     def _case(dim):
         rng = np.random.default_rng(dim)
@@ -295,28 +327,72 @@ class TestChunkedTile:
         axes = [np.sort(rng.uniform(-4.0, 4.0, m)) for m in sizes]
         return sp.Eigenfunction(dim, level, indices, coefficients), axes
 
-    # chunk sizes in lead rows: one row, a few rows that divide none of
-    # the lead lengths, and the shipped constant
+    @staticmethod
+    def _leads(m):
+        return (slice(None), slice(2, m - 3), slice(0, 1), slice(m - 5, None),
+                slice(4, 4))
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("rows", [None, 1, 3, 4])
-    def test_bits_equal_the_term_loop(self, monkeypatch, dim, rows):
+    def test_bits_equal_the_factor_product(self, dim):
         e, axes = self._case(dim)
-        inner = math.prod(a.size for a in axes[1:])
-        if rows is not None:
-            monkeypatch.setattr(sp, "_TILE_CHUNK", rows * inner)
-        m = axes[0].size
-        for lead in (slice(None), slice(2, m - 3), slice(0, 1),
-                     slice(m - 5, None), slice(4, 4)):
+        for lead in self._leads(axes[0].size):
             got = e(*axes, lead=lead)
-            want = _term_loop(e, axes, lead)
+            want = _factor_product(e, axes, lead)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), lead
 
-    def test_chunk_of_one_element(self, monkeypatch):
-        monkeypatch.setattr(sp, "_TILE_CHUNK", 1)
-        for dim in (1, 2, 3):
-            e, axes = self._case(dim)
-            assert np.array_equal(e(*axes), _term_loop(e, axes, slice(None)))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_within_a_few_ulps_of_the_term_loop(self, dim):
+        # the product adds the terms in its own order, so only the last
+        # bits may move: a few ulps of the terms' summed magnitudes
+        e, axes = self._case(dim)
+        for lead in self._leads(axes[0].size):
+            got = e(*axes, lead=lead)
+            want, size = _term_loop(e, axes, lead)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(size)), lead
+
+    @pytest.mark.parametrize("level,size,cross", [
+        (12, 9, 16), (400, 160, 167), (400, 40, 1)])
+    def test_full_index_set_is_the_dense_product(self, level, size, cross):
+        # the full 2-D index set in term order: both axes' orders are
+        # distinct, so the tile is the dense product of the ascending and
+        # reversed tables, bit for bit, one-row and one-column tiles too
+        rng = np.random.default_rng(level + cross)
+        c = rng.standard_normal(level + 1)
+        xs = np.sort(rng.uniform(-4.0, 6.0, size))
+        ys = np.sort(rng.uniform(-5.0, 3.0, cross))
+        h1 = hermite_batch_grid(level, xs)
+        h2 = hermite_batch_grid(level, ys)
+        e = sp.Eigenfunction(2, level, [(a, level - a)
+                                        for a in range(level + 1)], c)
+        for lead in (slice(None), slice(0, size // 3), slice(0, 1),
+                     slice(size - 1, size)):
+            want = (c[:, None] * h1[:, lead]).T @ h2[::-1]
+            assert np.array_equal(e(xs, ys, lead=lead), want), lead
+
+    @pytest.mark.parametrize("level,threads", [
+        (8, [1, 7]), (62, [1, 7]), (63, []), (200, [])],
+        ids=["9-terms", "63-terms", "64-terms", "201-terms"])
+    def test_few_terms_run_on_one_thread(self, fake_blas, level, threads):
+        # the second call on a grid builds no table: whatever it sets the
+        # thread count to is the product's
+        e = sp.DenseEigenfunction2D(level, np.ones(level + 1))
+        xs = np.linspace(-2.0, 2.0, 9)
+        first = e(xs, xs)
+        fake_blas.history.clear()
+        assert np.array_equal(e(xs, xs), first)
+        assert fake_blas.history == threads
+        assert fake_blas.count == 7
+
+    def test_coefficients_share_the_tables(self, monkeypatch):
+        e, axes = self._case(3)
+        first = e(*axes)
+        monkeypatch.setattr(sp, "hermite_on_grids", None)  # no new tables
+        e.coefficients = 2.0 * e.coefficients
+        assert np.array_equal(e(*axes), 2.0 * first)
+        with pytest.raises(ValueError, match="one coefficient per index"):
+            e.coefficients = e.coefficients[1:]
 
     def test_empty_cross_axis(self):
         e = sp.Eigenfunction(2, 3, [(1, 2), (3, 0)], [1.0, -0.5])
