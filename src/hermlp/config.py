@@ -3,9 +3,12 @@
 A config is a single JSON document.  ``load_config`` parses and validates it
 in one pass and raises ``ConfigError`` carrying every violation found, each
 tagged with the dotted path of the offending entry, so a bad file is fixed in
-one round trip.  Validation is complete before any computation starts: grid
-shapes, enum membership, cross-field feasibility (tube windows, mu floors,
-radius versus eigenvalue) are all checked here.
+one round trip.  The command line's ``--seed`` and ``--tolerance-scale``
+replace the file's entries of those names before validation, so a bad flag
+is reported as that entry, in the same list.  Validation is complete before
+any computation starts: grid shapes, enum membership, cross-field
+feasibility (tube windows, mu floors, radius versus eigenvalue) are all
+checked here.
 
 The normalized result is an ``ExperimentConfig`` whose ``parameters`` dict has
 all defaults filled in; the runner never re-interprets raw input.
@@ -523,28 +526,6 @@ PLOT_KINDS = tuple(_PLOT_SCHEMAS)
 
 # ------------------------------------------------------------- entry points
 
-# Top-level entries a run may override (the CLI's --seed and
-# --tolerance-scale); an override obeys the rule of the file's entry.
-_OVERRIDABLE = {
-    "seed": _int_in(0, 2**64 - 1),
-    "tolerance_scale": _num_in(0.0, lo_open=True),
-}
-
-
-def check_overrides(overrides: dict, *, as_flags: bool = False) -> None:
-    """Raise ConfigError listing every bad override among ``seed`` and
-    ``tolerance_scale`` (None: not overridden).  ``as_flags`` names the
-    command-line flag (``--tolerance-scale``) rather than the entry."""
-    problems = []
-    for key, value in overrides.items():
-        err = None if value is None else _OVERRIDABLE[key](value)[1]
-        if err:
-            name = "--" + key.replace("_", "-") if as_flags else key
-            problems.append(f"{name}: {err}")
-    if problems:
-        raise ConfigError(problems)
-
-
 def plot_params(kind: str, params: dict) -> dict:
     """Validate the --param values of one emit-plot kind and fill in the
     defaults; a ConfigError lists every violation as ``<kind>.<key>``."""
@@ -569,12 +550,11 @@ def parse_config(data, source: str = "config") -> ExperimentConfig:
         raise ConfigError([f"{source}: top level must be a mapping"])
     top = _Scope(data, "", violations)
     experiment = top.take("experiment", _choice(EXPERIMENTS))
-    seed = top.take("seed", _OVERRIDABLE["seed"], 0)
+    seed = top.take("seed", _int_in(0, 2**64 - 1), 0)
     # "threads" is accepted, validated and ignored: cells run one after
     # another in grid order.  It is kept for configs that still set it.
     threads = top.take("threads", _int_in(1, 256), 1)
-    tol_scale = top.take("tolerance_scale", _OVERRIDABLE["tolerance_scale"],
-                         1.0)
+    tol_scale = top.take("tolerance_scale", _num_in(0.0, lo_open=True), 1.0)
     out_dir = top.take("out", lambda v: (v, None) if isinstance(v, str)
                        else (None, f"must be a string path (got {v!r})"), None)
 
@@ -596,8 +576,14 @@ def parse_config(data, source: str = "config") -> ExperimentConfig:
                             tolerance_scale=tol_scale, out=out_dir)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
+def load_config(path, overrides=None) -> ExperimentConfig:
+    """Read and validate a JSON config file.
+
+    Each value of ``overrides`` that is not None (the CLI's ``--seed`` and
+    ``--tolerance-scale``) takes the place of the file's top-level entry of
+    that name before validation, so it obeys that entry's rule and its
+    violations are listed with the file's.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -606,4 +592,7 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
+    if isinstance(data, dict):
+        data.update((k, v) for k, v in (overrides or {}).items()
+                    if v is not None)
     return parse_config(data, source=str(path))

@@ -65,10 +65,9 @@ class ConstructionReport:
     target_amplitude: float
 
 
-def index_set(n: int, level: int, delta: float,
-              c_window: float = DEFAULT_WINDOW) -> list:
+def index_set(n: int, level: int, delta: float) -> list:
     """All level-`level` multi-indices with even transverse orders in
-    the window [delta**-2 / c_window, c_window * delta**-2].
+    the window [delta**-2 / DEFAULT_WINDOW, DEFAULT_WINDOW * delta**-2].
 
     The first coordinate absorbs the remainder of the level; indices
     that would need a negative remainder are dropped.  An infeasible
@@ -78,12 +77,12 @@ def index_set(n: int, level: int, delta: float,
         raise ValueError("dimension must be at least 1")
     if level < 0:
         raise ValueError("level must be nonnegative")
-    if delta <= 0.0 or c_window <= 0.0:
-        raise ValueError("delta and c_window must be positive")
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
     if n == 1:
         return [(level,)]
-    lo = delta**-2 / c_window
-    hi = c_window * delta**-2
+    lo = delta**-2 / DEFAULT_WINDOW
+    hi = DEFAULT_WINDOW * delta**-2
     # round(., 9) snaps float noise so intended integer endpoints stay in
     first_even = 2 * math.ceil(round(lo / 2.0, 9))
     last_even = 2 * math.floor(round(hi / 2.0, 9))
@@ -109,7 +108,7 @@ def first_axis_action(alpha1: int, x: float) -> float:
     return phase_action(x, u) + decay_action(x, u)
 
 
-def phase_bin(indices, x1_star: float, lam: float,
+def phase_bin(indices, x1_star: float,
               m_bins: int = DEFAULT_BINS) -> BinSelection:
     """Pigeonhole the index set by first-axis action modulo 2 pi.
 
@@ -120,8 +119,8 @@ def phase_bin(indices, x1_star: float, lam: float,
     """
     if m_bins < 4:
         raise ValueError("need at least 4 phase bins")
-    if lam <= 0.0 or x1_star <= 0.0:
-        raise ValueError("tube center and eigenvalue must be positive")
+    if x1_star <= 0.0:
+        raise ValueError("tube center must be positive")
     indices = [tuple(alpha) for alpha in indices]
     if not indices:
         raise ValueError("cannot bin an empty index set")
@@ -172,7 +171,7 @@ def build_concentrated(n: int, level: int, j: int, delta: float,
             "no index in the window oscillates at the tube center; "
             "the width is too close to its lower extreme"
         )
-    selection = phase_bin(oscillatory, tube.x1_star, tube.lam, m_bins)
+    selection = phase_bin(oscillatory, tube.x1_star, m_bins)
     chosen = selection.selected
     if not chosen:
         raise ValueError("phase binning selected an empty bin")

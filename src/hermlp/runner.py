@@ -1,7 +1,7 @@
 """Experiment runner: grid sweeps, run artifacts, pass/fail assertions.
 
-A run takes a validated ``ExperimentConfig`` and produces three files in the
-output directory:
+A run takes a validated ``ExperimentConfig``, which alone sets it, and
+produces three files in the output directory:
 
   results.csv   raw per-cell measurements, row order fixed by the grid order
   summary.json  assertions with observed values and pass/fail, plus metrics
@@ -22,10 +22,10 @@ writes all three artifacts.  An experiment is itself one cell, labelled
 with its name, so a failure outside its own cells is contained too.  Any
 failure forces exit code 3; failed assertions alone give 1.
 
-``tolerance_scale`` loosens every assertion limit, in ``_Ctx.check``
-alone: a positive ceiling or a negative floor is multiplied by it, a
-negative ceiling or a positive floor divided by it.  Measured values are
-never rescaled.
+The config's ``tolerance_scale`` loosens every assertion limit, in
+``_Ctx.check`` alone: a positive ceiling or a negative floor is multiplied
+by it, a negative ceiling or a positive floor divided by it.  Measured
+values are never rescaled.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ import numpy as np
 
 from . import bounds, construct, hermite, mehler, phase, spectral, stationary
 from ._blas import one_thread
-from .config import (ConfigError, ExperimentConfig, check_overrides,
-                     plot_params)
+from .config import ConfigError, ExperimentConfig, plot_params
 
 _EPS = float(np.finfo(float).eps)
 
@@ -648,24 +647,20 @@ def _package_version() -> str:
         return "unknown"
 
 
-def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
-        tolerance_scale: float | None = None) -> RunResult:
+def run(config: ExperimentConfig, out_dir=None) -> RunResult:
     """Execute one experiment and write its artifacts.
 
-    Keyword overrides take precedence over the config's own values and obey
-    the rules of its entries: a bad one raises ConfigError before anything
-    runs or is written.  The experiment is one ``_collect`` cell that
-    yields the rows it makes outside its own cells.  Returns a RunResult
-    whose exit_code is 0 (all assertions passed), 1 (an assertion failed),
-    or 3 (a computational failure, in a cell or outside one, occurred).
+    The config alone sets the run, seed and tolerance scale included;
+    ``out_dir``, when given, takes the place of its ``out``.  The
+    experiment is one ``_collect`` cell that yields the rows it makes
+    outside its own cells.  Returns a RunResult whose exit_code is 0 (all
+    assertions passed), 1 (an assertion failed), or 3 (a computational
+    failure, in a cell or outside one, occurred).
     """
-    check_overrides({"seed": seed, "tolerance_scale": tolerance_scale})
     started = time.perf_counter()
     stamp = datetime.now(timezone.utc).isoformat()
-    ctx = _Ctx(params=config.parameters,
-               seed=config.seed if seed is None else seed,
-               scale=(config.tolerance_scale if tolerance_scale is None
-                      else tolerance_scale))
+    ctx = _Ctx(params=config.parameters, seed=config.seed,
+               scale=config.tolerance_scale)
     _collect(ctx, lambda name: _RUNNERS[name](ctx) or (),
              [config.experiment])
 
@@ -695,7 +690,6 @@ def run(config: ExperimentConfig, out_dir=None, *, seed: int | None = None,
     manifest = {
         "experiment": config.experiment,
         "config": config.echo(),
-        "effective": {"seed": ctx.seed, "tolerance_scale": ctx.scale},
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__,
                      "hermlp": _package_version()},

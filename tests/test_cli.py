@@ -229,6 +229,19 @@ class TestConfigSchema:
         assert cfg.experiment == "construct" and cfg.seed == 3
         assert cfg.parameters["levels"] == [100, 200]
         assert cfg.parameters["delta"] == {"type": "case2", "r": 1.0}
+        # an override replaces its entry; None leaves the file's value
+        cfg = load_config(path, {"seed": 5, "tolerance_scale": None})
+        assert cfg.seed == 5 and cfg.tolerance_scale == 1.0
+
+    def test_config_imports_no_numpy(self):
+        # the CLI validates before numpy loads, which keeps a run's peak
+        # memory independent of how the config was read
+        code = "import sys, hermlp.config; print('numpy' in sys.modules)"
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(hermlp.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 EVAL_SMALL = {"experiment": "eval", "parameters": {
@@ -384,10 +397,10 @@ class TestRunnerArtifacts:
         assert len(rows) == 8 and header[0] == "r"
 
     def test_kernel_cross_seed_changes_pairs(self, tmp_path):
-        cfg = parse_config({"experiment": "kernel-compare", "parameters": {
-            "mode": "cross-validate", "r_values": [21], "pair_count": 4}})
-        r0 = run(cfg, out_dir=tmp_path / "s0")
-        r1 = run(cfg, out_dir=tmp_path / "s1", seed=1)
+        data = {"experiment": "kernel-compare", "parameters": {
+            "mode": "cross-validate", "r_values": [21], "pair_count": 4}}
+        r0 = run(parse_config(data), out_dir=tmp_path / "s0")
+        r1 = run(parse_config(dict(data, seed=1)), out_dir=tmp_path / "s1")
         _, rows0 = read_csv(r0.csv_path)
         _, rows1 = read_csv(r1.csv_path)
         assert rows0[0][1] != rows1[0][1]
@@ -483,25 +496,9 @@ class TestRunnerArtifacts:
         strict = run(parse_config(data), out_dir=tmp_path / "strict")
         assert strict.exit_code == 1
         assert not by_name(strict)["envelope-seam-identities"].passed
-        loose = run(parse_config(data), out_dir=tmp_path / "loose",
-                    tolerance_scale=1e20)
+        loose = run(parse_config(dict(data, tolerance_scale=1e20)),
+                    out_dir=tmp_path / "loose")
         assert loose.exit_code == 0
-
-    @pytest.mark.parametrize("override, problem", [
-        ({"tolerance_scale": math.inf}, "tolerance_scale: must be finite"),
-        ({"seed": -1}, "seed: must be >= 0")])
-    def test_run_rejects_bad_overrides_first(self, tmp_path, override,
-                                             problem):
-        # an infinite scale would pass this failing gate, and a negative
-        # seed would reach the cells; both are refused before any output
-        data = {"experiment": "bounds-table",
-                "parameters": {"tol_identity": 1e-30}}
-        out = tmp_path / "out"
-        with pytest.raises(ConfigError) as err:
-            run(parse_config(data), out_dir=out, **override)
-        (violation,) = err.value.violations
-        assert violation.startswith(problem)
-        assert not out.exists()
 
     def test_out_dir_from_config(self, tmp_path):
         cfg = parse_config({"experiment": "bounds-table",
@@ -549,8 +546,8 @@ class TestRunnerArtifacts:
         # the consistency slope's ceiling is negative: a large scale moves
         # it toward zero, so the run that passes at 1 passes at 1000 too
         for scale in (1.0, 1000.0):
-            res = run(parse_config(SPHASE_CONSISTENCY),
-                      out_dir=tmp_path / str(scale), tolerance_scale=scale)
+            cfg = parse_config(dict(SPHASE_CONSISTENCY, tolerance_scale=scale))
+            res = run(cfg, out_dir=tmp_path / str(scale))
             assert res.exit_code == 0
             gate = by_name(res)["kernel-consistency-slope"]
             assert gate.limit == -0.4 / scale and gate.passed
@@ -688,8 +685,9 @@ class TestRunnerArtifacts:
 
     def test_phase_identities_crash_contained(self, tmp_path):
         cfg = load_config(str(Path(__file__).resolve().parents[1]
-                              / "configs" / "phase-identities.json"))
-        res = run(cfg, out_dir=tmp_path, seed=6)
+                              / "configs" / "phase-identities.json"),
+                          {"seed": 6})
+        res = run(cfg, out_dir=tmp_path)
         assert res.exit_code == 3
         for path in (res.csv_path, res.summary_path, res.manifest_path):
             assert path.is_file()
@@ -872,16 +870,55 @@ class TestCommandLine:
     def test_override_flags_obey_config_rules(self, tmp_path, capsys, flag,
                                               value, problem):
         # the config file itself would refuse these values; so do the flags,
-        # before anything runs or is written
+        # named as the entry they set, before anything runs or is written
         path = write_json(tmp_path, {"experiment": "bounds-table"})
         out = tmp_path / "out"
         code = cli.main(["bounds-table", "--config", path, "--out", str(out),
                          flag, value])
         captured = capsys.readouterr()
+        entry, got = (("seed", int(value)) if flag == "--seed"
+                      else ("tolerance_scale", float(value)))
         assert code == 2
-        assert f"{flag}: {problem}" in captured.err
+        assert captured.err.splitlines() == [
+            "config error:", f"  {entry}: {problem} (got {got})"]
         assert captured.out == ""
         assert not out.exists()
+
+    def test_flag_and_file_violations_reported_together(self, tmp_path,
+                                                        capsys):
+        path = write_json(tmp_path, {"experiment": "bounds-table",
+                                     "parameters": {"tol_identity": -1}})
+        out = tmp_path / "out"
+        code = cli.main(["bounds-table", "--config", path, "--out", str(out),
+                         "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "config error:",
+            "  seed: must be >= 0 (got -1)",
+            "  parameters.tol_identity: must be > 0.0 (got -1)"]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_flags_are_config_entries(self, tmp_path):
+        # a flag run and a run of the file carrying the same entries give
+        # the same bytes and the same config echo
+        src = (Path(__file__).resolve().parents[1] / "configs"
+               / "determinism.json")
+        data = json.loads(src.read_text(encoding="utf-8"))
+        copy = write_json(tmp_path, dict(data, seed=11, tolerance_scale=2))
+        assert cli.main(["saturate", "--config", str(src), "--seed", "11",
+                         "--tolerance-scale", "2",
+                         "--out", str(tmp_path / "flags")]) == 0
+        assert cli.main(["saturate", "--config", copy,
+                         "--out", str(tmp_path / "file")]) == 0
+        for name in ("results.csv", "summary.json"):
+            assert ((tmp_path / "flags" / name).read_bytes()
+                    == (tmp_path / "file" / name).read_bytes())
+        echoes = [json.loads((tmp_path / side / "manifest.json").read_text(
+            encoding="utf-8"))["config"] for side in ("flags", "file")]
+        assert echoes[0] == echoes[1]
+        assert (echoes[0]["seed"], echoes[0]["tolerance_scale"]) == (11, 2.0)
 
     def test_threads_flag_is_usage_error(self, tmp_path):
         path = write_json(tmp_path, {"experiment": "saturate", "parameters": {

@@ -20,7 +20,7 @@ def case2_report(level):
 
 class TestIndexSet:
     def test_window_example(self):
-        got = ct.index_set(2, 100, 1 / 3, 2.0)
+        got = ct.index_set(2, 100, 1 / 3)
         assert got == [(100 - a2, a2) for a2 in range(6, 19, 2)]
         assert len(got) == 7
 
@@ -45,8 +45,8 @@ class TestIndexSet:
         assert ct.index_set(2, 6, 0.25) == []
 
     def test_empty_window_reported_not_raised(self):
-        # window [5, 5] holds no even integer
-        assert ct.index_set(2, 100, 5**-0.5, 1.0) == []
+        # window [0.41, 1.65] holds no even integer
+        assert ct.index_set(2, 100, 1.1) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -55,20 +55,17 @@ class TestIndexSet:
             ct.index_set(2, -1, 0.5)
         with pytest.raises(ValueError):
             ct.index_set(2, 10, 0.0)
-        with pytest.raises(ValueError):
-            ct.index_set(2, 10, 0.5, 0.0)
 
     @given(
         n=st.integers(2, 4),
         level=st.integers(0, 3000),
         delta=st.floats(0.08, 0.9),
-        c=st.floats(1.0, 3.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_postconditions(self, n, level, delta, c):
-        got = ct.index_set(n, level, delta, c)
-        lo = delta**-2 / c
-        hi = c * delta**-2
+    def test_postconditions(self, n, level, delta):
+        got = ct.index_set(n, level, delta)
+        lo = delta**-2 / ct.DEFAULT_WINDOW
+        hi = ct.DEFAULT_WINDOW * delta**-2
         for alpha in got:
             assert len(alpha) == n
             assert sum(alpha) == level
@@ -81,14 +78,14 @@ class TestIndexSet:
 
 class TestPhaseBin:
     def test_singleton(self):
-        sel = ct.phase_bin([(57,)], x1_star=8.0, lam=11.0)
+        sel = ct.phase_bin([(57,)], x1_star=8.0)
         assert sel.selected == ((57,),)
         assert sel.fraction == 1.0
 
     def test_pigeonhole_exact(self):
         indices = ct.index_set(2, 800, 0.1)
         lam = math.sqrt(1602)
-        sel = ct.phase_bin(indices, lam / 2, lam)
+        sel = ct.phase_bin(indices, lam / 2)
         assert sum(len(b) for b in sel.bins) == len(indices)
         assert len(sel.selected) >= math.ceil(len(indices) / 8)
         assert sel.fraction >= 1 / 8
@@ -96,7 +93,7 @@ class TestPhaseBin:
     def test_within_bin_phase_spread(self):
         indices = ct.index_set(2, 800, 0.1)
         lam = math.sqrt(1602)
-        sel = ct.phase_bin(indices, lam / 2, lam)
+        sel = ct.phase_bin(indices, lam / 2)
         phases = [
             ct.first_axis_action(a[0], lam / 2) % (2 * math.pi)
             for a in sel.selected
@@ -105,29 +102,29 @@ class TestPhaseBin:
 
     def test_parity_filter_keeps_larger_class(self):
         mixed = [(4, 2), (6, 0), (3, 3)]
-        sel = ct.phase_bin(mixed, x1_star=1.5, lam=4.0)
+        sel = ct.phase_bin(mixed, x1_star=1.5)
         kept = [a for b in sel.bins for a in b]
         assert sorted(kept) == [(4, 2), (6, 0)]
 
     def test_beyond_turning_point_is_handled(self):
         # orders whose classical region ends left of the center
-        sel = ct.phase_bin([(2, 10), (4, 8)], x1_star=9.0, lam=math.sqrt(26))
+        sel = ct.phase_bin([(2, 10), (4, 8)], x1_star=9.0)
         assert sum(len(b) for b in sel.bins) == 2
 
     def test_deterministic(self):
         indices = ct.index_set(2, 400, 0.15)
         lam = math.sqrt(802)
-        a = ct.phase_bin(indices, lam / 2, lam)
-        b = ct.phase_bin(indices, lam / 2, lam)
+        a = ct.phase_bin(indices, lam / 2)
+        b = ct.phase_bin(indices, lam / 2)
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ct.phase_bin([(4, 2)], 1.0, 3.0, m_bins=3)
+            ct.phase_bin([(4, 2)], 1.0, m_bins=3)
         with pytest.raises(ValueError):
-            ct.phase_bin([], 1.0, 3.0)
+            ct.phase_bin([], 1.0)
         with pytest.raises(ValueError):
-            ct.phase_bin([(4, 2)], -1.0, 3.0)
+            ct.phase_bin([(4, 2)], -1.0)
 
 
 class TestTubeSpec:
