@@ -10,6 +10,9 @@ thread count, so running them on one thread changes no output.
 The thread count is a process-wide OpenBLAS setting, not a per-thread
 one.  Setting it here is safe because the runner runs cells one after
 another, in one thread; nothing else calls BLAS while a scope is open.
+The one multi-threaded computation, the Mehler driver, opens its scope
+in the calling thread around the whole call, and its helper thread opens
+none.
 Without an OpenBLAS in the process, :func:`one_thread` does nothing.
 
 :func:`tridiagonal_eigvalsh` hands a symmetric tridiagonal matrix to the

@@ -22,11 +22,26 @@ seam are safely above.  Near the diagonal in dimension two and higher
 the tail stops converging (the representation only holds in a limiting
 sense there), so the evaluator refuses and points to the exact
 eigenbasis sum instead.
+
+One driver, :func:`_half_integrals`, computes every window integral.  It
+takes many pairs, each an (x, y, R) point with its sign of y, and runs
+dyadic level k for all pairs still descending together; a pair leaves
+once its own stop rule fires.  Every descent starts at ``WINDOW_END``,
+so a level's interval and its 33-point probe are shared, while each
+pair keeps its own panels, gemv rows and sum over them: its level sums
+are those it would get alone.  A level's pairs are cut into fixed
+blocks, which two workers, the calling thread and one helper thread,
+compute in buffers the caller allocates, under one one-thread BLAS scope
+the caller holds around the whole call.  No bit depends on the worker
+count.  The helper thread calls private functions only.  The public
+functions are thin calls of the driver, :func:`kernel_oscillatory_batch`
+for many kernel values at once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +56,9 @@ FLAT_END = math.pi / 8.0
 _MAX_LEVELS = 80  # dyadic levels one window integral descends at most
 _PANEL_CAP = 200_000  # Gauss-Legendre panels allowed on one level
 _CONSISTENCY_TOL = 1e-9  # quadrature tolerance of consistency_residual
+_BLOCK_PANELS = 2048  # panels of one block, unless a single pair has more
+_WORKERS = 2  # the caller and its helper threads, computing a level
+_TAPER_CHUNK = 4096  # nodes tapered at a time
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -68,6 +86,14 @@ def _step_poly(s):
     )
 
 
+# The public smoothstep7 and cutoff_taper are kept apart from their
+# bodies, which the helper threads call.
+
+def _smoothstep(s):
+    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    return np.where(s <= 0.5, _step_poly(s), 1.0 - _step_poly(1.0 - s))
+
+
 def smoothstep7(s):
     """C^7 monotone step: 0 below 0, 1 above 1, degree-15 polynomial between.
 
@@ -76,8 +102,12 @@ def smoothstep7(s):
     exactly in floating point (the raw polynomial loses it to
     cancellation near s = 1).
     """
-    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-    return np.where(s <= 0.5, _step_poly(s), 1.0 - _step_poly(1.0 - s))
+    return _smoothstep(s)
+
+
+def _taper(t):
+    t = np.asarray(t, dtype=float)
+    return 1.0 - _smoothstep((t - FLAT_END) / (0.25 * math.pi))
 
 
 def cutoff_taper(t):
@@ -92,8 +122,7 @@ def cutoff_taper(t):
     reaching above pi/8 (the first two); every deeper level, which holds
     almost all the nodes, skips it.
     """
-    t = np.asarray(t, dtype=float)
-    return 1.0 - smoothstep7((t - FLAT_END) / (0.25 * math.pi))
+    return _taper(t)
 
 
 def _i_power(r: int) -> complex:
@@ -108,10 +137,45 @@ class HalfIntegral:
     evals: int
 
 
-def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
-                        hi: float, panel_cap: int) -> tuple[complex, int]:
-    """One dyadic level [lo, hi] of the window integral of the pair with
-    a2 = |x|^2 + |y|^2 and b = x.y; returns its sum and node count.
+def _panel_counts(lo: float, hi: float, a2, b, r) -> list[int]:
+    """Panels of level [lo, hi] for each pair: r times the largest |psi'|
+    on the shared 33-point probe times the level width, in steps of 5,
+    at least 4.  ``a2`` and ``b`` are arrays over the pairs."""
+    probe = np.linspace(lo, hi, 33)
+    speed = np.abs(ph._derivative(probe, a2[:, None], b[:, None])).max(axis=1)
+    return [int(max(4, math.ceil(ri * float(v) * (hi - lo) / 5.0)))
+            for ri, v in zip(r, speed)]
+
+
+class _Scratch:
+    """One worker's buffers for ``panels`` panels of nodes, made by the
+    caller once a call and reused by every block the worker computes.
+    ``w`` holds t and 2 sin 2t side by side, and then, once psi is
+    built, the complex integrand over both."""
+
+    def __init__(self, panels: int):
+        nodes = panels * _GL_X.size
+        self.panels = panels
+        self.w = np.empty(2 * nodes)
+        self.s = np.empty(nodes)  # sin 2t, then the amplitude
+        self.c = np.empty(nodes)  # 2t, then cos 2t, then r psi
+        self.rows = np.empty(panels, dtype=complex)
+
+
+def _level_block(lo: float, hi: float, a2, b, r, n: int, panels,
+                 buf: _Scratch) -> list[complex]:
+    """Level [lo, hi] of a block of whole pairs of dimension n; returns
+    each pair's sum.
+
+    ``a2`` = |x|^2 + |y|^2, ``b`` = x.y, ``r`` and ``panels`` are arrays
+    over the pairs.  Pair i's panel edges are those of np.linspace(lo, hi,
+    panels[i] + 1), by its formula: j * step + lo, with hi as the last
+    edge.  Per-pair scalars enter as per-panel columns broadcast over the
+    panel's nodes, which gives the bits of the product by a scalar, and
+    each pair's gemv rows and its sum over them are those of the pair
+    alone.  A block of more panels than ``buf`` holds (one pair) goes
+    through it in even chunks of at least half its size: no chunk is a
+    one-row gemv, which numpy would run as a dot that rounds differently.
 
     The integrand amp * exp(i r psi) is built without complex
     temporaries: cos(r psi) and sin(r psi) go into the real and imaginary
@@ -122,111 +186,242 @@ def _level_contribution(a2: float, b: float, r: float, n: int, lo: float,
     which change no nonzero part; a zero part may differ in sign, and a
     zero adds nothing to the panel sums.
     """
-    probe = np.linspace(lo, hi, 33)
-    dpsi = np.abs(ph._derivative(probe, a2, b))
-    span = r * float(dpsi.max()) * (hi - lo)
-    panels = int(max(4, math.ceil(span / 5.0)))
-    if panels > panel_cap:
-        raise TailConvergenceError(
-            f"level [{lo:.3e}, {hi:.3e}] needs {panels} panels (cap {panel_cap})",
-            best=0j, achieved=math.inf,
+    first = np.cumsum(panels) - panels
+    count = int(first[-1] + panels[-1])
+    step = (hi - lo) / panels
+    half = 0.5 * ((step + lo) - lo)  # half a panel: edges[1] - edges[0]
+    rows = (buf.rows[:count] if count <= buf.panels
+            else np.empty(count, dtype=complex))
+    chunks = -(-count // buf.panels)
+    for k in range(chunks):
+        start, stop = count * k // chunks, count * (k + 1) // chunks
+        pair = np.searchsorted(first, np.arange(start, stop), "right") - 1
+        j = (np.arange(start, stop) - first[pair]).astype(float)
+        left = j * step[pair] + lo
+        right = (j + 1.0) * step[pair] + lo
+        right[j + 1.0 == panels[pair]] = hi
+        mids = 0.5 * (left + right)
+        m = (stop - start) * _GL_X.size
+        ts = np.multiply(half[pair, None], _GL_X,
+                         out=buf.w[:m].reshape(-1, _GL_X.size))
+        ts += mids[:, None]
+        c = np.multiply(ts, 2.0, out=buf.c[:m].reshape(ts.shape))
+        s = np.sin(c, out=buf.s[:m].reshape(ts.shape))
+        two_s = np.multiply(s, 2.0, out=buf.w[m:2 * m].reshape(ts.shape))
+        # a Python-scalar exponent: numpy picks its loop (reciprocal,
+        # sqrt or pow) from the exponent's value
+        s **= -0.5 * n
+        if hi > FLAT_END:
+            # in chunks, so the taper's temporaries stay small
+            flat_s, flat_t = s.ravel(), ts.ravel()
+            for i in range(0, m, _TAPER_CHUNK):
+                part = slice(i, i + _TAPER_CHUNK)
+                flat_s[part] *= _taper(flat_t[part])
+        np.cos(c, out=c)
+        rpsi = ph._value(ts, a2[pair, None], b[pair, None], c=c, out=c,
+                         two_s=two_s)
+        rpsi *= r[pair, None]
+        vals = buf.w[:2 * m].view(complex)
+        np.cos(rpsi.ravel(), out=vals.real)
+        np.sin(rpsi.ravel(), out=vals.imag)
+        vals.real *= s.ravel()
+        vals.imag *= s.ravel()
+        np.dot(vals.reshape(ts.shape), _GL_W, out=rows[start:stop])
+    return [complex(h * rows[f:f + p].sum())
+            for h, f, p in zip(half, first, panels)]
+
+
+def _level_sums(scratch: list, lo: float, hi: float, descents: list,
+                panels: list[int]) -> list[complex]:
+    """Every pair's sum on level [lo, hi].  The pairs are cut, in order,
+    into blocks of one dimension and at most ``_BLOCK_PANELS`` panels
+    (or one pair); worker w computes blocks w, w + _WORKERS, ... in
+    ``scratch[w]``.  The caller is worker 0 and starts a helper thread
+    for each other worker that has blocks.  A helper's allocations stay
+    in its own malloc arena after the call, so the caller working too
+    saves one such arena."""
+    a2 = np.array([d.a2 for d in descents])
+    b = np.array([d.b for d in descents])
+    r = np.array([d.r for d in descents], dtype=float)
+    panels = np.array(panels)
+    blocks, start, size = [], 0, 0
+    for k, d in enumerate(descents):
+        if size and (size + panels[k] > _BLOCK_PANELS
+                     or d.n != descents[start].n):
+            blocks.append((start, k))
+            start, size = k, 0
+        size += int(panels[k])
+    if size:
+        blocks.append((start, len(descents)))
+    sums = [None] * len(blocks)
+
+    def work(w):
+        for k in range(w, len(blocks), _WORKERS):
+            a, e = blocks[k]
+            sums[k] = _level_block(lo, hi, a2[a:e], b[a:e], r[a:e],
+                                   descents[a].n, panels[a:e], scratch[w])
+
+    def helper(w):
+        try:
+            work(w)
+        except Exception as exc:  # raised by the caller below
+            failures.append(exc)
+
+    # a level of fewer blocks than workers starts fewer helpers
+    failures = []
+    helpers = [threading.Thread(target=helper, args=(w,))
+               for w in range(1, min(_WORKERS, len(blocks)))]
+    for thread in helpers:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return [value for block in sums for value in block]
+
+
+class _Descent:
+    """One window integral, descending a dyadic level at a time: its
+    pair, its running sums and its stop rules."""
+
+    def __init__(self, x, y, r: float, tol: float):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        self.n, self.r, self.tol = x.size, r, tol
+        pts = ph.stationary_points_in(x, y, WINDOW_END)
+        guard = min(0.4 * pts[0].t, FLAT_END) if pts else FLAT_END
+        c_dist = float(np.dot(x - y, x - y))
+        self.a2 = float(np.dot(x, x) + np.dot(y, y))
+        self.b = float(np.dot(x, y))
+        if c_dist > 0.0:
+            # below this the singular phase part c/(4 t^2) dominates the rest
+            guard = min(guard, 0.3 * math.sqrt(
+                c_dist / (4.0 * max(abs(1.0 - self.b), 1e-3))))
+        else:
+            guard = 0.0
+        self.guard = guard
+        self.total, self.evals, self.small = 0j, 0, 0
+        self.prev_running: complex | None = None
+
+    def step(self, level: int, t_lo: float, contrib: complex,
+             used: int) -> HalfIntegral | None:
+        """Add the level down to ``t_lo``; the result once a stop rule
+        fires, else None."""
+        a2, b, r, n, tol = self.a2, self.b, self.r, self.n, self.tol
+        self.total += contrib
+        self.evals += used
+        can_ibp = t_lo <= self.guard
+        corr = 0j
+        if can_ibp:
+            # two integration-by-parts orders of the tail below t_lo
+            dpsi = float(ph._derivative(t_lo, a2, b))
+            ddpsi = float(ph._second_derivative(t_lo, a2, b))
+            s2 = math.sin(2.0 * t_lo)
+            f_lo = s2 ** (-0.5 * n)
+            df_lo = -n * math.cos(2.0 * t_lo) * s2 ** (-0.5 * n - 1.0)
+            osc = np.exp(1j * r * float(ph._value(t_lo, a2, b)))
+            corr = osc * (f_lo / (1j * r * dpsi)
+                          + (df_lo * dpsi - f_lo * ddpsi)
+                          / (r * r * dpsi**3))
+        running = self.total + corr
+        if self.prev_running is not None:
+            delta = abs(running - self.prev_running)
+            if can_ibp and delta < 0.25 * tol:
+                self.small += 1
+                if self.small >= 2:
+                    return HalfIntegral(value=running, achieved=delta,
+                                        levels=level + 1, evals=self.evals)
+            else:
+                self.small = 0
+        self.prev_running = running if can_ibp else None
+        if n == 1:
+            tail_bound = math.sqrt(math.pi * t_lo)
+            if tail_bound < tol:
+                return HalfIntegral(value=self.total, achieved=tail_bound,
+                                    levels=level + 1, evals=self.evals)
+        return None
+
+    def exhausted(self) -> TailConvergenceError:
+        prev, total = self.prev_running, self.total
+        return TailConvergenceError(
+            f"no tail convergence in {_MAX_LEVELS} dyadic levels "
+            f"(tol {self.tol:g})",
+            best=prev if prev is not None else total,
+            achieved=abs((prev or total) - total) + self.tol,
         )
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    ts = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    two_t = 2.0 * ts
-    s = np.sin(two_t)
-    amp = s ** (-0.5 * n)
-    if hi > FLAT_END:
-        amp *= cutoff_taper(ts)
-    c = np.cos(two_t, out=two_t)
-    rpsi = ph._value(ts, a2, b, s, c, out=c)
-    rpsi *= r
-    vals = np.empty(ts.size, dtype=complex)
-    np.cos(rpsi, out=vals.real)
-    np.sin(rpsi, out=vals.imag)
-    vals.real *= amp
-    vals.imag *= amp
-    total = half * np.dot(vals.reshape(panels, -1), _GL_W).sum()
-    return complex(total), ts.size
 
 
-def oscillatory_half_integral(x, y, r: float,
-                              tol: float = 1e-8) -> HalfIntegral:
-    """The window integral A(x, y) to absolute accuracy ~tol.
+def _half_integrals(cases, tol: float) -> list:
+    """The window integral A(x, y) of every (x, y, r) case to absolute
+    accuracy ~tol: a HalfIntegral per case, or the exception its descent
+    ended in (a TailConvergenceError, as a rule), in case order.
 
-    Descends dyadic levels toward t = 0; once below every stationary
-    point, below the taper seam, and inside the region where the 1/t^2
-    part of the phase dominates, the remaining tail is closed with the
-    integration-by-parts boundary term.  Stops after two consecutive
-    levels change the running answer by less than tol/4, or, in
-    dimension one, when the crude absolute tail bound sqrt(pi t) is
-    already below tol.
+    Each descent goes down the dyadic levels toward t = 0; once below
+    every stationary point, below the taper seam, and inside the region
+    where the 1/t^2 part of the phase dominates, the remaining tail is
+    closed with the integration-by-parts boundary term.  It stops after
+    two consecutive levels change its running answer by less than tol/4,
+    or, in dimension one, when the crude absolute tail bound sqrt(pi t)
+    is already below tol.  A level needing more than ``_PANEL_CAP``
+    panels ends it, and so do ``_MAX_LEVELS`` levels without a stop.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = x.size
-    pts = ph.stationary_points_in(x, y, WINDOW_END)
-    guard = min(0.4 * pts[0].t, FLAT_END) if pts else FLAT_END
-    c_dist = float(np.dot(x - y, x - y))
-    a2 = float(np.dot(x, x) + np.dot(y, y))
-    b = float(np.dot(x, y))
-    if c_dist > 0.0:
-        # below this the singular phase part c/(4 t^2) dominates the rest
-        guard = min(guard, 0.3 * math.sqrt(c_dist / (4.0 * max(abs(1.0 - b), 1e-3))))
-    else:
-        guard = 0.0
-
-    total = 0j
-    evals = 0
-    prev_running: complex | None = None
-    small = 0
+    out = [None] * len(cases)
+    live = []
+    for i, (x, y, r) in enumerate(cases):
+        try:
+            live.append((i, _Descent(x, y, r, tol)))
+        except Exception as exc:  # kept as the case's value
+            out[i] = exc
+    scratch = [_Scratch(_BLOCK_PANELS) for _ in range(_WORKERS)]
     t_hi = WINDOW_END
     # one BLAS thread for every level gemv: a second one would spin on
     # after each call for no speed-up; the level sums keep their bits
     with one_thread():
         for level in range(_MAX_LEVELS):
+            if not live:
+                break
             t_lo = 0.5 * t_hi
-            contrib, used = _level_contribution(a2, b, r, n, t_lo, t_hi,
-                                                _PANEL_CAP)
-            total += contrib
-            evals += used
-            can_ibp = t_lo <= guard
-            corr = 0j
-            if can_ibp:
-                # two integration-by-parts orders of the tail below t_lo
-                dpsi = float(ph._derivative(t_lo, a2, b))
-                ddpsi = float(ph._second_derivative(t_lo, a2, b))
-                s2 = math.sin(2.0 * t_lo)
-                f_lo = s2 ** (-0.5 * n)
-                df_lo = -n * math.cos(2.0 * t_lo) * s2 ** (-0.5 * n - 1.0)
-                osc = np.exp(1j * r * float(ph._value(t_lo, a2, b)))
-                corr = osc * (f_lo / (1j * r * dpsi)
-                              + (df_lo * dpsi - f_lo * ddpsi)
-                              / (r * r * dpsi**3))
-            running = total + corr
-            if prev_running is not None:
-                delta = abs(running - prev_running)
-                if can_ibp and delta < 0.25 * tol:
-                    small += 1
-                    if small >= 2:
-                        return HalfIntegral(value=running, achieved=delta,
-                                            levels=level + 1, evals=evals)
+            counts = _panel_counts(t_lo, t_hi,
+                                   np.array([d.a2 for _, d in live]),
+                                   np.array([d.b for _, d in live]),
+                                   [d.r for _, d in live])
+            kept, panels = [], []
+            for (i, d), p in zip(live, counts):
+                if p > _PANEL_CAP:
+                    out[i] = TailConvergenceError(
+                        f"level [{t_lo:.3e}, {t_hi:.3e}] needs {p} panels "
+                        f"(cap {_PANEL_CAP})", best=0j, achieved=math.inf)
                 else:
-                    small = 0
-            prev_running = running if can_ibp else None
-            if n == 1:
-                tail_bound = math.sqrt(math.pi * t_lo)
-                if tail_bound < tol:
-                    return HalfIntegral(value=total, achieved=tail_bound,
-                                        levels=level + 1, evals=evals)
+                    kept.append((i, d))
+                    panels.append(p)
+            sums = _level_sums(scratch, t_lo, t_hi,
+                               [d for _, d in kept], panels)
+            live = []
+            for (i, d), contrib, p in zip(kept, sums, panels):
+                out[i] = d.step(level, t_lo, contrib, p * _GL_X.size)
+                if out[i] is None:
+                    live.append((i, d))
             t_hi = t_lo
-    raise TailConvergenceError(
-        f"no tail convergence in {_MAX_LEVELS} dyadic levels (tol {tol:g})",
-        best=prev_running if prev_running is not None else total,
-        achieved=abs((prev_running or total) - total) + tol,
-    )
+    for i, d in live:
+        out[i] = d.exhausted()
+    return out
+
+
+def _raised(value):
+    """``value``, or raise it if it is an exception kept as data."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def oscillatory_half_integral(x, y, r: float,
+                              tol: float = 1e-8) -> HalfIntegral:
+    """The window integral A(x, y) to absolute accuracy ~tol, as
+    :func:`_half_integrals` computes it for the one pair."""
+    return _raised(_half_integrals([(x, y, r)], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -249,19 +444,9 @@ def _check_spectrum(r: int, n: int) -> None:
         )
 
 
-def kernel_oscillatory(x, y, r: int, tol: float = 1e-8) -> KernelValue:
-    """Projection kernel K_r(x, y) through the window integrals.
-
-    ``x`` and ``y`` are physical points (same convention as the
-    eigenbasis sum); internally they are rescaled by lambda = sqrt(r) so
-    the turning sphere sits at radius one.  ``r`` is the eigenvalue
-    lambda^2 = 2N + n; it must lie in the spectrum since the fold relies
-    on exp(i pi r / 2) being a power of i.  For n >= 2, pairs closer
-    than physical distance one to the diagonal or antidiagonal are
-    refused (the tail of the representation stops converging there):
-    use the eigenbasis sum instead.  Dimensions n >= 4 are not supported
-    by the tail closure.
-    """
+def _rescaled(x, y, r: int):
+    """The pair in units of lambda = sqrt(r), after the checks of
+    :func:`kernel_oscillatory`."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     n = x.size
@@ -277,10 +462,11 @@ def kernel_oscillatory(x, y, r: int, tol: float = 1e-8) -> KernelValue:
                 "the eigenbasis sum instead"
             )
     lam = math.sqrt(r)
-    x = x / lam
-    y = y / lam
-    a_plus = oscillatory_half_integral(x, y, r, tol=tol)
-    a_minus = oscillatory_half_integral(x, -y, r, tol=tol)
+    return x / lam, y / lam
+
+
+def _assemble(r: int, n: int, a_plus: HalfIntegral,
+              a_minus: HalfIntegral) -> KernelValue:
     c_n = _norm_const(n)
     rot = np.exp(-0.25j * math.pi * n)
     i0 = c_n * rot * a_plus.value
@@ -295,6 +481,52 @@ def kernel_oscillatory(x, y, r: int, tol: float = 1e-8) -> KernelValue:
         parts=parts,
         evals=a_plus.evals + a_minus.evals,
     )
+
+
+def kernel_oscillatory_batch(cases, tol: float = 1e-8) -> list:
+    """:func:`kernel_oscillatory` of every (x, y, r) case, through one
+    driver call over all their window integrals.
+
+    Each entry is the case's KernelValue, or the exception it raised
+    (a refusal, a panel cap hit, no tail convergence), kept as data so
+    that one case cannot stop the others.
+    """
+    halves, slots = [], []
+    for x, y, r in cases:
+        try:
+            x, y = _rescaled(x, y, r)
+        except Exception as exc:  # kept as the case's value
+            slots.append(exc)
+            continue
+        slots.append(len(halves))
+        halves += [(x, y, r), (x, -y, r)]
+    values = _half_integrals(halves, tol)
+    out = []
+    for (x, y, r), slot in zip(cases, slots):
+        if isinstance(slot, Exception):
+            out.append(slot)
+            continue
+        a_plus, a_minus = values[slot], values[slot + 1]
+        failed = [v for v in (a_plus, a_minus) if isinstance(v, Exception)]
+        out.append(failed[0] if failed else
+                   _assemble(r, halves[slot][0].size, a_plus, a_minus))
+    return out
+
+
+def kernel_oscillatory(x, y, r: int, tol: float = 1e-8) -> KernelValue:
+    """Projection kernel K_r(x, y) through the window integrals.
+
+    ``x`` and ``y`` are physical points (same convention as the
+    eigenbasis sum); internally they are rescaled by lambda = sqrt(r) so
+    the turning sphere sits at radius one.  ``r`` is the eigenvalue
+    lambda^2 = 2N + n; it must lie in the spectrum since the fold relies
+    on exp(i pi r / 2) being a power of i.  For n >= 2, pairs closer
+    than physical distance one to the diagonal or antidiagonal are
+    refused (the tail of the representation stops converging there):
+    use the eigenbasis sum instead.  Dimensions n >= 4 are not supported
+    by the tail closure.
+    """
+    return _raised(kernel_oscillatory_batch([(x, y, r)], tol)[0])
 
 
 def _stationary_sum(x, y, r: float, n: int) -> complex:

@@ -43,22 +43,23 @@ def _pair(x, y):
 # callers that evaluate one pair at many t; the public functions are thin
 # wrappers, so each formula exists once.
 
-def _value(t, a2: float, b: float, s=None, c=None, out=None):
+def _value(t, a2: float, b: float, s=None, c=None, out=None, two_s=None):
     """psi at t, as t + (a2 c - 2 b) / (2 s) in that operation order.
 
     ``s`` and ``c`` are sin 2t and cos 2t when the caller already has
-    them.  ``out`` receives psi and may be ``c`` itself.  Each step is an
-    elementwise operation, in place on arrays, so the bits are those of
-    the plain expression.
+    them; a caller that has 2 sin 2t passes it as ``two_s`` instead of
+    ``s``, which spares the temporary 2 s.  ``out`` receives psi and may
+    be ``c`` itself.  Each step is an elementwise operation, in place on
+    arrays, so the bits are those of the plain expression.
     """
-    if s is None:
-        s = np.sin(2.0 * t)
+    if two_s is None:
+        two_s = 2.0 * (np.sin(2.0 * t) if s is None else s)
     if c is None:
         c = np.cos(2.0 * t)
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = np.multiply(a2, c, out=out)
         psi -= 2.0 * b
-        psi /= 2.0 * s
+        psi /= two_s
         psi += t
     return psi
 

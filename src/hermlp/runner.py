@@ -204,19 +204,30 @@ def _kernel_cross_mode(ctx: _Ctx):
         if abs(x - y) >= p["min_separation"]:
             pairs.append((float(x), float(y)))
 
-    def cell(args):
-        r, sx, sy = args
-        lam = math.sqrt(r)
-        level = (r - 1) // 2
-        direct = spectral.projection_kernel_sum(
-            level, 1, np.array([sx * lam]), np.array([sy * lam]))
-        kv = mehler.kernel_oscillatory([sx * lam], [sy * lam], r,
-                                       tol=p["quad_tol"])
-        rel = abs(kv.value - direct) / max(abs(direct), _REL_FLOOR)
-        return [[r, sx, sy, direct, kv.value, rel, kv.imag_residual,
-                 kv.evals]]
-
     cells = [(r, sx, sy) for r in p["r_values"] for sx, sy in pairs]
+    # every cell's quadrature in one Mehler driver call, each failure kept
+    # as its cell's value; the eigenbasis sums from one Hermite table per r
+    quads = dict(zip(cells, mehler.kernel_oscillatory_batch(
+        [([sx * math.sqrt(r)], [sy * math.sqrt(r)], r) for r, sx, sy in cells],
+        tol=p["quad_tol"])))
+    direct = {}
+    for r in p["r_values"]:
+        level = (r - 1) // 2
+        table = spectral._kernel_table(level, 1,
+                                       math.sqrt(r) * np.array(pairs).ravel())
+        for i, (sx, sy) in enumerate(pairs):
+            direct[r, sx, sy] = spectral._kernel_from_table(
+                table[:, 2 * i:2 * i + 2], level, 1)
+
+    def cell(args):
+        kv = quads[args]
+        if isinstance(kv, Exception):
+            raise kv
+        r, sx, sy = args
+        ref = direct[args]
+        rel = abs(kv.value - ref) / max(abs(ref), _REL_FLOOR)
+        return [[r, sx, sy, ref, kv.value, rel, kv.imag_residual, kv.evals]]
+
     oks = _collect(ctx, cell, cells)
     if oks:
         ctx.check("cross-validation-relative-error",

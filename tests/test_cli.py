@@ -255,10 +255,13 @@ SPHASE_CONSISTENCY = {"experiment": "sphase-check", "parameters": {
 # One small config per experiment, kernel-compare in both modes, and a
 # library call made inside one of its cells.  eval, sphase-check and
 # bounds-table have no cells of their own: the experiment is its one cell.
+# kernel-cross computes every cell's quadrature before its cells, keeping
+# each case's failure for its cell to raise: a phase call that every
+# case's descent makes fails them all.
 CONTAINED = {
     "eval": (EVAL_SMALL, hermite, "hermite_on_grids"),
     "kernel-cross": ({"experiment": "kernel-compare", "parameters": {
-        "r_values": [21], "pair_count": 3}}, mehler, "kernel_oscillatory"),
+        "r_values": [21], "pair_count": 3}}, phase, "stationary_points_in"),
     "kernel-bound": ({"experiment": "kernel-compare", "parameters": {
         "mode": "bound-check", "r_values": [102, 202], "mu_values": [0.2],
         "sample_count": 4}}, mehler, "kernel_bound_check"),
@@ -282,6 +285,9 @@ CONTAINED = {
 # before the failure, and the error that fails it.
 SPHASE_SMALL = {"experiment": "sphase-check", "parameters": {
     "lambda_values": [100.0, 215.443469003188]}}
+# A consistency radius whose top Mehler level fits the panel cap, so the
+# config takes it, but whose fourth level needs 214130 panels (cap 200000)
+DEEP_CAP_R = 1000001
 EVAL_TINY = {"experiment": "eval", "parameters": {
     "k_max_ortho": 20, "k_max_eigen": 40, "quad_points": 64,
     "eigen_samples": 4}}
@@ -292,7 +298,7 @@ LATE_FAILURES = {
     "sphase-check": (
         {"experiment": "sphase-check", "parameters": {
             **SPHASE_SMALL["parameters"],
-            "consistency_r_values": [101, 100000001]}},
+            "consistency_r_values": [101, DEEP_CAP_R]}},
         None, {"experiment": "sphase-check", "parameters": {
             **SPHASE_SMALL["parameters"], "consistency_r_values": [101, 201]}},
         ["remainder"] * 4 + ["gaussian-exactness"] * 2
@@ -395,6 +401,27 @@ class TestRunnerArtifacts:
         assert a["cross-validation-imag-residual"].observed == 0.0
         header, rows = read_csv(res.csv_path)
         assert len(rows) == 8 and header[0] == "r"
+
+    def test_kernel_cross_pair_failure_stays_in_its_cell(self, tmp_path,
+                                                         monkeypatch):
+        # one window integral of the second cell needs 1559 panels on a
+        # level; every other cell's need at most 1538
+        data = {"experiment": "kernel-compare", "parameters": {
+            "r_values": [21, 41, 81], "pair_count": 2}}
+        clean = run(parse_config(data), out_dir=tmp_path / "clean")
+        monkeypatch.setattr(mehler, "_PANEL_CAP", 1550)
+        res = run(parse_config(data), out_dir=tmp_path / "capped")
+        assert clean.exit_code == 0 and res.exit_code == 3
+        _, want = read_csv(clean.csv_path)
+        _, rows = read_csv(res.csv_path)
+        assert len(rows) == len(want) == 6
+        assert rows[:1] + rows[2:] == want[:1] + want[2:]
+        assert set(rows[1][:-1]) == {""}
+        assert rows[1][-1].startswith("error: TailConvergenceError: level [")
+        assert rows[1][-1].endswith("needs 1559 panels (cap 1550)")
+        (failure,) = res.summary["computational_failures"]
+        assert failure["cell"] == str((21, float(want[1][1]),
+                                       float(want[1][2])))
 
     def test_kernel_cross_seed_changes_pairs(self, tmp_path):
         data = {"experiment": "kernel-compare", "parameters": {
@@ -553,12 +580,15 @@ class TestRunnerArtifacts:
             assert gate.limit == -0.4 / scale and gate.passed
             assert by_name(res)["remainder-slope-m2"].limit == -1.7 / scale
 
-    def test_crash_outside_cells_writes_every_artifact(self, tmp_path):
-        # the second radius needs more Mehler panels than the cap allows;
-        # the failure is the experiment's, recorded after its first gates
+    def test_crash_outside_cells_writes_every_artifact(self, tmp_path,
+                                                       monkeypatch):
+        # the second radius needs more Mehler panels than the cap allows
+        # (10589 on its top level, the first radius at most 1477); the
+        # failure is the experiment's, recorded after its first gates
+        monkeypatch.setattr(mehler, "_PANEL_CAP", 2000)
         cfg = parse_config({"experiment": "sphase-check", "parameters": {
             "lambda_values": [100.0, 215.443469003188],
-            "consistency_r_values": [101, 100000001]}})
+            "consistency_r_values": [101, 100001]}})
         res = run(cfg, out_dir=tmp_path)
         assert res.exit_code == 3
         for path in (res.csv_path, res.summary_path, res.manifest_path):
@@ -1053,6 +1083,18 @@ class TestCommandLine:
                                                     "include_max_table": False}})
         assert cli.main(["bounds-table", "--config", path,
                          "--out", str(out)]) == 0
+
+    def test_infeasible_consistency_radius_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"experiment": "sphase-check",
+                                     "parameters": {
+                                         "consistency_r_values": [101, 100000001]}})
+        out = tmp_path / "out"
+        code = cli.main(["sphase-check", "--config", path, "--out", str(out)])
+        assert code == 2
+        assert ("parameters.consistency_r_values[1]: the top Mehler level "
+                "needs 10588024 panels at this r (cap 200000)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_crash_outside_cells_exits_3(self, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):

@@ -9,12 +9,14 @@ normalization analytically.
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hermlp import _blas, hermite, mehler, spectral
+from hermlp import _blas, config, hermite, mehler, spectral
 from hermlp.mehler import (
     FLAT_END,
     WINDOW_END,
@@ -97,6 +99,17 @@ def _kernel_cross_pairs(seed, count):
     return pairs
 
 
+def _level(a2, b, r, n, lo, hi):
+    """One pair's sum and node count on level [lo, hi], from the driver's
+    panel count and level block, the pair alone in its block."""
+    a2, b = np.array([a2]), np.array([b])
+    (panels,) = mehler._panel_counts(lo, hi, a2, b, [r])
+    (value,) = mehler._level_block(lo, hi, a2, b, np.array([float(r)]), n,
+                                   np.array([panels]),
+                                   mehler._Scratch(mehler._BLOCK_PANELS))
+    return value, panels * mehler._GL_X.size
+
+
 def _tapered_level(x, y, r, n, lo, hi, panel_cap):
     """The level sum with the taper applied to every node, flat or not,
     and the integrand in the complex form amp * exp(i r psi)."""
@@ -123,12 +136,13 @@ class TestLevelTaper:
 
     def _count_taper(self, monkeypatch):
         calls = []
+        taper = mehler._taper
 
         def counting(t):
             calls.append(np.size(t))
-            return cutoff_taper(t)
+            return taper(t)
 
-        monkeypatch.setattr(mehler, "cutoff_taper", counting)
+        monkeypatch.setattr(mehler, "_taper", counting)
         return calls
 
     def test_flat_levels_skip_the_taper(self, monkeypatch):
@@ -136,8 +150,8 @@ class TestLevelTaper:
         for k in range(2, 8):
             lo, hi = _dyadic_level(k)
             assert hi <= FLAT_END
-            mehler._level_contribution(*_a2_b(np.array([0.3]), np.array([-0.2])),
-                                       101.0, 1, lo, hi, 200_000)
+            _level(*_a2_b(np.array([0.3]), np.array([-0.2])), 101.0, 1, lo,
+                   hi)
         assert calls == []
 
     def test_top_levels_apply_the_taper(self, monkeypatch):
@@ -145,9 +159,8 @@ class TestLevelTaper:
         for k in (0, 1):
             lo, hi = _dyadic_level(k)
             assert hi > FLAT_END
-            _, used = mehler._level_contribution(
-                *_a2_b(np.array([0.3]), np.array([-0.2])), 101.0, 1, lo, hi,
-                200_000)
+            _, used = _level(*_a2_b(np.array([0.3]), np.array([-0.2])),
+                             101.0, 1, lo, hi)
             assert calls[-1] == used
         assert len(calls) == 2
 
@@ -156,8 +169,7 @@ class TestLevelTaper:
         x, y, r = self.CASES[case]
         for k in range(8):
             lo, hi = _dyadic_level(k)
-            got = mehler._level_contribution(*_a2_b(x, y), r, x.size, lo, hi,
-                                             200_000)
+            got = _level(*_a2_b(x, y), r, x.size, lo, hi)
             assert _bits(got) == _bits(
                 _tapered_level(x, y, r, x.size, lo, hi, 200_000))
 
@@ -169,8 +181,7 @@ class TestLevelTaper:
         for k in range(8, 12):
             lo, hi = _dyadic_level(k)
             with _blas.one_thread():
-                got = mehler._level_contribution(*_a2_b(x, y), r, x.size, lo,
-                                                 hi, 200_000)
+                got = _level(*_a2_b(x, y), r, x.size, lo, hi)
             assert got[1] > 5_000 * mehler._GL_W.size
             assert _bits(got) == _bits(
                 _tapered_level(x, y, r, x.size, lo, hi, 200_000))
@@ -184,8 +195,7 @@ class TestLevelTaper:
                 for k in range(12):
                     lo, hi = _dyadic_level(k)
                     with _blas.one_thread():
-                        got = mehler._level_contribution(
-                            *_a2_b(x, y_sign), r, 1, lo, hi, 200_000)
+                        got = _level(*_a2_b(x, y_sign), r, 1, lo, hi)
                     assert _bits(got) == _bits(
                         _tapered_level(x, y_sign, r, 1, lo, hi, 200_000))
                 deepest = max(deepest, got[1])
@@ -210,24 +220,220 @@ class TestLevelThreads:
 
     def test_level_gemv_runs_on_one_thread(self, monkeypatch):
         # a fake OpenBLAS (get, set) at 7 threads; record the count at
-        # every level gemv
+        # every level gemv, in the caller or a helper thread
         history, seen = [7], []
         monkeypatch.setattr(_blas, "_found", (lambda: history[-1],
                                               history.append))
         dot = np.dot
 
-        def recording(a, b):
+        def recording(a, b, *args, **kwargs):
             if b is mehler._GL_W:
                 seen.append(history[-1])
-            return dot(a, b)
+            return dot(a, b, *args, **kwargs)
 
         monkeypatch.setattr(mehler.np, "dot", recording)
         x, y, r = TestLevelTaper.CASES[1]
         got = oscillatory_half_integral(x, y, r)
+        # one pair: one block, so one gemv, a level
         assert got.levels > 1 and len(seen) == got.levels
         assert set(seen) == {1}
-        # one scope for the whole call, not one per level
+        # one scope for the whole call, not one per level or per worker
         assert history == [7, 1, 7]
+        del seen[:]
+        results = mehler._half_integrals(_mixed_cases(), 1e-8)
+        assert len(seen) >= max(h.levels for h in results)
+        assert set(seen) == {1}
+        assert history == [7, 1, 7, 1, 7]
+
+
+def _mixed_cases():
+    """Rescaled (x, y, r) cases of dimensions 1 to 3, both signs of y and
+    several eigenvalues, whose descents stop after different level counts."""
+    cases = []
+    for x, y, r in TestLevelTaper.CASES:
+        cases += [(x, y, r), (x, -y, r)]
+    for x, y in _kernel_cross_pairs(5, 3):
+        for r in (21.0, 161.0):
+            cases += [(x, y, r), (x, -y, r)]
+    return cases
+
+
+def _record_levels(monkeypatch):
+    """Record every (case, level, t_lo, sum, nodes) the driver steps."""
+    levels = []
+    init, step = mehler._Descent.__init__, mehler._Descent.step
+
+    def recording_init(self, x, y, r, tol):
+        init(self, x, y, r, tol)
+        self.case = (x, y, r)
+
+    def recording_step(self, level, t_lo, contrib, used):
+        levels.append((self.case, level, t_lo, contrib, used))
+        return step(self, level, t_lo, contrib, used)
+
+    monkeypatch.setattr(mehler._Descent, "__init__", recording_init)
+    monkeypatch.setattr(mehler._Descent, "step", recording_step)
+    return levels
+
+
+def _result_bits(result):
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return (result.value.real.hex(), result.value.imag.hex(),
+            float(result.achieved).hex(), result.levels, result.evals)
+
+
+class TestDriver:
+    def test_mixed_batch_levels_match_the_tapered_form_exactly(
+            self, monkeypatch):
+        levels = _record_levels(monkeypatch)
+        cases = _mixed_cases()
+        results = mehler._half_integrals(cases, 1e-8)
+        assert len({h.levels for h in results}) > 2
+        assert {x.size for x, _, _ in cases} == {1, 2, 3}
+        # every level of every case, the sum as the case alone gives it
+        assert len(levels) == sum(h.levels for h in results)
+        for (x, y, r), _, t_lo, contrib, used in levels:
+            want = _tapered_level(x, y, r, x.size, t_lo, 2.0 * t_lo, 200_000)
+            assert _bits((contrib, used)) == _bits(want)
+
+    def test_each_case_as_alone(self):
+        cases = _mixed_cases()
+        batch = mehler._half_integrals(cases, 1e-8)
+        for case, got in zip(cases, batch):
+            alone = oscillatory_half_integral(*case, tol=1e-8)
+            assert _result_bits(got) == _result_bits(alone)
+
+    @pytest.mark.parametrize("name,value", [("_BLOCK_PANELS", 4),
+                                            ("_WORKERS", 1)])
+    def test_bits_do_not_depend_on_blocks_or_workers(self, monkeypatch,
+                                                     name, value):
+        cases = _mixed_cases()
+        want = [_result_bits(h) for h in mehler._half_integrals(cases, 1e-8)]
+        monkeypatch.setattr(mehler, name, value)
+        got = [_result_bits(h) for h in mehler._half_integrals(cases, 1e-8)]
+        assert got == want
+
+    def test_more_workers_than_cores_keep_the_bits(self, monkeypatch):
+        # every worker writes its own blocks' sums and uses its own
+        # buffers; a lost or crossed write would move a result
+        cases = _mixed_cases()
+        want = [_result_bits(h) for h in mehler._half_integrals(cases, 1e-8)]
+        monkeypatch.setattr(mehler, "_WORKERS", 5)
+        monkeypatch.setattr(mehler, "_BLOCK_PANELS", 16)
+        interval, threads = sys.getswitchinterval(), threading.active_count()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [_result_bits(h)
+                   for h in mehler._half_integrals(cases, 1e-8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert threading.active_count() == threads  # every helper joined
+
+    def test_a_capped_pair_fails_alone(self, monkeypatch):
+        levels = _record_levels(monkeypatch)
+        cases = _mixed_cases()
+        big = (np.array([0.3]), np.array([-0.2]), 1601.0)
+        cases.insert(3, big)
+        want = [_result_bits(h) for h in mehler._half_integrals(cases, 1e-8)]
+        most = {}
+        for case, _, _, _, used in levels:
+            key = id(case[0]), id(case[1]), case[2]
+            most[key] = max(most.get(key, 0), used // mehler._GL_X.size)
+        big_panels = most.pop((id(big[0]), id(big[1]), big[2]))
+        cap = max(most.values())
+        assert big_panels > cap
+        monkeypatch.setattr(mehler, "_PANEL_CAP", cap)
+        got = mehler._half_integrals(cases, 1e-8)
+        assert isinstance(got[3], TailConvergenceError)
+        assert f"(cap {cap})" in str(got[3])
+        assert math.isinf(got[3].achieved)
+        assert [_result_bits(h) for i, h in enumerate(got) if i != 3] == \
+            [bits for i, bits in enumerate(want) if i != 3]
+
+    def test_a_helper_failure_reaches_the_caller(self, monkeypatch):
+        block = mehler._level_block
+
+        def failing(lo, hi, a2, b, r, n, panels, buf):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper")
+            return block(lo, hi, a2, b, r, n, panels, buf)
+
+        monkeypatch.setattr(mehler, "_level_block", failing)
+        monkeypatch.setattr(mehler, "_BLOCK_PANELS", 4)
+        with pytest.raises(RuntimeError, match="helper"):
+            mehler._half_integrals(_mixed_cases(), 1e-8)
+
+    def test_kernel_batch_keeps_failures_as_data(self):
+        cases = [([0.1], [0.2], 22), ([1.9], [-0.6], 21),
+                 ([1.0, 0.0], [1.2, 0.0], 102)]
+        got = mehler.kernel_oscillatory_batch(cases)
+        assert isinstance(got[0], ValueError)
+        assert isinstance(got[2], NearDiagonalError)
+        assert got[1] == kernel_oscillatory([1.9], [-0.6], 21)
+
+    def test_checks_workload_work_counts(self, monkeypatch):
+        # the seed-0 checks cross-validate and sphase configs of the
+        # benchmark: the work pinned when the driver replaced the
+        # per-pair loop
+        import importlib.util
+        from pathlib import Path
+
+        from hermlp import config, runner
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_checks_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        done = []
+        driver = mehler._half_integrals
+
+        def recording(cases, tol):
+            out = driver(cases, tol)
+            done.extend(out)
+            return out
+
+        monkeypatch.setattr(mehler, "_half_integrals", recording)
+        for raw in workloads.configs("checks", 0):
+            if raw["experiment"] == "sphase-check" or \
+                    raw["parameters"].get("mode") == "cross-validate":
+                result = runner.run(config.parse_config(raw), None)
+                assert result.exit_code == 0
+        assert sum(h.evals for h in done) == 21_488_272
+        assert sum(h.levels for h in done) == 7_137
+
+
+class TestBitRisks:
+    """The numpy behaviours the driver's bits rest on, on this machine."""
+
+    def test_transcendentals_ignore_chunks_and_strides(self):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-40.0, 40.0, 5_003)
+        for fn in (np.sin, np.cos, np.exp):
+            whole = fn(x)
+            for start, stop in ((0, 17), (3, 4_100), (1, 5_003), (2_049, 2_050)):
+                assert np.array_equal(fn(x[start:stop]), whole[start:stop])
+            out = np.empty(x.size, dtype=complex)
+            fn(x, out=out.real)
+            assert np.array_equal(out.real, whole)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_in_place_power_with_a_scalar_exponent(self, n):
+        s = np.random.default_rng(n).uniform(1e-3, 1.0, 4_099)
+        got = s.copy()
+        got[5:4_000] **= -0.5 * n
+        want = s ** (-0.5 * n)
+        assert np.array_equal(got[5:4_000], want[5:4_000])
+
+    def test_broadcast_column_product_is_the_scalar_product(self):
+        rng = np.random.default_rng(2)
+        rows = rng.standard_normal((7, 16))
+        col = rng.standard_normal(7)
+        got = rows * col[:, None]
+        for i in range(7):
+            assert np.array_equal(got[i], rows[i] * float(col[i]))
+            assert np.array_equal(got[i], float(col[i]) * rows[i])
 
 
 class TestNormalization:
@@ -510,3 +716,28 @@ class TestLeadingTracksQuadrature:
                 quad = kernel_oscillatory([lam * x], [lam * y], r).value
                 model = kernel_stationary_model([lam * x], [lam * y], r)
                 assert 1 / 3 <= abs(model) / abs(quad) <= 3
+
+
+class TestConfigPanelRule:
+    """config refuses a consistency radius by mehler's panel rule for the
+    top level, written there with math alone."""
+
+    def test_constants_are_mehlers(self):
+        assert config._MEHLER_PANEL_CAP == mehler._PANEL_CAP
+        assert config._MEHLER_WINDOW_END == WINDOW_END
+
+    @pytest.mark.parametrize("point", [(0.31, -0.27), (0.0, 0.0), (0.9, -0.9),
+                                       (-0.55, 0.2), (0.7, 0.7), (-0.1, 0.85)])
+    def test_math_count_matches_the_driver(self, point):
+        lo, hi = _dyadic_level(0)
+        for r in (1, 101, 1601, 25601, 100001, 1000001, 100000001):
+            lam = math.sqrt(r)
+            # the pair as consistency_residual hands it to the driver
+            x, y = mehler._rescaled([lam * point[0]], [lam * point[1]], r)
+            a2, b = _a2_b(x, y)
+            driver = max(mehler._panel_counts(lo, hi, np.array([a2, a2]),
+                                              np.array([b, -b]), [r, r]))
+            assert abs(config._top_level_panels(r, point) - driver) <= 1
+
+    def test_reproducer_count(self):
+        assert config._top_level_panels(100000001, (0.31, -0.27)) == 10_588_024
