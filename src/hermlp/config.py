@@ -289,7 +289,8 @@ def _params_sphase(s: _Scope) -> dict:
     elif pt is not None:
         for i, r in enumerate(out["consistency_r_values"] or ()):
             panels = _top_level_panels(r, pt)
-            if panels > _MEHLER_PANEL_CAP:
+            # the count may be one above the driver's, which may still fit
+            if panels > _MEHLER_PANEL_CAP + 1:
                 s.flag(f"consistency_r_values[{i}]",
                        f"the top Mehler level needs {panels} panels at this r "
                        f"(cap {_MEHLER_PANEL_CAP})")
@@ -307,7 +308,10 @@ def _top_level_panels(r: int, point) -> int:
     for the consistency point (x, y), the more of its two window
     integrals (y and -y).  This is mehler's panel rule written with math:
     r times the largest |psi'| on the 33-point probe times the level
-    width, in steps of 5, at least 4.  A deeper level may need more."""
+    width, in steps of 5, at least 4.  math's sine and cosine may differ
+    from numpy's in the last bit, and the point is not rescaled as the
+    driver's is, so the count may be one off the driver's.  A deeper
+    level may need more."""
     x, y = point
     hi = _MEHLER_WINDOW_END
     lo = 0.5 * hi

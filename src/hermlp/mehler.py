@@ -48,7 +48,7 @@ import numpy as np
 
 from . import phase as ph
 from ._blas import one_thread
-from .spectral import _kernel_from_table, _kernel_table
+from .spectral import projection_kernel_sums
 from .stationary import fresnel_leading
 
 WINDOW_END = 3.0 * math.pi / 8.0
@@ -58,7 +58,6 @@ _PANEL_CAP = 200_000  # Gauss-Legendre panels allowed on one level
 _CONSISTENCY_TOL = 1e-9  # quadrature tolerance of consistency_residual
 _BLOCK_PANELS = 2048  # panels of one block, unless a single pair has more
 _WORKERS = 2  # the caller and its helper threads, computing a level
-_TAPER_CHUNK = 4096  # nodes tapered at a time
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -212,14 +211,9 @@ def _level_block(lo: float, hi: float, a2, b, r, n: int, panels,
         # sqrt or pow) from the exponent's value
         s **= -0.5 * n
         if hi > FLAT_END:
-            # in chunks, so the taper's temporaries stay small
-            flat_s, flat_t = s.ravel(), ts.ravel()
-            for i in range(0, m, _TAPER_CHUNK):
-                part = slice(i, i + _TAPER_CHUNK)
-                flat_s[part] *= _taper(flat_t[part])
+            s *= _taper(ts)
         np.cos(c, out=c)
-        rpsi = ph._value(ts, a2[pair, None], b[pair, None], c=c, out=c,
-                         two_s=two_s)
+        rpsi = ph._value(ts, a2[pair, None], b[pair, None], two_s, c, out=c)
         rpsi *= r[pair, None]
         vals = buf.w[:2 * m].view(complex)
         np.cos(rpsi.ravel(), out=vals.real)
@@ -354,10 +348,14 @@ class _Descent:
         )
 
 
-def _half_integrals(cases, tol: float) -> list:
+def _half_integrals(cases, tol: float, leads=None) -> list:
     """The window integral A(x, y) of every (x, y, r) case to absolute
     accuracy ~tol: a HalfIntegral per case, or the exception its descent
     ended in (a TailConvergenceError, as a rule), in case order.
+
+    ``leads[i]``, where given and not None, is the index of an earlier
+    case whose failure makes case i moot: once it fails, case i stops
+    descending and takes its exception.
 
     Each descent goes down the dyadic levels toward t = 0; once below
     every stationary point, below the taper seam, and inside the region
@@ -390,7 +388,10 @@ def _half_integrals(cases, tol: float) -> list:
                                    [d.r for _, d in live])
             kept, panels = [], []
             for (i, d), p in zip(live, counts):
-                if p > _PANEL_CAP:
+                lead = None if leads is None else leads[i]
+                if lead is not None and isinstance(out[lead], Exception):
+                    out[i] = out[lead]  # on an earlier level or just above
+                elif p > _PANEL_CAP:
                     out[i] = TailConvergenceError(
                         f"level [{t_lo:.3e}, {t_hi:.3e}] needs {p} panels "
                         f"(cap {_PANEL_CAP})", best=0j, achieved=math.inf)
@@ -491,7 +492,7 @@ def kernel_oscillatory_batch(cases, tol: float = 1e-8) -> list:
     (a refusal, a panel cap hit, no tail convergence), kept as data so
     that one case cannot stop the others.
     """
-    halves, slots = [], []
+    halves, slots, leads = [], [], []
     for x, y, r in cases:
         try:
             x, y = _rescaled(x, y, r)
@@ -499,8 +500,10 @@ def kernel_oscillatory_batch(cases, tol: float = 1e-8) -> list:
             slots.append(exc)
             continue
         slots.append(len(halves))
+        # the (x, y) half's failure is the case's, so it stops the other
+        leads += [None, len(halves)]
         halves += [(x, y, r), (x, -y, r)]
-    values = _half_integrals(halves, tol)
+    values = _half_integrals(halves, tol, leads)
     out = []
     for (x, y, r), slot in zip(cases, slots):
         if isinstance(slot, Exception):
@@ -649,12 +652,11 @@ def kernel_bound_check(n: int, r: int,
                         0.0)
             y = _on_shell(direction, rho_y, 4.0 / lam)
         pairs.append((lam * x, lam * y))
-    table = _kernel_table(level, n, np.concatenate([np.concatenate(pair)
-                                                    for pair in pairs]))
+    values = projection_kernel_sums(level, n, [x for x, _ in pairs],
+                                    [y for _, y in pairs])
     ratios = []
     diag_ratio = 0.0
-    for i in range(sample.count):
-        value = _kernel_from_table(table[:, 2 * n * i:2 * n * (i + 1)], level, n)
+    for i, value in enumerate(values):
         ratio = abs(value) / normalizer
         ratios.append(ratio)
         if i % 4 == 0:

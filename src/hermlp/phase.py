@@ -43,17 +43,16 @@ def _pair(x, y):
 # callers that evaluate one pair at many t; the public functions are thin
 # wrappers, so each formula exists once.
 
-def _value(t, a2: float, b: float, s=None, c=None, out=None, two_s=None):
+def _value(t, a2: float, b: float, two_s=None, c=None, out=None):
     """psi at t, as t + (a2 c - 2 b) / (2 s) in that operation order.
 
-    ``s`` and ``c`` are sin 2t and cos 2t when the caller already has
-    them; a caller that has 2 sin 2t passes it as ``two_s`` instead of
-    ``s``, which spares the temporary 2 s.  ``out`` receives psi and may
-    be ``c`` itself.  Each step is an elementwise operation, in place on
-    arrays, so the bits are those of the plain expression.
+    ``two_s`` and ``c`` are 2 sin 2t and cos 2t when the caller already
+    has them.  ``out`` receives psi and may be ``c`` itself.  Each step is
+    an elementwise operation, in place on arrays, so the bits are those of
+    the plain expression.
     """
     if two_s is None:
-        two_s = 2.0 * (np.sin(2.0 * t) if s is None else s)
+        two_s = 2.0 * np.sin(2.0 * t)
     if c is None:
         c = np.cos(2.0 * t)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -205,26 +205,25 @@ def _kernel_cross_mode(ctx: _Ctx):
             pairs.append((float(x), float(y)))
 
     cells = [(r, sx, sy) for r in p["r_values"] for sx, sy in pairs]
-    # every cell's quadrature in one Mehler driver call, each failure kept
-    # as its cell's value; the eigenbasis sums from one Hermite table per r
+    # every cell's quadrature in one Mehler driver call, each case's
+    # failure kept as its cell's value; a failure outside the cases (in
+    # the level sums themselves) stops the experiment before any cell
     quads = dict(zip(cells, mehler.kernel_oscillatory_batch(
         [([sx * math.sqrt(r)], [sy * math.sqrt(r)], r) for r, sx, sy in cells],
         tol=p["quad_tol"])))
     direct = {}
-    for r in p["r_values"]:
-        level = (r - 1) // 2
-        table = spectral._kernel_table(level, 1,
-                                       math.sqrt(r) * np.array(pairs).ravel())
-        for i, (sx, sy) in enumerate(pairs):
-            direct[r, sx, sy] = spectral._kernel_from_table(
-                table[:, 2 * i:2 * i + 2], level, 1)
 
     def cell(args):
+        r, sx, sy = args
+        if r not in direct:
+            # the eigenbasis sums of every pair at this r, from one table
+            scaled = math.sqrt(r) * np.array(pairs)
+            direct[r] = dict(zip(pairs, spectral.projection_kernel_sums(
+                (r - 1) // 2, 1, scaled[:, :1], scaled[:, 1:])))
+        ref = direct[r][sx, sy]
         kv = quads[args]
         if isinstance(kv, Exception):
             raise kv
-        r, sx, sy = args
-        ref = direct[args]
         rel = abs(kv.value - ref) / max(abs(ref), _REL_FLOOR)
         return [[r, sx, sy, ref, kv.value, rel, kv.imag_residual, kv.evals]]
 

@@ -68,6 +68,19 @@ def projection_kernel_sum(level: int, dim: int, x, y) -> float:
     return _kernel_from_table(h, level, dim)
 
 
+def projection_kernel_sums(level: int, dim: int, x, y) -> list:
+    """:func:`projection_kernel_sum` of every pair (x[i], y[i]), bit for
+    bit, from one Hermite table over all their points.  ``x`` and ``y``
+    have shape (count, dim)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape[1] != dim or y.shape != x.shape:
+        raise ValueError("points must have shape (count, dim)")
+    h = _kernel_table(level, dim, np.concatenate([x, y], axis=1).ravel())
+    return [_kernel_from_table(h[:, 2 * dim * i:2 * dim * (i + 1)], level, dim)
+            for i in range(len(x))]
+
+
 def _kernel_table(level: int, dim: int, points: np.ndarray) -> np.ndarray:
     """The Hermite table :func:`_kernel_from_table` reads on ``points``:
     order ``level`` alone in one dimension, orders 0..level otherwise.

@@ -423,6 +423,30 @@ class TestRunnerArtifacts:
         assert failure["cell"] == str((21, float(want[1][1]),
                                        float(want[1][2])))
 
+    def test_kernel_cross_eigenbasis_failure_stays_in_its_cells(
+            self, tmp_path, monkeypatch):
+        # the eigenbasis sums at r = 41 fail: its two cells leave error
+        # rows, the cells at 21 and 81 theirs as in a clean run
+        data = {"experiment": "kernel-compare", "parameters": {
+            "r_values": [21, 41, 81], "pair_count": 2}}
+        clean = run(parse_config(data), out_dir=tmp_path / "clean")
+        sums = spectral.projection_kernel_sums
+
+        def failing(level, dim, x, y):
+            if level == 20:
+                raise RuntimeError("no table")
+            return sums(level, dim, x, y)
+
+        monkeypatch.setattr(spectral, "projection_kernel_sums", failing)
+        res = run(parse_config(data), out_dir=tmp_path / "failing")
+        assert clean.exit_code == 0 and res.exit_code == 3
+        _, want = read_csv(clean.csv_path)
+        _, rows = read_csv(res.csv_path)
+        assert rows[:2] + rows[4:] == want[:2] + want[4:]
+        assert [row[-1] for row in rows[2:4]] == \
+            ["error: RuntimeError: no table"] * 2
+        assert len(res.summary["computational_failures"]) == 2
+
     def test_kernel_cross_seed_changes_pairs(self, tmp_path):
         data = {"experiment": "kernel-compare", "parameters": {
             "mode": "cross-validate", "r_values": [21], "pair_count": 4}}

@@ -352,6 +352,30 @@ class TestDriver:
         assert [_result_bits(h) for i, h in enumerate(got) if i != 3] == \
             [bits for i, bits in enumerate(want) if i != 3]
 
+    def test_a_failed_lead_stops_its_follower(self, monkeypatch):
+        levels = _record_levels(monkeypatch)
+        counts = mehler._panel_counts
+
+        def cap_hit_on_level_2(lo, hi, a2, b, r):
+            # the r = 1601 case needs one panel too many from level 2 on
+            return [mehler._PANEL_CAP + 1 if ri == 1601.0 and
+                    hi <= WINDOW_END / 4 else p
+                    for p, ri in zip(counts(lo, hi, a2, b, r), r)]
+
+        monkeypatch.setattr(mehler, "_panel_counts", cap_hit_on_level_2)
+        x, y = np.array([0.3]), np.array([0.2])
+        cases = [(x, y, 1601.0), (x, -y, 161.0), (y, -x, 81.0)]
+        alone = mehler._half_integrals(cases, 1e-8)
+        assert alone[1].levels > 3
+        levels.clear()
+        got = mehler._half_integrals(cases, 1e-8, [None, 0, None])
+        assert isinstance(got[0], TailConvergenceError)
+        assert got[1] is got[0]
+        assert _result_bits(got[2]) == _result_bits(alone[2])
+        # the follower stepped the levels its lead finished, no more
+        assert [level for case, level, *_ in levels
+                if case[2] == 161.0] == [0, 1]
+
     def test_a_helper_failure_reaches_the_caller(self, monkeypatch):
         block = mehler._level_block
 
@@ -389,8 +413,8 @@ class TestDriver:
         done = []
         driver = mehler._half_integrals
 
-        def recording(cases, tol):
-            out = driver(cases, tol)
+        def recording(cases, tol, leads=None):
+            out = driver(cases, tol, leads)
             done.extend(out)
             return out
 
@@ -726,18 +750,48 @@ class TestConfigPanelRule:
         assert config._MEHLER_PANEL_CAP == mehler._PANEL_CAP
         assert config._MEHLER_WINDOW_END == WINDOW_END
 
+    @staticmethod
+    def _driver_count(r, point):
+        lo, hi = _dyadic_level(0)
+        lam = math.sqrt(r)
+        # the pair as consistency_residual hands it to the driver
+        x, y = mehler._rescaled([lam * point[0]], [lam * point[1]], r)
+        a2, b = _a2_b(x, y)
+        return max(mehler._panel_counts(lo, hi, np.array([a2, a2]),
+                                        np.array([b, -b]), [r, r]))
+
     @pytest.mark.parametrize("point", [(0.31, -0.27), (0.0, 0.0), (0.9, -0.9),
                                        (-0.55, 0.2), (0.7, 0.7), (-0.1, 0.85)])
     def test_math_count_matches_the_driver(self, point):
-        lo, hi = _dyadic_level(0)
         for r in (1, 101, 1601, 25601, 100001, 1000001, 100000001):
-            lam = math.sqrt(r)
-            # the pair as consistency_residual hands it to the driver
-            x, y = mehler._rescaled([lam * point[0]], [lam * point[1]], r)
-            a2, b = _a2_b(x, y)
-            driver = max(mehler._panel_counts(lo, hi, np.array([a2, a2]),
-                                              np.array([b, -b]), [r, r]))
-            assert abs(config._top_level_panels(r, point) - driver) <= 1
+            assert abs(config._top_level_panels(r, point)
+                       - self._driver_count(r, point)) <= 1
+
+    def test_refuses_only_what_the_driver_refuses(self):
+        # the odd r around the boundary: the last whose math count is at
+        # most the cap + 1 passes, the next is refused
+        point, cap = (0.31, -0.27), config._MEHLER_PANEL_CAP
+        lo, hi = 1, 100000001  # counts 4 and 10,588,024, both odd r
+        while hi - lo > 2:
+            mid = (lo + hi) // 2 | 1
+            if config._top_level_panels(mid, point) > cap + 1:
+                hi = mid
+            else:
+                lo = mid
+        assert config._top_level_panels(lo, point) == cap + 1
+        assert config._top_level_panels(hi, point) == cap + 2
+        assert self._driver_count(hi, point) > cap
+
+        def sphase(r):
+            return config.parse_config({
+                "experiment": "sphase-check",
+                "parameters": {"consistency_r_values": [101, r]}})
+
+        assert sphase(lo).parameters["consistency_r_values"] == [101, lo]
+        with pytest.raises(config.ConfigError,
+                           match=rf"consistency_r_values\[1\]: .* needs "
+                                 rf"{cap + 2} panels"):
+            sphase(hi)
 
     def test_reproducer_count(self):
         assert config._top_level_panels(100000001, (0.31, -0.27)) == 10_588_024

@@ -93,7 +93,7 @@ class TestPrivateKernels:
         x, y = np.array([0.1, 0.4, -0.3]), np.array([-0.5, 0.2, 0.6])
         a2, b = self._invariants(x, y)
         ts = np.linspace(1e-4, 1.2, 101)
-        got = ph._value(ts, a2, b, np.sin(2.0 * ts))
+        got = ph._value(ts, a2, b, 2.0 * np.sin(2.0 * ts))
         assert np.array_equal(got, ph.phase_value(ts, x, y))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -105,7 +105,7 @@ class TestPrivateKernels:
         s, c = np.sin(2.0 * ts), np.cos(2.0 * ts)
         with np.errstate(divide="ignore", invalid="ignore"):
             want = ts + (a2 * c - 2.0 * b) / (2.0 * s)
-        got = ph._value(ts, a2, b, s, c, out=c)
+        got = ph._value(ts, a2, b, 2.0 * s, c, out=c)
         assert got is c
         assert got.tobytes() == want.tobytes()
         assert ph._value(ts, a2, b).tobytes() == want.tobytes()

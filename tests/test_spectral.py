@@ -186,6 +186,22 @@ class TestKernelSum:
         with pytest.raises(ValueError, match="shape"):
             sp.projection_kernel_sum(4, 2, np.zeros(2), np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("dim,level", [(1, 40), (2, 17), (3, 9)])
+    def test_batch_has_each_pairs_bits(self, dim, level):
+        rng = np.random.default_rng(dim)
+        x, y = rng.uniform(-3, 3, (2, 7, dim))
+        y[0] = x[0]  # a diagonal pair
+        got = sp.projection_kernel_sums(level, dim, x, y)
+        want = [sp.projection_kernel_sum(level, dim, xi, yi)
+                for xi, yi in zip(x, y)]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_batch_rejects_points_of_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            sp.projection_kernel_sums(4, 2, np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="shape"):
+            sp.projection_kernel_sums(4, 2, np.zeros((3, 2)), np.zeros((2, 2)))
+
 
 class TestEigenfunction:
     def test_ground_state_at_origin(self):
