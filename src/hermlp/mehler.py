@@ -26,10 +26,11 @@ eigenbasis sum instead.
 One driver, :func:`_half_integrals`, computes every window integral.  It
 takes many pairs, each an (x, y, R) point with its sign of y, and runs
 dyadic level k for all pairs still descending together; a pair leaves
-once its own stop rule fires.  Every descent starts at ``WINDOW_END``,
-so a level's interval and its 33-point probe are shared, while each
-pair keeps its own panels, gemv rows and sum over them: its level sums
-are those it would get alone.  A level's pairs are cut into fixed
+once its own stop rule fires, or once a pair it follows has failed (the
+other half of a failed kernel value).  Every descent starts at
+``WINDOW_END``, so a level's interval and its 33-point probe are shared,
+while each pair keeps its own panels, gemv rows and sum over them: its
+level sums are those it would get alone.  A level's pairs are cut into fixed
 blocks, which two workers, the calling thread and one helper thread,
 compute in buffers the caller allocates, under one one-thread BLAS scope
 the caller holds around the whole call.  No bit depends on the worker
