@@ -5,11 +5,14 @@ bounding box with a sharp ball indicator, block-evaluated so large
 grids stay in memory budget, and an exact reduction: each block's sum is
 the correctly rounded sum of its terms, the value ``math.fsum`` gives,
 so repeated runs produce bit-identical sums whatever the term order.
-``_exact_sum`` gets that value from a few numpy passes: it splits every
-term into two exactly representable halves, adds the halves per binary
-exponent, where no addition can round, and hands ``math.fsum`` only the
-nonzero bin sums (the binning idea of Demmel & Nguyen, "Parallel
-Reproducible Summation", IEEE TC 2015).
+``_exact_chunk_sum`` gets that value from a few numpy passes: it splits
+every term into two exactly representable halves, adds the halves per
+binary exponent, where no addition can round, and hands ``math.fsum``
+only the nonzero bin sums (the binning idea of Demmel & Nguyen,
+"Parallel Reproducible Summation", IEEE TC 2015).  Its bins persist
+across the chunks of a stream, so a block is reduced a few lead rows at
+a time: ball mask, gathered values and weight products exist only per
+chunk, and a block's peak memory is about its one tile.
 
 An integrand takes tensor axes: ``f(*axes, lead=slice(start, stop))``
 gets the full 1-D node array of every axis and returns the tensor tile
@@ -29,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import legcompanion, legder, legval
@@ -43,13 +48,19 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 20
+# Each block is reduced in chunks of whole lead rows of about this many
+# nodes.  On sweep-tube (2-vCPU Xeon), chunks of 2^14, 2^15, 2^16 and 2^17
+# nodes gave peak RSS of 44.8, 45.1, 46.2 and 48.8 MB at the same wall
+# time; a 2048 x 2048 grid reduced fastest at 2^13 to 2^16 (55-70 ms),
+# and took 83 ms at 2^12.
+_ROW_CHUNK = 1 << 14
 
-# _exact_sum: chunk length, the 26-bit split of each term, and the range
-# of frexp exponents of finite doubles, [-1073, 1024].  Below 2^995 in
-# magnitude and 2^26 in count, no bin sum and no partial sum of math.fsum
-# can overflow.  Chunks of 2^13 and 2^14 terms were the fastest measured,
-# about 11 ns a term; of the two, only 2^14 left the peak memory of a
-# saturate sweep where math.fsum had it.
+# _exact_chunk_sum: chunk length, the 26-bit split of each term, and the
+# range of frexp exponents of finite doubles, [-1073, 1024].  Below 2^995
+# in magnitude and 2^26 in count, no bin sum and no partial sum of
+# math.fsum can overflow.  Chunks of 2^13 and 2^14 terms were the fastest
+# measured, about 11 ns a term; of the two, only 2^14 left the peak memory
+# of a saturate sweep where math.fsum had it.
 _SUM_CHUNK = 1 << 14
 _SPLIT = 2.0 ** 26
 _EXP_MIN, _EXP_BINS = -1073, 2098
@@ -182,33 +193,64 @@ def _outer(vectors, op) -> np.ndarray:
 
 
 def _exact_sum(a: np.ndarray) -> float:
-    """math.fsum(a) of a 1-D float array, bit for bit, in numpy passes.
+    """math.fsum(a) of a 1-D float array, bit for bit, in numpy passes."""
+    return _exact_chunk_sum(lambda: (a,))
 
-    Each term x = mant * 2^ex splits into hi, its leading 26 bits, and
-    lo = x - hi, both exact.  With a common exponent ex, the hi parts are
-    multiples of 2^(ex-26) below 2^ex and the lo parts multiples of
-    2^(ex-53) below 2^(ex-26), so up to 2^26 terms keep every bin sum
-    below 2^53 quanta: each bin sum is exact, with mixed signs too,
-    and fsum of the bins is the correctly rounded total, fsum(a).  A
-    non-finite term, |x| >= 2^995 or more than 2^26 terms go to fsum
-    itself, so inf, nan and overflow behave as there.
+
+def _exact_chunk_sum(chunks) -> float:
+    """math.fsum of every term of the 1-D float arrays chunks() yields.
+
+    The bins persist across chunks, so the terms need never be in memory
+    at once.  Each term x = mant * 2^ex splits into hi, its leading 26
+    bits, and lo = x - hi, both exact.  With a common exponent ex, the hi
+    parts are multiples of 2^(ex-26) below 2^ex and the lo parts multiples
+    of 2^(ex-53) below 2^(ex-26), so up to 2^26 terms keep every bin sum
+    below 2^53 quanta: each bin sum is exact, with mixed signs too, and
+    fsum of the bins is the correctly rounded total.  A non-finite term,
+    |x| >= 2^995, more than 2^26 terms or no nonzero bin (the sign of a
+    zero total is fsum's call) send every term, yielded again by a second
+    chunks() in the same order, to fsum itself, so inf, nan and overflow
+    behave as there.
     """
-    if a.size > _SUM_MAX_LEN:
-        return math.fsum(a)
     acc = np.zeros((2, _EXP_BINS))
-    for start in range(0, a.size, _SUM_CHUNK):
-        x = a[start:start + _SUM_CHUNK]
-        mant, ex = np.frexp(x)
-        if not (np.isfinite(mant).all() and ex.max() <= _SUM_MAX_EXP):
-            return math.fsum(a)
-        hi = np.ldexp(np.trunc(mant * _SPLIT) / _SPLIT, ex)
-        ex -= _EXP_MIN
-        acc[0] += np.bincount(ex, weights=hi, minlength=_EXP_BINS)
-        acc[1] += np.bincount(ex, weights=x - hi, minlength=_EXP_BINS)
+    count = 0
+    for a in chunks():
+        count += a.size
+        if count > _SUM_MAX_LEN:
+            return math.fsum(chain.from_iterable(chunks()))
+        for start in range(0, a.size, _SUM_CHUNK):
+            x = a[start:start + _SUM_CHUNK]
+            mant, ex = np.frexp(x)
+            if not (np.isfinite(mant).all() and ex.max() <= _SUM_MAX_EXP):
+                return math.fsum(chain.from_iterable(chunks()))
+            hi = np.ldexp(np.trunc(mant * _SPLIT) / _SPLIT, ex)
+            ex -= _EXP_MIN
+            acc[0] += np.bincount(ex, weights=hi, minlength=_EXP_BINS)
+            acc[1] += np.bincount(ex, weights=x - hi, minlength=_EXP_BINS)
     bins = acc[acc != 0.0]
-    if bins.size == 0 and not a.any():
-        return math.fsum(a)  # all zeros: the sign of zero is fsum's call
+    if bins.size == 0:
+        return math.fsum(chain.from_iterable(chunks()))
     return math.fsum(bins.tolist())
+
+
+def _ball_terms(tile, sq, wts, rows: int, r2: float, p: float):
+    """Yield one block's terms, ``rows`` lead rows at a time.
+
+    ``sq`` and ``wts`` hold, per axis, the squared offsets from the
+    centre and the weights of the block's nodes.  Only the ball's nodes
+    are gathered from the tile, which is only read (the others would add
+    exact zeros); each term is |f|^p times its weight product (|f| alone
+    for p = inf).
+    """
+    for start in range(0, len(sq[0]), rows):
+        lead = slice(start, start + rows)
+        inside = _outer([sq[0][lead]] + sq[1:], np.add) <= r2
+        vals = tile[lead][inside]
+        np.abs(vals, out=vals)
+        if p != math.inf:
+            vals **= p
+            vals *= _outer([wts[0][lead]] + wts[1:], np.multiply)[inside]
+        yield vals
 
 
 def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
@@ -216,33 +258,32 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     x, w = _axis_rule(m)
     m = len(x)
     axes = [dom.center[k] + dom.scale * x for k in range(n)]
+    sq = [(a - c) ** 2 for a, c in zip(axes, dom.center)]
     wts = dom.scale * w
     r2 = dom.scale * dom.scale
 
-    # block over leading-axis indices; each block is one tensor tile
-    lead_block = max(1, _BLOCK // max(1, m ** (n - 1)))
+    # block over leading-axis indices; each block is one tensor tile,
+    # reduced in chunks of whole lead rows
+    row = max(1, m ** (n - 1))
+    lead_block = max(1, _BLOCK // row)
+    rows = max(1, _ROW_CHUNK // row)
     parts = []
     best = 0.0
     for start in range(0, m, lead_block):
         lead = slice(start, min(m, start + lead_block))
-        tile = np.asarray(f(*axes, lead=lead), dtype=float)
-        block = [axes[0][lead]] + axes[1:]
-        inside = _outer([(a - c) ** 2 for a, c in zip(block, dom.center)],
-                        np.add) <= r2
-        # only the ball's nodes go on; the integrand's tile is not written
-        vals = tile[inside]
-        del tile
-        np.abs(vals, out=vals)
+        terms = partial(_ball_terms, np.asarray(f(*axes, lead=lead),
+                                                dtype=float),
+                        [sq[0][lead]] + sq[1:], [wts[lead]] + [wts] * (n - 1),
+                        rows, r2, p)
         if p == math.inf:
-            best = max(best, float(vals.max(initial=0.0)))
+            # np.max keeps a chunk's nan, as one max over the block did
+            best = max(best, float(np.max(
+                [v.max(initial=0.0) for v in terms()], initial=0.0)))
         else:
-            # outside nodes would only add exact zeros; _exact_sum returns
-            # the correctly rounded sum of the rest, as math.fsum would
-            vals **= p
-            vals *= _outer([wts[lead]] + [wts] * (n - 1), np.multiply)[inside]
-            parts.append(_exact_sum(vals))
-        # free before the next f call, or two blocks' arrays share the heap
-        del vals, inside
+            parts.append(_exact_chunk_sum(terms))
+        # free the tile before the next f call, or two blocks' tiles share
+        # the heap
+        del terms
     if p == math.inf:
         return best, m ** n
     return math.fsum(parts) ** (1.0 / p), m ** n

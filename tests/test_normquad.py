@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -401,8 +402,8 @@ class TestBlockMemory:
 
 
     def test_peak_at_the_block_size(self):
-        # one 2^20-node block of 512 lead rows: past the integrand's tile
-        # and the ball mask, only the ball's nodes (pi/4 of a tile) are kept
+        # four 2^20-node blocks of 512 lead rows: the peak is set by one
+        # block, not by the whole 2048 x 2048 grid
         m = 2048
         tile_bytes = NQ._BLOCK * 8
 
@@ -421,10 +422,35 @@ class TestBlockMemory:
         assert got.value == pytest.approx(math.sqrt(math.pi), rel=1e-3)
         assert (peak - start) / tile_bytes < 3.5
 
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_one_block_peaks_near_its_tile(self, p):
+        # a 1024 x 1024 grid is one 2^20-node block; mask, gathered values
+        # and weight products exist only per row chunk, beside the tile
+        m = 1024
+        tile_bytes = NQ._BLOCK * 8
+
+        def tile(*axes, lead=slice(None)):
+            return np.ones((len(axes[0][lead]), len(axes[1])))
+
+        dom = NQ.Domain((0.0, 0.0), 1.0, NQ.TensorGrid(m))
+        NQ._axis_rule(m)  # the rule is cached, as after a first norm
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = NQ.local_lp_norm(tile, dom, p, osc_scale=1.0,
+                                   with_error=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = 1.0 if p == math.inf else math.sqrt(math.pi)
+        assert got.value == pytest.approx(want, rel=1e-3)
+        assert (peak - start) / tile_bytes < 1.5
+
 
 def full_tile_value(f, dom, p, m):
-    """The reduction that takes |f| and the weights on the whole tile and
-    masks afterwards, for comparison with NQ._tensor_value."""
+    """The reduction that takes |f| and the weights on the whole tile,
+    masks afterwards and sums each block with math.fsum, for comparison
+    with NQ._tensor_value."""
     n = dom.dim
     x, w = NQ._axis_rule(m)
     m = len(x)
@@ -447,7 +473,7 @@ def full_tile_value(f, dom, p, m):
             contrib = vals[inside]
             contrib **= p
             contrib *= wtile[inside]
-            parts.append(NQ._exact_sum(contrib))
+            parts.append(math.fsum(contrib))
     if p == math.inf:
         return best, m ** n
     return math.fsum(parts) ** (1.0 / p), m ** n
@@ -461,6 +487,18 @@ class TestGatheredReduction:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
     def test_equals_the_full_tile_reduction(self, monkeypatch, n, p):
+        self.check(monkeypatch, n, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_equals_it_in_row_chunks(self, monkeypatch, n, p, rows):
+        # blocks of 3 lead rows, reduced a row or two rows (which do not
+        # divide the block) at a time
+        monkeypatch.setattr(NQ, "_ROW_CHUNK", rows * self.NODES.size ** (n - 1))
+        self.check(monkeypatch, n, p)
+
+    def check(self, monkeypatch, n, p):
         rng = np.random.default_rng(n)
         weights = rng.uniform(0.5, 1.5, self.NODES.size)
         monkeypatch.setattr(NQ, "_axis_rule", lambda m: (self.NODES, weights))
@@ -484,6 +522,26 @@ class TestGatheredReduction:
         replay = iter([kept for _, kept in tiles])
         assert got == full_tile_value(lambda *axes, lead: next(replay),
                                       dom, p, 2)
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("case", [dense_case, sparse_case_2d,
+                                      sparse_case_3d])
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+    def test_norm_bits_do_not_depend_on_the_chunk(self, monkeypatch, case,
+                                                  p):
+        # the bits depend on _BLOCK, which fixes each part of the final
+        # fsum, and not on how a block is cut into row chunks
+        evaluator, dom = case()
+        monkeypatch.setattr(NQ, "_BLOCK", 5 * dom.quad.points_per_axis
+                            ** (dom.dim - 1))
+        got = []
+        for chunk in (1, 3 * dom.quad.points_per_axis ** (dom.dim - 1) + 1,
+                      NQ._ROW_CHUNK, NQ._BLOCK):
+            monkeypatch.setattr(NQ, "_ROW_CHUNK", chunk)
+            got.append(NQ.local_lp_norm(evaluator, dom, p,
+                                        osc_scale=evaluator.eigenvalue))
+        assert all(g == got[0] for g in got[1:])
 
 
 def fsum_outcome(sum_fn, values):
@@ -578,6 +636,86 @@ class TestExactSum:
                                with_error=False)
         assert got.nodes == 1001 * 1001
         assert sum(seen) < 10**5
-        monkeypatch.setattr(NQ, "_exact_sum", fsum)
+        # the same norm with every block's terms handed to fsum itself
+        monkeypatch.setattr(NQ, "_exact_chunk_sum",
+                            lambda chunks: fsum(chain.from_iterable(chunks())))
         assert NQ.local_lp_norm(GaussWave2D(), dom, 3.0, osc_scale=3.0,
                                 with_error=False) == got
+
+
+def chunk_sum(sizes):
+    """NQ._exact_chunk_sum of an array cut into chunks of these sizes."""
+
+    def at_cuts(a):
+        assert a.size == sum(sizes)
+        return NQ._exact_chunk_sum(
+            lambda: np.split(a, np.cumsum(sizes)[:-1]) if sizes else ())
+
+    return at_cuts
+
+
+# chunk sizes: empty, single terms, and chunks that straddle _SUM_CHUNK
+SIZES = st.lists(st.sampled_from([0, 1, 2, 5, CHUNK - 1, CHUNK, CHUNK + 1]),
+                 max_size=5)
+
+
+class TestExactChunkSum:
+    """_exact_chunk_sum of any cut of an array is math.fsum of the array."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=SIZES, seed=st.integers(0, 2**32 - 1),
+           low=st.integers(-1074, 1020), span=st.integers(0, 1071),
+           signs=st.sampled_from(["positive", "mixed", "cancelling"]),
+           special=st.sampled_from([None, INF, -INF, math.nan, 2.0**995,
+                                    -(2.0**1000), 0.0, -0.0]))
+    def test_random_cuts_sum_like_fsum(self, sizes, seed, low, span, signs,
+                                       special):
+        # magnitudes from subnormal to near overflow, zeros of both signs,
+        # and at most one special term
+        rng = np.random.default_rng(seed)
+        length = sum(sizes)
+        high = min(low + span, 1023)
+        a = np.ldexp(rng.random(length), rng.integers(low, high + 1, length))
+        if signs == "mixed":
+            a *= rng.choice([-1.0, 1.0], length)
+        elif signs == "cancelling":
+            a[length // 2:] = -a[:length - length // 2]
+            rng.shuffle(a)
+        a[rng.random(length) < 0.01] = rng.choice([0.0, -0.0])
+        if special is not None and length:
+            a[rng.integers(length)] = special
+        assert (fsum_outcome(chunk_sum(sizes), a)
+                == fsum_outcome(math.fsum, a))
+
+    @pytest.mark.parametrize("sizes, values", [
+        ([0], []), ([1], [-0.0]), ([1, 0, 1], [-0.0, -0.0]),
+        ([1, 1], [1.0, -1.0]), ([0, 2, 0], [1.0, 2.0**-53]),
+        ([1, 1, 1], [INF, 1.0, -INF]), ([2, 1], [math.nan, 1.0, INF]),
+        ([1, 2], [1.7e308, 1.7e308, -1.7e308]),
+        ([2, 1], [1.7e308, -1.7e308, 1.7e308]),
+        ([CHUNK - 1, 2], [1.0] * CHUNK + [2.0**995]),
+    ])
+    def test_cut_edge_cases(self, sizes, values):
+        # the fallback sums the terms in their own order: fsum overflows
+        # on 1.7e308 + 1.7e308 but not on 1.7e308 - 1.7e308 + 1.7e308
+        a = np.array(values, dtype=float)
+        assert fsum_outcome(chunk_sum(sizes), a) == fsum_outcome(math.fsum, a)
+
+    def test_inf_minus_inf_in_other_chunks_raises(self):
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            chunk_sum([1, 1, 1])(np.array([INF, 1.0, -INF]))
+
+    def test_the_count_limit_sends_every_term_to_fsum(self, monkeypatch):
+        fsum = math.fsum
+        seen = []
+        monkeypatch.setattr(NQ.math, "fsum",
+                            lambda xs: fsum(seen.append(list(xs)) or seen[-1]))
+        monkeypatch.setattr(NQ, "_SUM_MAX_LEN", 10)
+        a = 1.0 + np.random.default_rng(0).random(12)
+        # at the limit, fsum gets the two bins of the exponent 0
+        assert chunk_sum([4, 6, 0])(a[:10]) == fsum(a[:10])
+        assert len(seen) == 1 and len(seen[0]) <= 2
+        # the chunk that passes it sends all terms, in order
+        seen.clear()
+        assert chunk_sum([4, 4, 4])(a) == fsum(a)
+        assert seen == [a.tolist()]
