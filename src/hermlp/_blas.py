@@ -1,19 +1,30 @@
-"""Scope OpenBLAS to one thread, and reach its LAPACK ``dsterf``.
+"""Scope OpenBLAS to one thread, split a computation over two fixed
+workers, and reach LAPACK ``dsterf``.
 
-The BLAS calls other than eigenfunction tile products of 64 terms or
-more (the tile products of fewer terms, the Gauss-Hermite eigensolve and
-the Gauss-Legendre fallback one, the recurrence's norm pre-test, the
-``eval`` Gram product) are too small for a second thread to pay: it saves little or no wall time and spins on after each call, so
-a pass costs more CPU than wall time.  Their bits do not depend on the
-thread count, so running them on one thread changes no output.
+This module states hermlp's threading contract, and is the only one that
+imports ``threading`` or ``concurrent``.
 
-The thread count is a process-wide OpenBLAS setting, not a per-thread
-one.  Setting it here is safe because the runner runs cells one after
-another, in one thread; nothing else calls BLAS while a scope is open.
-The one multi-threaded computation, the Mehler driver, opens its scope
-in the calling thread around the whole call, and its helper thread opens
-none.
-Without an OpenBLAS in the process, :func:`one_thread` does nothing.
+- **One BLAS thread count.**  The thread count is a process-wide
+  OpenBLAS setting, not a per-thread one.  The BLAS calls other than
+  eigenfunction tile products of 64 terms or more (the tile products of
+  fewer terms, the Gauss-Hermite eigensolve and the Gauss-Legendre
+  fallback one, the recurrence's norm pre-test, the ``eval`` Gram
+  product, the Mehler level gemv) run inside :func:`one_thread`.  They
+  are too small for a second thread to pay: it saves little or no wall
+  time and spins on after each call, so a pass costs more CPU than wall
+  time.  Their bits do not depend on the thread count, so running them
+  on one thread changes no output.  Setting the count is safe because
+  the runner runs cells one after another, in one thread; nothing else
+  calls BLAS while a scope is open.  Without an OpenBLAS in the process,
+  :func:`one_thread` does nothing.
+- **One helper thread.**  :func:`on_two_workers` runs block k of a
+  computation on worker k mod 2: the calling thread, and one helper
+  thread that lives for the process and is made at first use.  The
+  helper runs only blocks handed to it by a call, inside the caller's
+  BLAS scope (it opens none of its own) and in a copy of the caller's
+  context, so its context variables read as the caller's did; the call
+  returns only once both workers are done.  The partition is fixed, so
+  no bit depends on which thread ran a block.
 
 :func:`tridiagonal_eigvalsh` hands a symmetric tridiagonal matrix to the
 same library's ``dsterf``.  ``numpy.linalg.eigvalsh`` runs ``dsyevd``,
@@ -26,6 +37,7 @@ OpenBLAS lookups scan ``/proc/self/maps`` on first use, not at import.
 """
 
 import contextlib
+import contextvars
 import ctypes
 
 import numpy as np
@@ -38,6 +50,7 @@ _STERF = (("scipy_dsterf_64_", ctypes.c_int64), ("scipy_dsterf_", ctypes.c_int),
 _UNSET = object()
 _found = _UNSET  # (get, set) of the loaded OpenBLAS, or None
 _sterf = _UNSET  # (dsterf, its integer type), or None
+_helper = None  # the executor of the one helper thread, once made
 
 
 def _libraries():
@@ -98,6 +111,36 @@ def one_thread():
         yield
     finally:
         put(old)
+
+
+def on_two_workers(block, count: int) -> None:
+    """Run ``block(k, k % 2)`` for every k < ``count``: worker 0 is the
+    calling thread, worker 1 the helper thread, each taking its blocks in
+    order.  Returns once both are done; raises the caller's exception if
+    it has one, else the helper's.  Under two blocks everything runs in
+    the caller and no helper is made.  ``block`` must not call this
+    function again: the helper runs one call's blocks at a time.
+    """
+    global _helper
+
+    def work(w):
+        for k in range(w, count, 2):
+            block(k, w)
+
+    if count < 2:
+        work(0)
+        return
+    if _helper is None:
+        # imported here: most passes never split a computation
+        from concurrent.futures import ThreadPoolExecutor
+        _helper = ThreadPoolExecutor(max_workers=1)
+    done = _helper.submit(contextvars.copy_context().run, work, 1)
+    try:
+        work(0)
+    except BaseException:
+        done.exception()  # waits for the helper
+        raise
+    done.result()
 
 
 def tridiagonal_eigvalsh(diag, off):

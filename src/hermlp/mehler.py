@@ -31,24 +31,23 @@ other half of a failed kernel value).  Every descent starts at
 ``WINDOW_END``, so a level's interval and its 33-point probe are shared,
 while each pair keeps its own panels, gemv rows and sum over them: its
 level sums are those it would get alone.  A level's pairs are cut into fixed
-blocks, which two workers, the calling thread and one helper thread,
-compute in buffers the caller allocates, under one one-thread BLAS scope
-the caller holds around the whole call.  No bit depends on the worker
-count.  The helper thread calls private functions only.  The public
-functions are thin calls of the driver, :func:`kernel_oscillatory_batch`
-for many kernel values at once.
+blocks, which :func:`hermlp._blas.on_two_workers` hands to the calling
+thread and the process's helper thread, each computing in its own
+buffers, all under one one-thread BLAS scope the caller holds around the
+whole call.  No bit depends on which worker computed a block.  The
+public functions are thin calls of the driver,
+:func:`kernel_oscillatory_batch` for many kernel values at once.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import phase as ph
-from ._blas import one_thread
+from ._blas import on_two_workers, one_thread
 from .spectral import projection_kernel_sums
 from .stationary import fresnel_leading
 
@@ -58,7 +57,6 @@ _MAX_LEVELS = 80  # dyadic levels one window integral descends at most
 _PANEL_CAP = 200_000  # Gauss-Legendre panels allowed on one level
 _CONSISTENCY_TOL = 1e-9  # quadrature tolerance of consistency_residual
 _BLOCK_PANELS = 2048  # panels of one block, unless a single pair has more
-_WORKERS = 2  # the caller and its helper threads, computing a level
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -86,14 +84,6 @@ def _step_poly(s):
     )
 
 
-# The public smoothstep7 and cutoff_taper are kept apart from their
-# bodies, which the helper threads call.
-
-def _smoothstep(s):
-    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-    return np.where(s <= 0.5, _step_poly(s), 1.0 - _step_poly(1.0 - s))
-
-
 def smoothstep7(s):
     """C^7 monotone step: 0 below 0, 1 above 1, degree-15 polynomial between.
 
@@ -102,12 +92,8 @@ def smoothstep7(s):
     exactly in floating point (the raw polynomial loses it to
     cancellation near s = 1).
     """
-    return _smoothstep(s)
-
-
-def _taper(t):
-    t = np.asarray(t, dtype=float)
-    return 1.0 - _smoothstep((t - FLAT_END) / (0.25 * math.pi))
+    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    return np.where(s <= 0.5, _step_poly(s), 1.0 - _step_poly(1.0 - s))
 
 
 def cutoff_taper(t):
@@ -122,7 +108,8 @@ def cutoff_taper(t):
     reaching above pi/8 (the first two); every deeper level, which holds
     almost all the nodes, skips it.
     """
-    return _taper(t)
+    t = np.asarray(t, dtype=float)
+    return 1.0 - smoothstep7((t - FLAT_END) / (0.25 * math.pi))
 
 
 def _i_power(r: int) -> complex:
@@ -212,7 +199,7 @@ def _level_block(lo: float, hi: float, a2, b, r, n: int, panels,
         # sqrt or pow) from the exponent's value
         s **= -0.5 * n
         if hi > FLAT_END:
-            s *= _taper(ts)
+            s *= cutoff_taper(ts)
         np.cos(c, out=c)
         rpsi = ph._value(ts, a2[pair, None], b[pair, None], two_s, c, out=c)
         rpsi *= r[pair, None]
@@ -230,11 +217,12 @@ def _level_sums(scratch: list, lo: float, hi: float, descents: list,
                 panels: list[int]) -> list[complex]:
     """Every pair's sum on level [lo, hi].  The pairs are cut, in order,
     into blocks of one dimension and at most ``_BLOCK_PANELS`` panels
-    (or one pair); worker w computes blocks w, w + _WORKERS, ... in
-    ``scratch[w]``.  The caller is worker 0 and starts a helper thread
-    for each other worker that has blocks.  A helper's allocations stay
-    in its own malloc arena after the call, so the caller working too
-    saves one such arena."""
+    (or one pair); :func:`on_two_workers` runs block k on worker k mod 2,
+    which computes it in ``scratch[k % 2]``.  The caller is worker 0 and
+    computes its half of the blocks itself.  The helper thread and the
+    malloc arena its allocations use live for the process: a seed-0
+    ``checks`` pass peaks about 0.5 MB higher than with a thread started
+    per level."""
     a2 = np.array([d.a2 for d in descents])
     b = np.array([d.b for d in descents])
     r = np.array([d.r for d in descents], dtype=float)
@@ -250,31 +238,12 @@ def _level_sums(scratch: list, lo: float, hi: float, descents: list,
         blocks.append((start, len(descents)))
     sums = [None] * len(blocks)
 
-    def work(w):
-        for k in range(w, len(blocks), _WORKERS):
-            a, e = blocks[k]
-            sums[k] = _level_block(lo, hi, a2[a:e], b[a:e], r[a:e],
-                                   descents[a].n, panels[a:e], scratch[w])
+    def compute(k, w):
+        a, e = blocks[k]
+        sums[k] = _level_block(lo, hi, a2[a:e], b[a:e], r[a:e],
+                               descents[a].n, panels[a:e], scratch[w])
 
-    def helper(w):
-        try:
-            work(w)
-        except Exception as exc:  # raised by the caller below
-            failures.append(exc)
-
-    # a level of fewer blocks than workers starts fewer helpers
-    failures = []
-    helpers = [threading.Thread(target=helper, args=(w,))
-               for w in range(1, min(_WORKERS, len(blocks)))]
-    for thread in helpers:
-        thread.start()
-    try:
-        work(0)
-    finally:
-        for thread in helpers:
-            thread.join()
-    if failures:
-        raise failures[0]
+    on_two_workers(compute, len(blocks))
     return [value for block in sums for value in block]
 
 
@@ -374,7 +343,7 @@ def _half_integrals(cases, tol: float, leads=None) -> list:
             live.append((i, _Descent(x, y, r, tol)))
         except Exception as exc:  # kept as the case's value
             out[i] = exc
-    scratch = [_Scratch(_BLOCK_PANELS) for _ in range(_WORKERS)]
+    scratch = [_Scratch(_BLOCK_PANELS) for _ in range(2)]  # one per worker
     t_hi = WINDOW_END
     # one BLAS thread for every level gemv: a second one would spin on
     # after each call for no speed-up; the level sums keep their bits
@@ -417,13 +386,6 @@ def _raised(value):
     if isinstance(value, Exception):
         raise value
     return value
-
-
-def oscillatory_half_integral(x, y, r: float,
-                              tol: float = 1e-8) -> HalfIntegral:
-    """The window integral A(x, y) to absolute accuracy ~tol, as
-    :func:`_half_integrals` computes it for the one pair."""
-    return _raised(_half_integrals([(x, y, r)], tol)[0])
 
 
 @dataclass(frozen=True)

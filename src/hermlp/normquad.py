@@ -192,11 +192,6 @@ def _outer(vectors, op) -> np.ndarray:
     return tile
 
 
-def _exact_sum(a: np.ndarray) -> float:
-    """math.fsum(a) of a 1-D float array, bit for bit, in numpy passes."""
-    return _exact_chunk_sum(lambda: (a,))
-
-
 def _exact_chunk_sum(chunks) -> float:
     """math.fsum of every term of the 1-D float arrays chunks() yields.
 
@@ -267,8 +262,7 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     row = max(1, m ** (n - 1))
     lead_block = max(1, _BLOCK // row)
     rows = max(1, _ROW_CHUNK // row)
-    parts = []
-    best = 0.0
+    parts = []  # each block's exact sum, or its max for p = inf
     for start in range(0, m, lead_block):
         lead = slice(start, min(m, start + lead_block))
         terms = partial(_ball_terms, np.asarray(f(*axes, lead=lead),
@@ -276,16 +270,16 @@ def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
                         [sq[0][lead]] + sq[1:], [wts[lead]] + [wts] * (n - 1),
                         rows, r2, p)
         if p == math.inf:
-            # np.max keeps a chunk's nan, as one max over the block did
-            best = max(best, float(np.max(
-                [v.max(initial=0.0) for v in terms()], initial=0.0)))
+            parts.append(np.max([v.max(initial=0.0) for v in terms()],
+                                initial=0.0))
         else:
             parts.append(_exact_chunk_sum(terms))
         # free the tile before the next f call, or two blocks' tiles share
         # the heap
         del terms
     if p == math.inf:
-        return best, m ** n
+        # np.max keeps a nan, where the builtin max would drop it
+        return float(np.max(parts, initial=0.0)), m ** n
     return math.fsum(parts) ** (1.0 / p), m ** n
 
 

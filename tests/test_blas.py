@@ -1,6 +1,10 @@
+import ast
+import contextvars
 import ctypes
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,104 @@ class TestScope:
                 assert get() == 1
             assert get() == 1
         assert get() == before
+
+
+class TestTwoWorkers:
+    def test_block_k_runs_on_worker_k_mod_2(self):
+        seen = []
+        _blas.on_two_workers(
+            lambda k, w: seen.append((k, w, threading.current_thread())), 7)
+        assert sorted((k, w) for k, w, _ in seen) == [(k, k % 2)
+                                                      for k in range(7)]
+        caller = threading.current_thread()
+        assert {t is caller for k, w, t in seen if w == 0} == {True}
+        assert {t is caller for k, w, t in seen if w == 1} == {False}
+        # each worker takes its blocks in order
+        for w in (0, 1):
+            assert [k for k, v, _ in seen if v == w] == list(range(w, 7, 2))
+
+    def test_one_helper_for_every_call(self):
+        threads = []
+        for count in (2, 5, 3):
+            _blas.on_two_workers(
+                lambda k, w: w and threads.append(threading.current_thread()),
+                count)
+        assert len(threads) == 1 + 2 + 1 and len(set(threads)) == 1
+
+    def test_helper_runs_in_the_callers_context(self):
+        var = contextvars.ContextVar("var", default="unset")
+        seen = {}
+
+        def block(k, w):
+            seen[w] = var.get()
+            var.set(f"set by {w}")
+
+        token = var.set("caller's")
+        try:
+            _blas.on_two_workers(block, 2)
+            # a copy: the helper's own set does not reach the caller
+            assert seen == {0: "caller's", 1: "caller's"}
+            assert var.get() == "set by 0"
+        finally:
+            var.reset(token)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_under_two_blocks_no_thread_starts(self, monkeypatch, count):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread)
+                            or start(thread))
+        monkeypatch.setattr(_blas, "_helper", None)
+        seen = []
+        _blas.on_two_workers(
+            lambda k, w: seen.append((k, w, threading.current_thread())),
+            count)
+        assert seen == [(k, 0, threading.current_thread())
+                        for k in range(count)]
+        assert started == [] and _blas._helper is None
+
+    def test_a_caller_failure_waits_for_the_helper(self):
+        handed, finished = threading.Event(), []
+
+        def block(k, w):
+            if w == 0:
+                handed.wait(5.0)
+                raise RuntimeError("caller")
+            handed.set()
+            threading.Event().wait(0.2)
+            finished.append(k)
+
+        with pytest.raises(RuntimeError, match="caller"):
+            _blas.on_two_workers(block, 2)
+        assert finished == [1]
+
+    def test_the_callers_failure_wins_over_the_helpers(self):
+        def block(k, w):
+            raise RuntimeError(f"worker {w}")
+
+        with pytest.raises(RuntimeError, match="worker 0"):
+            _blas.on_two_workers(block, 2)
+        with pytest.raises(RuntimeError, match="worker 1"):
+            _blas.on_two_workers(
+                lambda k, w: w and block(k, w), 2)
+
+    def test_only_blas_imports_threads(self):
+        # every thread of the library is the one helper of on_two_workers
+        src = Path(_blas.__file__).parent
+        importers = set()
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n.split(".")[0] in ("threading", "concurrent",
+                                           "multiprocessing", "_thread")
+                       for n in names):
+                    importers.add(path.name)
+        assert importers == {"_blas.py"}
 
 
 def _hex(rule):

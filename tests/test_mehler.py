@@ -25,9 +25,14 @@ from hermlp.mehler import (
     cutoff_taper,
     kernel_oscillatory,
     kernel_stationary_model,
-    oscillatory_half_integral,
     smoothstep7,
 )
+
+
+def oscillatory_half_integral(x, y, r, tol=1e-8):
+    """The window integral A(x, y) of one pair, as the driver computes it
+    for the pair alone; raises the exception its descent ended in."""
+    return mehler._raised(mehler._half_integrals([(x, y, r)], tol)[0])
 
 
 class TestSmoothstep:
@@ -136,13 +141,13 @@ class TestLevelTaper:
 
     def _count_taper(self, monkeypatch):
         calls = []
-        taper = mehler._taper
+        taper = mehler.cutoff_taper
 
         def counting(t):
             calls.append(np.size(t))
             return taper(t)
 
-        monkeypatch.setattr(mehler, "_taper", counting)
+        monkeypatch.setattr(mehler, "cutoff_taper", counting)
         return calls
 
     def test_flat_levels_skip_the_taper(self, monkeypatch):
@@ -276,6 +281,20 @@ def _record_levels(monkeypatch):
     return levels
 
 
+def _record_helper_threads(monkeypatch):
+    """Record the thread of every level block not run by the main thread."""
+    helpers = []
+    block = mehler._level_block
+
+    def recording(*args):
+        if threading.current_thread() is not threading.main_thread():
+            helpers.append(threading.current_thread())
+        return block(*args)
+
+    monkeypatch.setattr(mehler, "_level_block", recording)
+    return helpers
+
+
 def _result_bits(result):
     if isinstance(result, Exception):
         return type(result).__name__, str(result)
@@ -304,8 +323,13 @@ class TestDriver:
             alone = oscillatory_half_integral(*case, tol=1e-8)
             assert _result_bits(got) == _result_bits(alone)
 
-    @pytest.mark.parametrize("name,value", [("_BLOCK_PANELS", 4),
-                                            ("_WORKERS", 1)])
+    @pytest.mark.parametrize("name,value", [
+        pytest.param("_BLOCK_PANELS", 4, id="_BLOCK_PANELS-4"),
+        # one worker: every block in the caller, in worker 0's buffers
+        pytest.param("on_two_workers",
+                     lambda block, count: [block(k, 0) for k in range(count)],
+                     id="_WORKERS-1"),
+    ])
     def test_bits_do_not_depend_on_blocks_or_workers(self, monkeypatch,
                                                      name, value):
         cases = _mixed_cases()
@@ -315,21 +339,55 @@ class TestDriver:
         assert got == want
 
     def test_more_workers_than_cores_keep_the_bits(self, monkeypatch):
-        # every worker writes its own blocks' sums and uses its own
-        # buffers; a lost or crossed write would move a result
+        # each worker writes its own blocks' sums and uses its own
+        # buffers; with small blocks and a thread switch every
+        # microsecond, a lost or crossed write would move a result
         cases = _mixed_cases()
         want = [_result_bits(h) for h in mehler._half_integrals(cases, 1e-8)]
-        monkeypatch.setattr(mehler, "_WORKERS", 5)
         monkeypatch.setattr(mehler, "_BLOCK_PANELS", 16)
-        interval, threads = sys.getswitchinterval(), threading.active_count()
+        interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             got = [_result_bits(h)
                    for h in mehler._half_integrals(cases, 1e-8)]
+            threads = threading.active_count()
+            again = [_result_bits(h)
+                     for h in mehler._half_integrals(cases, 1e-8)]
         finally:
             sys.setswitchinterval(interval)
+        assert got == want and again == want
+        # the second call starts no thread and leaves none behind
+        assert threading.active_count() == threads
+
+    def test_helper_blocks_run_on_one_thread_across_calls(self, monkeypatch):
+        helpers = _record_helper_threads(monkeypatch)
+        monkeypatch.setattr(mehler, "_BLOCK_PANELS", 4)
+        first = mehler._half_integrals(_mixed_cases(), 1e-8)
+        calls = len(helpers)
+        second = mehler._half_integrals(_mixed_cases(), 1e-8)
+        assert 0 < calls < len(helpers)
+        assert max(h.levels for h in first + second) > 2
+        assert len(set(helpers)) == 1
+
+    def test_a_helper_failure_keeps_the_next_call(self, monkeypatch):
+        cases = _mixed_cases()
+        monkeypatch.setattr(mehler, "_BLOCK_PANELS", 4)
+        helpers = _record_helper_threads(monkeypatch)
+        want = [_result_bits(h) for h in mehler._half_integrals(cases, 1e-8)]
+        block = mehler._level_block
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper")
+            return block(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mehler, "_level_block", failing)
+            with pytest.raises(RuntimeError, match="helper"):
+                mehler._half_integrals(cases, 1e-8)
+        got = [_result_bits(h) for h in mehler._half_integrals(cases, 1e-8)]
         assert got == want
-        assert threading.active_count() == threads  # every helper joined
+        assert len(helpers) > 0 and len(set(helpers)) == 1
 
     def test_a_capped_pair_fails_alone(self, monkeypatch):
         levels = _record_levels(monkeypatch)
@@ -419,13 +477,24 @@ class TestDriver:
             return out
 
         monkeypatch.setattr(mehler, "_half_integrals", recording)
-        for raw in workloads.configs("checks", 0):
-            if raw["experiment"] == "sphase-check" or \
-                    raw["parameters"].get("mode") == "cross-validate":
-                result = runner.run(config.parse_config(raw), None)
-                assert result.exit_code == 0
+        # the threads the pass starts, from a fresh process's state
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread)
+                            or start(thread))
+        monkeypatch.setattr(_blas, "_helper", None)
+        try:
+            for raw in workloads.configs("checks", 0):
+                if raw["experiment"] == "sphase-check" or \
+                        raw["parameters"].get("mode") == "cross-validate":
+                    result = runner.run(config.parse_config(raw), None)
+                    assert result.exit_code == 0
+        finally:
+            if _blas._helper is not None:
+                _blas._helper.shutdown()
         assert sum(h.evals for h in done) == 21_488_272
         assert sum(h.levels for h in done) == 7_137
+        assert len(started) == 1  # the helper, once for the whole pass
 
 
 class TestBitRisks:

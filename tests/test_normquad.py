@@ -447,6 +447,37 @@ class TestBlockMemory:
         assert (peak - start) / tile_bytes < 1.5
 
 
+class TestNanIntegrand:
+    """A nan node inside the ball makes the norm nan at every p, the sup
+    norm included."""
+
+    DISC = NQ.Domain((0.0, 0.0), 1.0, NQ.TensorGrid(64))
+
+    @staticmethod
+    def ones_with_nan(rows):
+        """Ones on the grid, with nan in the middle column of ``rows``."""
+        def tile(*axes, lead=slice(None)):
+            out = np.ones((len(axes[0]), len(axes[1])))
+            out[rows, len(axes[1]) // 2] = math.nan
+            return out[lead]
+        return tile
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+    def test_one_nan_node(self, p):
+        got = NQ.local_lp_norm(self.ones_with_nan([32]), self.DISC, p,
+                               osc_scale=1.0, with_error=False)
+        assert math.isnan(got.value)
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_a_nan_in_every_block(self, monkeypatch, p):
+        # blocks of 8 lead rows; row 4 of each block holds a nan inside
+        # the disc
+        monkeypatch.setattr(NQ, "_BLOCK", 8 * 64)
+        got = NQ.local_lp_norm(self.ones_with_nan(list(range(4, 64, 8))),
+                               self.DISC, p, osc_scale=1.0, with_error=False)
+        assert math.isnan(got.value)
+
+
 def full_tile_value(f, dom, p, m):
     """The reduction that takes |f| and the weights on the whole tile,
     masks afterwards and sums each block with math.fsum, for comparison
@@ -555,9 +586,13 @@ def fsum_outcome(sum_fn, values):
     return got, math.copysign(1.0, got)
 
 
+def exact_sum(a):
+    """The exact sum of one array, as one chunk of the streaming sum."""
+    return NQ._exact_chunk_sum(lambda: (a,))
+
+
 def assert_sums_like_fsum(values):
-    assert fsum_outcome(NQ._exact_sum, values) == fsum_outcome(math.fsum,
-                                                               values)
+    assert fsum_outcome(exact_sum, values) == fsum_outcome(math.fsum, values)
 
 
 CHUNK = NQ._SUM_CHUNK
@@ -565,7 +600,8 @@ INF = math.inf
 
 
 class TestExactSum:
-    """_exact_sum(a) is math.fsum(a) bit for bit, sign of zero included."""
+    """The exact sum of an array is math.fsum(a) bit for bit, sign of
+    zero included."""
 
     @settings(max_examples=200)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
@@ -623,7 +659,7 @@ class TestExactSum:
 
     def test_inf_minus_inf_raises(self):
         with pytest.raises(ValueError, match="-inf \\+ inf"):
-            NQ._exact_sum(np.array([INF, -INF]))
+            exact_sum(np.array([INF, -INF]))
 
     def test_norm_hands_fsum_only_bin_sums(self, monkeypatch):
         # the disc's 1001 x 1001 bounding box is 1,002,001 nodes, in one block
