@@ -1,30 +1,24 @@
-"""Scope OpenBLAS to one thread, split a computation over two fixed
-workers, and reach LAPACK ``dsterf``.
+"""Hold OpenBLAS to one thread, split a computation over two fixed
+workers, and reach LAPACK ``dsterf``: hermlp's threading contract, and
+its only module that imports ``threading`` or ``concurrent``.
 
-This module states hermlp's threading contract, and is the only one that
-imports ``threading`` or ``concurrent``.
+The BLAS thread count is process-wide, not per thread.  The BLAS calls
+other than eigenfunction tile products of 64 terms or more (the tile
+products of fewer terms, the Gauss-Hermite eigensolve and the
+Gauss-Legendre fallback one, the recurrence's norm pre-test, the
+``eval`` Gram product, the Mehler level gemv) run inside
+:func:`one_thread`: a second thread saves them little or no wall time
+and spins on after each call, and their bits do not depend on the
+count.  Setting it is safe because the runner runs cells one after
+another, in one thread; nothing else calls BLAS while a scope is open.
+Without an OpenBLAS in the process, :func:`one_thread` does nothing.
 
-- **One BLAS thread count.**  The thread count is a process-wide
-  OpenBLAS setting, not a per-thread one.  The BLAS calls other than
-  eigenfunction tile products of 64 terms or more (the tile products of
-  fewer terms, the Gauss-Hermite eigensolve and the Gauss-Legendre
-  fallback one, the recurrence's norm pre-test, the ``eval`` Gram
-  product, the Mehler level gemv) run inside :func:`one_thread`.  They
-  are too small for a second thread to pay: it saves little or no wall
-  time and spins on after each call, so a pass costs more CPU than wall
-  time.  Their bits do not depend on the thread count, so running them
-  on one thread changes no output.  Setting the count is safe because
-  the runner runs cells one after another, in one thread; nothing else
-  calls BLAS while a scope is open.  Without an OpenBLAS in the process,
-  :func:`one_thread` does nothing.
-- **One helper thread.**  :func:`on_two_workers` runs block k of a
-  computation on worker k mod 2: the calling thread, and one helper
-  thread that lives for the process and is made at first use.  The
-  helper runs only blocks handed to it by a call, inside the caller's
-  BLAS scope (it opens none of its own) and in a copy of the caller's
-  context, so its context variables read as the caller's did; the call
-  returns only once both workers are done.  The partition is fixed, so
-  no bit depends on which thread ran a block.
+:func:`on_two_workers` runs block k of a computation on worker k mod 2:
+the calling thread, or one helper thread made at first use and kept for
+the process.  The helper runs only the blocks a call hands it, inside
+the caller's BLAS scope (it opens none) and in a copy of the caller's
+context; the call returns once both workers are done.  The partition is
+fixed, so no bit depends on which thread ran a block.
 
 :func:`tridiagonal_eigvalsh` hands a symmetric tridiagonal matrix to the
 same library's ``dsterf``.  ``numpy.linalg.eigvalsh`` runs ``dsyevd``,
