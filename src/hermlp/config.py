@@ -286,44 +286,16 @@ def _params_sphase(s: _Scope) -> dict:
     pt = out["consistency_point"]
     if pt is not None and len(pt) != 2:
         s.flag("consistency_point", "must be a pair [x, y]")
-    elif pt is not None:
-        for i, r in enumerate(out["consistency_r_values"] or ()):
-            panels = _top_level_panels(r, pt)
-            # the count may be one above the driver's, which may still fit
-            if panels > _MEHLER_PANEL_CAP + 1:
+    elif pt is not None and out["consistency_r_values"]:
+        # mehler needs numpy: only a config with radii imports it
+        from .mehler import _PANEL_CAP, consistency_top_panels
+        for i, r in enumerate(out["consistency_r_values"]):
+            panels = consistency_top_panels(pt[0], pt[1], r)
+            if panels > _PANEL_CAP:
                 s.flag(f"consistency_r_values[{i}]",
                        f"the top Mehler level needs {panels} panels at this r "
-                       f"(cap {_MEHLER_PANEL_CAP})")
+                       f"(cap {_PANEL_CAP})")
     return out
-
-
-# mehler's window end and panel cap: config does not import mehler (it
-# needs numpy), so they are repeated here and a test holds them equal
-_MEHLER_WINDOW_END = 3.0 * math.pi / 8.0
-_MEHLER_PANEL_CAP = 200_000
-
-
-def _top_level_panels(r: int, point) -> int:
-    """Panels of the top Mehler level [3 pi/16, 3 pi/8] at eigenvalue r
-    for the consistency point (x, y), the more of its two window
-    integrals (y and -y).  This is mehler's panel rule written with math:
-    r times the largest |psi'| on the 33-point probe times the level
-    width, in steps of 5, at least 4.  math's sine and cosine may differ
-    from numpy's in the last bit, and the point is not rescaled as the
-    driver's is, so the count may be one off the driver's.  A deeper
-    level may need more."""
-    x, y = point
-    hi = _MEHLER_WINDOW_END
-    lo = 0.5 * hi
-    step = (hi - lo) / 32
-    speed = 0.0
-    for j in range(33):
-        t = hi if j == 32 else j * step + lo
-        s, c = math.sin(2.0 * t), math.cos(2.0 * t)
-        for b in (x * y, -x * y):
-            speed = max(speed, abs(x * x + y * y - 1.0 - 2.0 * b * c + c * c)
-                        / (s * s))
-    return max(4, math.ceil(r * speed * (hi - lo) / 5.0))
 
 
 def _params_phase_identities(s: _Scope) -> dict:

@@ -100,8 +100,8 @@ def _tables(requests) -> list[np.ndarray]:
     renormalizes any point whose state exceeds 1e120, which keeps orders in
     the tens of thousands and |x| up to several hundred stable.  One dot
     product rules a rescale out on most steps; only when it cannot does
-    the exact max/min test run.  Callers hold BLAS to one thread, so the
-    dot product does not wake a thread pool.
+    the exact max/min test run.  The steps run under one ``one_thread()``
+    scope, so the dot product does not wake a thread pool.
 
     A row is stored raw, as the recurrence state f with the point's log
     scale kept apart.  The rows read since the last conversion turn into
@@ -144,30 +144,32 @@ def _tables(requests) -> list[np.ndarray]:
     cur = np.ones(xs.size)
     nxt = np.empty(xs.size)
     last = len(live) - 1
-    for k in range(stops[0] + 1):
-        for i, index, at in want.get(k, ()):
-            out[i][index] = cur[parts[i]]
-            read.setdefault(i, []).extend(at)
-        if k == stops[0]:
-            break
-        if stops[last] == k:  # the grids that stop here leave the prefix
-            while stops[last] == k:
-                last -= 1
-            xs, log_scale, prev, cur, nxt = (
-                a[:ends[last]] for a in (xs, log_scale, prev, cur, nxt))
-        np.multiply(xs, math.sqrt(2.0 / (k + 1)), out=nxt)
-        nxt *= cur
-        # f_{k-1} is not read again: its buffer takes f_{k+2} next step
-        nxt -= np.multiply(prev, math.sqrt(k / (k + 1)), out=prev)
-        prev, cur, nxt = cur, nxt, prev
-        if (np.dot(cur, cur) > _RESCALE_DOT
-                and (cur.max() > _RESCALE_LIMIT or cur.min() < -_RESCALE_LIMIT)):
-            convert()  # the rows read so far use the old log scales
-            big = np.flatnonzero(np.abs(cur) > _RESCALE_LIMIT)
-            factor = np.abs(cur[big])
-            cur[big] /= factor
-            prev[big] /= factor
-            log_scale[big] += np.log(factor)
+    with one_thread():
+        for k in range(stops[0] + 1):
+            for i, index, at in want.get(k, ()):
+                out[i][index] = cur[parts[i]]
+                read.setdefault(i, []).extend(at)
+            if k == stops[0]:
+                break
+            if stops[last] == k:  # the grids that stop here leave the prefix
+                while stops[last] == k:
+                    last -= 1
+                xs, log_scale, prev, cur, nxt = (
+                    a[:ends[last]] for a in (xs, log_scale, prev, cur, nxt))
+            np.multiply(xs, math.sqrt(2.0 / (k + 1)), out=nxt)
+            nxt *= cur
+            # f_{k-1} is not read again: its buffer takes f_{k+2} next step
+            nxt -= np.multiply(prev, math.sqrt(k / (k + 1)), out=prev)
+            prev, cur, nxt = cur, nxt, prev
+            if (np.dot(cur, cur) > _RESCALE_DOT
+                    and (cur.max() > _RESCALE_LIMIT
+                         or cur.min() < -_RESCALE_LIMIT)):
+                convert()  # the rows read so far use the old log scales
+                big = np.flatnonzero(np.abs(cur) > _RESCALE_LIMIT)
+                factor = np.abs(cur[big])
+                cur[big] /= factor
+                prev[big] /= factor
+                log_scale[big] += np.log(factor)
     convert()
     return out
 
@@ -183,8 +185,7 @@ def hermite_batch_grid(k_max: int, xs) -> np.ndarray:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    with one_thread():
-        return _tables([_request(range(k_max + 1), xs)])[0]
+    return _tables([_request(range(k_max + 1), xs)])[0]
 
 
 def hermite_batch(orders, xs) -> np.ndarray:
@@ -193,8 +194,7 @@ def hermite_batch(orders, xs) -> np.ndarray:
     ``orders`` is a sequence of non-negative ints (duplicates allowed);
     result has shape (len(orders), len(xs)).
     """
-    with one_thread():
-        return _tables([_request(orders, xs)])[0]
+    return _tables([_request(orders, xs)])[0]
 
 
 def hermite_on_grids(orders, grids) -> list[np.ndarray]:
@@ -208,8 +208,7 @@ def hermite_on_grids(orders, grids) -> list[np.ndarray]:
     orders, grids = list(orders), list(grids)
     if len(orders) != len(grids):
         raise ValueError("need one grid per order list")
-    with one_thread():
-        return _tables([_request(o, g) for o, g in zip(orders, grids)])
+    return _tables([_request(o, g) for o, g in zip(orders, grids)])
 
 
 def turning_point(k: int) -> float:

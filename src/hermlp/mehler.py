@@ -631,6 +631,28 @@ def kernel_bound_check(n: int, r: int,
     )
 
 
+def _physical(x, y, r):
+    """consistency_residual's rescaled pair (x, y) in physical units."""
+    lam = math.sqrt(r)
+    return (lam * np.atleast_1d(np.asarray(x, dtype=float)),
+            lam * np.atleast_1d(np.asarray(y, dtype=float)))
+
+
+def consistency_top_panels(x, y, r) -> int:
+    """Panels the top level [3 pi/16, 3 pi/8] of consistency_residual(x,
+    y, r) needs, the more of its two window integrals', counted by the
+    driver's own code.  config refuses a consistency radius by this
+    count, exactly where the driver would refuse it on its top level; a
+    deeper level may need more."""
+    x, y = _rescaled(*_physical(x, y, r), r)
+    halves = [_Descent(x, y, r, _CONSISTENCY_TOL),
+              _Descent(x, -y, r, _CONSISTENCY_TOL)]
+    return max(_panel_counts(0.5 * WINDOW_END, WINDOW_END,
+                             np.array([d.a2 for d in halves]),
+                             np.array([d.b for d in halves]),
+                             [d.r for d in halves]))
+
+
 def consistency_residual(x, y, r) -> float:
     """Gap between quadrature and the leading model at eigenvalue r.
 
@@ -642,8 +664,6 @@ def consistency_residual(x, y, r) -> float:
     stalled remainder.  The gap is floored at 1e-300, so its log is
     finite.
     """
-    lam = math.sqrt(r)
-    x = lam * np.atleast_1d(np.asarray(x, dtype=float))
-    y = lam * np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = _physical(x, y, r)
     quad = kernel_oscillatory(x, y, r, tol=_CONSISTENCY_TOL).value
     return max(abs(quad - kernel_stationary_model(x, y, r)), 1e-300)

@@ -35,7 +35,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -661,21 +661,23 @@ def run(config: ExperimentConfig, out_dir=None) -> RunResult:
     """Execute one experiment and write its artifacts.
 
     The config alone sets the run, seed and tolerance scale included;
-    ``out_dir``, when given, takes the place of its ``out``.  The
-    experiment is one ``_collect`` cell that yields the rows it makes
-    outside its own cells.  Returns a RunResult whose exit_code is 0 (all
-    assertions passed), 1 (an assertion failed), or 3 (a computational
-    failure, in a cell or outside one, occurred).
+    ``out_dir``, when given, takes the place of its ``out``, in the
+    manifest's config echo too.  The experiment is one ``_collect`` cell
+    that yields the rows it makes outside its own cells.  Returns a
+    RunResult whose exit_code is 0 (all assertions passed), 1 (an
+    assertion failed), or 3 (a computational failure, in a cell or
+    outside one, occurred).
     """
     started = time.perf_counter()
     stamp = datetime.now(timezone.utc).isoformat()
+    if out_dir is not None:
+        config = replace(config, out=str(out_dir))
     ctx = _Ctx(params=config.parameters, seed=config.seed,
                scale=config.tolerance_scale)
     _collect(ctx, lambda name: _RUNNERS[name](ctx) or (),
              [config.experiment])
 
-    out = Path(out_dir if out_dir is not None
-               else (config.out or f"runs/{config.experiment}"))
+    out = Path(config.out or f"runs/{config.experiment}")
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
     _write_csv(csv_path, ctx.header + ("status",), ctx.rows)

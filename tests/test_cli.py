@@ -234,11 +234,21 @@ class TestConfigSchema:
         assert cfg.seed == 5 and cfg.tolerance_scale == 1.0
 
     def test_config_imports_no_numpy(self):
-        # the CLI validates before numpy loads, which keeps a run's peak
-        # memory independent of how the config was read
-        code = "import sys, hermlp.config; print('numpy' in sys.modules)"
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(hermlp.__file__).resolve().parents[1]))
+        # perfbench/child.py imports config before runner, and a process
+        # that loads numpy earlier peaks higher on the same work, which
+        # would move sweep-tube's peak_rss_mb.  So importing config, and
+        # parsing every config without consistency radii (the seed-0
+        # sweeps among them), loads no numpy; only radii import mehler.
+        repo = Path(hermlp.__file__).resolve().parents[2]
+        code = "\n".join([
+            "import sys, hermlp.config as c, workloads as w",
+            "for name in ('sweep-random', 'sweep-tube'):",
+            "    for data in w.configs(name, 0):",
+            "        c.parse_config(data)",
+            "c.parse_config({'experiment': 'sphase-check'})",
+            "print('numpy' in sys.modules)"])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(repo / "src"), str(repo / "perfbench")]))
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
@@ -608,11 +618,12 @@ class TestRunnerArtifacts:
                                                        monkeypatch):
         # the second radius needs more Mehler panels than the cap allows
         # (10589 on its top level, the first radius at most 1477); the
-        # failure is the experiment's, recorded after its first gates
-        monkeypatch.setattr(mehler, "_PANEL_CAP", 2000)
+        # failure is the experiment's, recorded after its first gates.
+        # The config is parsed at the shipped cap, which it fits.
         cfg = parse_config({"experiment": "sphase-check", "parameters": {
             "lambda_values": [100.0, 215.443469003188],
             "consistency_r_values": [101, 100001]}})
+        monkeypatch.setattr(mehler, "_PANEL_CAP", 2000)
         res = run(cfg, out_dir=tmp_path)
         assert res.exit_code == 3
         for path in (res.csv_path, res.summary_path, res.manifest_path):
@@ -971,8 +982,21 @@ class TestCommandLine:
                     == (tmp_path / "file" / name).read_bytes())
         echoes = [json.loads((tmp_path / side / "manifest.json").read_text(
             encoding="utf-8"))["config"] for side in ("flags", "file")]
-        assert echoes[0] == echoes[1]
+        assert echoes[0] == dict(echoes[1], out=str(tmp_path / "flags"))
         assert (echoes[0]["seed"], echoes[0]["tolerance_scale"]) == (11, 2.0)
+
+    def test_out_flag_is_the_echoed_out(self, tmp_path):
+        # --out replaces the file's "out": the manifest echoes the
+        # directory the run wrote its artifacts to
+        path = write_json(tmp_path, {"experiment": "bounds-table",
+                                     "out": str(tmp_path / "from-file")})
+        flag = tmp_path / "from-flag"
+        assert cli.main(["bounds-table", "--config", path,
+                         "--out", str(flag)]) == 0
+        assert not (tmp_path / "from-file").exists()
+        manifest = json.loads((flag / "manifest.json").read_text(
+            encoding="utf-8"))
+        assert manifest["config"]["out"] == str(flag)
 
     def test_threads_flag_is_usage_error(self, tmp_path):
         path = write_json(tmp_path, {"experiment": "saturate", "parameters": {

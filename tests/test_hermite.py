@@ -347,6 +347,17 @@ class TestDriver:
         assert np.array_equal(hm.hermite_batch_grid(level, xs), want)
         assert np.array_equal(hm.hermite_batch(range(level + 1), xs), want)
 
+    @pytest.mark.parametrize("call", [
+        lambda xs: hm.hermite_batch_grid(40, xs),
+        lambda xs: hm.hermite_batch([40, 3], xs),
+        lambda xs: hm.hermite_on_grids([[40], [3]], [xs, xs[:2]]),
+    ], ids=["batch_grid", "batch", "on_grids"])
+    def test_recurrence_runs_on_one_blas_thread(self, fake_blas, call):
+        # one scope around the recurrence: down to 1, then back to 7
+        call(np.linspace(-3.0, 3.0, 9))
+        assert fake_blas.history == [1, 7]
+        assert fake_blas.count == 7
+
     def test_each_grid_stops_at_its_highest_order(self, stepped_points):
         grids = [np.linspace(-1.0, 1.0, size) for size in (5, 3, 8, 0, 2)]
         orders = [[4, 1], [90], [0], [60], [12, 30, 7]]

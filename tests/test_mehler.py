@@ -812,44 +812,27 @@ class TestLeadingTracksQuadrature:
 
 
 class TestConfigPanelRule:
-    """config refuses a consistency radius by mehler's panel rule for the
-    top level, written there with math alone."""
+    """config refuses a consistency radius by the driver's own count of
+    panels for the top level, mehler.consistency_top_panels."""
 
-    def test_constants_are_mehlers(self):
-        assert config._MEHLER_PANEL_CAP == mehler._PANEL_CAP
-        assert config._MEHLER_WINDOW_END == WINDOW_END
+    def test_refuses_only_what_the_driver_refuses(self, monkeypatch):
+        # a small cap keeps the driver's first level cheap; the last odd r
+        # whose count is at most the cap passes, the next is refused
+        cap = 2000
+        monkeypatch.setattr(mehler, "_PANEL_CAP", cap)
+        point = (0.31, -0.27)
 
-    @staticmethod
-    def _driver_count(r, point):
-        lo, hi = _dyadic_level(0)
-        lam = math.sqrt(r)
-        # the pair as consistency_residual hands it to the driver
-        x, y = mehler._rescaled([lam * point[0]], [lam * point[1]], r)
-        a2, b = _a2_b(x, y)
-        return max(mehler._panel_counts(lo, hi, np.array([a2, a2]),
-                                        np.array([b, -b]), [r, r]))
+        def count(r):
+            return mehler.consistency_top_panels(*point, r)
 
-    @pytest.mark.parametrize("point", [(0.31, -0.27), (0.0, 0.0), (0.9, -0.9),
-                                       (-0.55, 0.2), (0.7, 0.7), (-0.1, 0.85)])
-    def test_math_count_matches_the_driver(self, point):
-        for r in (1, 101, 1601, 25601, 100001, 1000001, 100000001):
-            assert abs(config._top_level_panels(r, point)
-                       - self._driver_count(r, point)) <= 1
-
-    def test_refuses_only_what_the_driver_refuses(self):
-        # the odd r around the boundary: the last whose math count is at
-        # most the cap + 1 passes, the next is refused
-        point, cap = (0.31, -0.27), config._MEHLER_PANEL_CAP
-        lo, hi = 1, 100000001  # counts 4 and 10,588,024, both odd r
+        lo, hi = 1, 100001  # counts 4 and 10589, both odd r
         while hi - lo > 2:
             mid = (lo + hi) // 2 | 1
-            if config._top_level_panels(mid, point) > cap + 1:
+            if count(mid) > cap:
                 hi = mid
             else:
                 lo = mid
-        assert config._top_level_panels(lo, point) == cap + 1
-        assert config._top_level_panels(hi, point) == cap + 2
-        assert self._driver_count(hi, point) > cap
+        assert count(lo) == cap and count(hi) > cap
 
         def sphase(r):
             return config.parse_config({
@@ -859,8 +842,24 @@ class TestConfigPanelRule:
         assert sphase(lo).parameters["consistency_r_values"] == [101, lo]
         with pytest.raises(config.ConfigError,
                            match=rf"consistency_r_values\[1\]: .* needs "
-                                 rf"{cap + 2} panels"):
+                                 rf"{count(hi)} panels at this r "
+                                 rf"\(cap {cap}\)"):
             sphase(hi)
 
+        monkeypatch.setattr(mehler, "_MAX_LEVELS", 1)
+
+        def first_level(r):
+            # both halves of the pair, as consistency_residual hands them
+            # to the driver, which stops after its first level
+            x, y = mehler._rescaled(*mehler._physical(*point, r), r)
+            return mehler._half_integrals([(x, y, r), (x, -y, r)],
+                                          mehler._CONSISTENCY_TOL)
+
+        top = f"level [{0.5 * WINDOW_END:.3e}, {WINDOW_END:.3e}]"
+        assert not any(top in str(v) for v in first_level(lo))
+        assert f"{top} needs {count(hi)} panels (cap {cap})" in [
+            str(v) for v in first_level(hi)]
+
     def test_reproducer_count(self):
-        assert config._top_level_panels(100000001, (0.31, -0.27)) == 10_588_024
+        assert mehler.consistency_top_panels(0.31, -0.27,
+                                             100000001) == 10_588_024
