@@ -195,19 +195,24 @@ def median_amplitude(report: ConstructionReport) -> float:
     return float(np.median(np.abs(tile))) / e.global_l2_norm()
 
 
+def ball_domain(e, nu: tuple, r: float, half_width: float) -> Domain:
+    """The quadrature domain of :func:`ball_lp_norm` for the
+    eigenfunction e: the ball B(nu, r), with a grid that resolves both the
+    oscillation scale 1 / lambda and the tube's transverse width (capped
+    at 1)."""
+    m_req = math.ceil(8.0 * r * max(e.eigenvalue,
+                                    1.0 / min(half_width, 1.0)))
+    return Domain(center=nu, scale=r,
+                  quad=TensorGrid(points_per_axis=m_req + 1))
+
+
 def ball_lp_norm(e, nu: tuple, r: float, p: float,
                  half_width: float) -> float:
-    """Local p-norm of the eigenfunction e over the ball B(nu, r).
-
-    The grid resolves both the oscillation scale 1 / lambda and the
-    tube's transverse width (capped at 1); no error estimate is made.
-    """
-    lam = e.eigenvalue
-    feature = min(half_width, 1.0)
-    m_req = math.ceil(8.0 * r * max(lam, 1.0 / feature))
-    dom = Domain(center=nu, scale=r,
-                 quad=TensorGrid(points_per_axis=m_req + 1))
-    return local_lp_norm(e, dom, p, osc_scale=lam, feature_scale=feature,
+    """Local p-norm of the eigenfunction e over the ball B(nu, r), on the
+    grid of :func:`ball_domain`; no error estimate is made."""
+    return local_lp_norm(e, ball_domain(e, nu, r, half_width), p,
+                         osc_scale=e.eigenvalue,
+                         feature_scale=min(half_width, 1.0),
                          with_error=False).value
 
 

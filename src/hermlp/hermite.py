@@ -41,8 +41,11 @@ _LOG_PI = math.log(math.pi)
 _RESCALE_LIMIT = 1.0e120
 # Below this sum of squares no point can exceed the limit: a point above
 # 1e120 makes the true sum exceed 1e240, and the computed dot product of a
-# grid under 2^49 points is at least 14/15 of the true sum (or inf).
-_RESCALE_DOT = 1.0e239
+# grid under 2^49 points is at least 14/15 of the true sum (or inf), above
+# 9.33e239.  The closer to that the bar, the fewer steps pay the exact
+# test: on a seed-0 sweep-tube pass, 3,592 of 28,740 steps at 9e239,
+# against 14,646 at 1e239.
+_RESCALE_DOT = 9.0e239
 # Elements per chunk of the in-place row conversion of _to_values.
 _CONVERT_CHUNK = 1 << 16
 

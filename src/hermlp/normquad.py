@@ -6,13 +6,14 @@ grids stay in memory budget, and an exact reduction: each block's sum is
 the correctly rounded sum of its terms, the value ``math.fsum`` gives,
 so repeated runs produce bit-identical sums whatever the term order.
 ``_exact_chunk_sum`` gets that value from a few numpy passes: it splits
-every term into two exactly representable halves, adds the halves per
-binary exponent, where no addition can round, and hands ``math.fsum``
-only the nonzero bin sums (the binning idea of Demmel & Nguyen,
-"Parallel Reproducible Summation", IEEE TC 2015).  Its bins persist
-across the chunks of a stream, so a block is reduced a few lead rows at
-a time: ball mask, gathered values and weight products exist only per
-chunk, and a block's peak memory is about its one tile.
+every term through its bit pattern into two exactly representable
+halves, adds the halves per exponent field, where no addition can
+round, and hands ``math.fsum`` only the nonzero bin sums (the binning
+idea of Demmel & Nguyen, "Parallel Reproducible Summation", IEEE TC
+2015).  Its bins persist across the chunks of a stream, so a block is
+reduced a few lead rows at a time: ball mask, gathered values and
+weight products exist only per chunk, and a block's peak memory is
+about its one tile.
 
 An integrand takes tensor axes: ``f(*axes, lead=slice(start, stop))``
 gets the full 1-D node array of every axis and returns the tensor tile
@@ -45,6 +46,7 @@ __all__ = [
     "NormValue",
     "TensorGrid",
     "local_lp_norm",
+    "quadrature_axes",
 ]
 
 _BLOCK = 1 << 20
@@ -55,16 +57,16 @@ _BLOCK = 1 << 20
 # and took 83 ms at 2^12.
 _ROW_CHUNK = 1 << 14
 
-# _exact_chunk_sum: chunk length, the 26-bit split of each term, and the
-# range of frexp exponents of finite doubles, [-1073, 1024].  Below 2^995
-# in magnitude and 2^26 in count, no bin sum and no partial sum of
-# math.fsum can overflow.  Chunks of 2^13 and 2^14 terms were the fastest
-# measured, about 11 ns a term; of the two, only 2^14 left the peak memory
-# of a saturate sweep where math.fsum had it.
+# _exact_chunk_sum: chunk length, the mask that clears the low 27 of the
+# 52 stored mantissa bits, and the largest exponent field it bins.  A
+# field up to 2017 is a magnitude below 2^995 (field 2047 is inf or nan);
+# below that and 2^26 terms, no bin sum and no partial sum of math.fsum
+# can overflow.  Chunks of 2^13 and 2^14 terms were the fastest measured;
+# of the two, only 2^14 left the peak memory of a saturate sweep where
+# math.fsum had it.
 _SUM_CHUNK = 1 << 14
-_SPLIT = 2.0 ** 26
-_EXP_MIN, _EXP_BINS = -1073, 2098
-_SUM_MAX_EXP, _SUM_MAX_LEN = 995, 1 << 26
+_HI_MASK = np.int64(-(1 << 27))
+_SUM_MAX_FIELD, _SUM_MAX_LEN = 2017, 1 << 26
 
 
 @dataclass(frozen=True)
@@ -196,18 +198,21 @@ def _exact_chunk_sum(chunks) -> float:
     """math.fsum of every term of the 1-D float arrays chunks() yields.
 
     The bins persist across chunks, so the terms need never be in memory
-    at once.  Each term x = mant * 2^ex splits into hi, its leading 26
-    bits, and lo = x - hi, both exact.  With a common exponent ex, the hi
-    parts are multiples of 2^(ex-26) below 2^ex and the lo parts multiples
-    of 2^(ex-53) below 2^(ex-26), so up to 2^26 terms keep every bin sum
-    below 2^53 quanta: each bin sum is exact, with mixed signs too, and
-    fsum of the bins is the correctly rounded total.  A non-finite term,
-    |x| >= 2^995, more than 2^26 terms or no nonzero bin (the sign of a
-    zero total is fsum's call) send every term, yielded again by a second
-    chunks() in the same order, to fsum itself, so inf, nan and overflow
-    behave as there.
+    at once.  Each term x splits through its bit pattern into hi, x with
+    the low 27 of its 52 stored mantissa bits cleared, and lo = x - hi,
+    both exact, and both go to the bin of x's exponent field E.  A term of
+    field E >= 1 lies in [2^e, 2^(e+1)) for e = E - 1023, and one of field
+    0 (a subnormal or a zero) below 2^-1022, as if e = -1022: in one bin,
+    the hi parts are multiples of 2^(e-25) below 2^(e+1) and the lo parts
+    multiples of 2^(e-52) below 2^(e-25), so up to 2^26 terms keep every
+    bin sum below 2^53 quanta: each bin sum is exact, with mixed signs
+    too, and fsum of the bins is the correctly rounded total.  A term of
+    field above 2017 (|x| >= 2^995, inf and nan included), more than 2^26
+    terms or no nonzero bin (the sign of a zero total is fsum's call) send
+    every term, yielded again by a second chunks() in the same order, to
+    fsum itself, so inf, nan and overflow behave as there.
     """
-    acc = np.zeros((2, _EXP_BINS))
+    acc = np.zeros((2, _SUM_MAX_FIELD + 1))
     count = 0
     for a in chunks():
         count += a.size
@@ -215,13 +220,15 @@ def _exact_chunk_sum(chunks) -> float:
             return math.fsum(chain.from_iterable(chunks()))
         for start in range(0, a.size, _SUM_CHUNK):
             x = a[start:start + _SUM_CHUNK]
-            mant, ex = np.frexp(x)
-            if not (np.isfinite(mant).all() and ex.max() <= _SUM_MAX_EXP):
+            bits = x.view(np.int64)
+            field = (bits >> 52) & 0x7ff
+            if field.max() > _SUM_MAX_FIELD:
                 return math.fsum(chain.from_iterable(chunks()))
-            hi = np.ldexp(np.trunc(mant * _SPLIT) / _SPLIT, ex)
-            ex -= _EXP_MIN
-            acc[0] += np.bincount(ex, weights=hi, minlength=_EXP_BINS)
-            acc[1] += np.bincount(ex, weights=x - hi, minlength=_EXP_BINS)
+            hi = (bits & _HI_MASK).view(np.float64)
+            acc[0] += np.bincount(field, weights=hi,
+                                  minlength=_SUM_MAX_FIELD + 1)
+            acc[1] += np.bincount(field, weights=x - hi,
+                                  minlength=_SUM_MAX_FIELD + 1)
     bins = acc[acc != 0.0]
     if bins.size == 0:
         return math.fsum(chain.from_iterable(chunks()))
@@ -248,11 +255,20 @@ def _ball_terms(tile, sq, wts, rows: int, r2: float, p: float):
         yield vals
 
 
+def quadrature_axes(dom: Domain, m: int | None = None) -> list[np.ndarray]:
+    """The node array of every axis of the tensor rule on ``dom``'s
+    bounding box with about ``m`` points per axis (the grid's
+    ``points_per_axis`` by default): the axes ``local_lp_norm`` hands its
+    integrand, so tables built on them ahead of the norm are its own."""
+    x, _ = _axis_rule(dom.quad.points_per_axis if m is None else m)
+    return [c + dom.scale * x for c in dom.center]
+
+
 def _tensor_value(f, dom: Domain, p: float, m: int) -> tuple[float, int]:
     n = dom.dim
-    x, w = _axis_rule(m)
-    m = len(x)
-    axes = [dom.center[k] + dom.scale * x for k in range(n)]
+    axes = quadrature_axes(dom, m)
+    w = _axis_rule(m)[1]
+    m = len(w)
     sq = [(a - c) ** 2 for a, c in zip(axes, dom.center)]
     wts = dom.scale * w
     r2 = dom.scale * dom.scale

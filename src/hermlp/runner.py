@@ -35,13 +35,15 @@ import json
 import math
 import platform
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import bounds, construct, hermite, mehler, phase, spectral, stationary
+from . import (bounds, construct, hermite, mehler, normquad, phase, spectral,
+               stationary)
 from ._blas import one_thread
 from .config import ConfigError, ExperimentConfig, plot_params
 
@@ -554,20 +556,47 @@ def _run_construct(ctx: _Ctx):
 
 # --------------------------------------------------------------- saturate
 
+def _saturate_ball(case: dict, level: int) -> tuple:
+    """The tube, ball center, radius and bound value of one saturate
+    cell."""
+    tube, nu, r = bounds.saturate_cell(case, level)
+    bound = bounds.lambda_lp(len(nu), tube.lam, r, math.hypot(*nu), case["p"])
+    return tube, nu, r, bound.value
+
+
+def _plan_tube_cell(case: dict, level: int):
+    """:func:`_saturate_ball`, the construction and the ball quadrature
+    axes of one tube cell, or the first exception they raised."""
+    try:
+        ball = _saturate_ball(case, level)
+        tube, nu, r, _ = ball
+        rep = construct.build_concentrated(len(nu), level, tube.j, tube.delta)
+        dom = construct.ball_domain(rep.eigenfunction, nu, r,
+                                    rep.tube.half_width)
+        return (*ball, rep, normquad.quadrature_axes(dom))
+    except Exception as exc:  # raised again by the level's own cell
+        return exc
+
+
 def _run_saturate(ctx: _Ctx):
     p = ctx.params
     ctx.header = SATURATE_HEADER[:-1]
+    plans = deque()  # a tube case's planned cells; each cell drops its own
 
     def cell(args):
         case_idx, level = args
         case = p["cases"][case_idx]
-        tube, nu, r = bounds.saturate_cell(case, level)
+        if case["kind"] == "random":
+            tube, nu, r, bound = _saturate_ball(case, level)
+        else:
+            plan = plans.popleft()
+            if isinstance(plan, Exception):
+                raise plan
+            tube, nu, r, bound, rep, _ = plan
         n, p_norm = len(nu), case["p"]
-        bound = bounds.lambda_lp(n, tube.lam, r, math.hypot(*nu), p_norm).value
         geometry = [n, level, tube.lam, tube.j, tube.delta, _fmt_point(nu), r,
                     p_norm]
         if case["kind"] != "random":
-            rep = construct.build_concentrated(n, level, tube.j, tube.delta)
             ratio = construct.saturation_ratio(rep, nu, r, p_norm)
             return [[case["kind"], *geometry, ratio * bound, bound, ratio]]
         # one evaluator per level: every draw reuses its two axis tables
@@ -586,8 +615,17 @@ def _run_saturate(ctx: _Ctx):
 
     all_ratios, sweep_ratios = [], []
     for case_idx, case in enumerate(p["cases"]):
-        oks = _collect(ctx, cell, [(case_idx, level)
-                                   for level in case["levels"]])
+        cells = [(case_idx, level) for level in case["levels"]]
+        if case["kind"] != "random":
+            # a tube case plans every level, then builds all their ball
+            # axes' tables in one Hermite recurrence; a failure of that
+            # shared recurrence fails the experiment
+            plans.extend(_plan_tube_cell(case, level)
+                         for level in case["levels"])
+            spectral.Eigenfunction.tabulate(
+                [(plan[4].eigenfunction, plan[5]) for plan in plans
+                 if not isinstance(plan, Exception)])
+        oks = _collect(ctx, cell, cells)
         ratios = [row[11] for row in oks]
         all_ratios += ratios
         if case["kind"] == "random" or not ratios:

@@ -176,6 +176,27 @@ class Eigenfunction:
         c = self._coefficients
         return math.sqrt(math.fsum(c * c))
 
+    @staticmethod
+    def tabulate(pairs) -> None:
+        """Build the axis tables of every (evaluator, axes) pair from one
+        Hermite recurrence over all their axes, and keep each as its
+        evaluator's last grid, as a first call on those axes would.
+
+        A later call on the same axes then runs no recurrence.  Every
+        table is bit for bit the one the evaluator would build itself.
+        """
+        pairs = [(e, [np.array(a, dtype=float) for a in axes])
+                 for e, axes in pairs]
+        if any(len(axes) != e.dim for e, axes in pairs):
+            raise ValueError("need one axis per dimension")
+        tables = hermite_on_grids(
+            [orders for e, _ in pairs for orders in e._axis_orders],
+            [a for _, axes in pairs for a in axes])
+        start = 0
+        for e, axes in pairs:
+            e._kept = (axes, tables[start:start + e.dim])
+            start += e.dim
+
     def _axis_tables(self, axes) -> list:
         kept = self._kept
         if kept is None or not all(map(np.array_equal, kept[0], axes)):

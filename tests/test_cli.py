@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -727,11 +728,14 @@ class TestRunnerArtifacts:
 
     @pytest.mark.parametrize("case, axes", [
         ({"kind": "case2", "n": 2, "levels": [200]}, 2),
-        ({"kind": "case3", "levels": [200]}, 1)])
+        ({"kind": "case3", "levels": [200]}, 1),
+        ({"kind": "case2", "n": 2, "levels": [200, 400, 800]}, 2),
+        ({"kind": "case3", "levels": [200, 400, 800]}, 1)])
     def test_tube_cell_runs_one_recurrence_per_ball(
             self, monkeypatch, stepped_points, tmp_path, case, axes):
         # the report measures no tube median, so the only tables a saturate
-        # tube cell builds are those of its ball's axes, in one recurrence
+        # tube case builds are those of its balls' axes: it plans every
+        # level before its first cell and steps them in one recurrence
         seen = []
         real = spectral.hermite_on_grids
 
@@ -744,9 +748,95 @@ class TestRunnerArtifacts:
                             "parameters": {"cases": [case]}})
         res = run(cfg, out_dir=tmp_path)
         assert res.summary["computational_failures"] == []
-        assert len(seen) == 1 and len(seen[0]) == axes
+        assert len(seen) == 1 and len(seen[0]) == axes * len(case["levels"])
         # every axis steps only to its own highest order
         assert stepped_points.steps == sum(k * m for k, m in seen[0])
+
+    def test_failed_tube_plan_stays_in_its_cell(self, monkeypatch, tmp_path):
+        # the middle level's construction fails while the case is planned:
+        # its cell gives the error row, in place, and the other levels'
+        # rows are the clean run's
+        levels = [200, 400, 800]
+        cfg = parse_config({"experiment": "saturate", "parameters": {
+            "cases": [{"kind": "case2", "n": 2, "levels": levels}]}})
+        _, clean = read_csv(run(cfg, out_dir=tmp_path / "clean").csv_path)
+        real = construct.build_concentrated
+
+        def failing(n, level, *args, **kwargs):
+            if level == 400:
+                raise RuntimeError("boom")
+            return real(n, level, *args, **kwargs)
+
+        monkeypatch.setattr(construct, "build_concentrated", failing)
+        res = run(cfg, out_dir=tmp_path / "failed")
+        assert res.exit_code == 3
+        _, rows = read_csv(res.csv_path)
+        assert rows[0] == clean[0] and rows[2] == clean[2]
+        assert set(rows[1][:-1]) == {""}
+        assert rows[1][-1] == "error: RuntimeError: boom"
+        assert res.summary["computational_failures"] == [
+            {"cell": "(0, 400)", "error": "RuntimeError: boom"}]
+
+    def test_tube_plan_raises_what_the_cell_raised_first(self, monkeypatch,
+                                                         tmp_path):
+        # the plan calls the library in the cell's order: the bound comes
+        # before the construction, so its failure is the one reported
+        def failing(message):
+            def explode(*args, **kwargs):
+                raise RuntimeError(message)
+            return explode
+
+        monkeypatch.setattr(bounds, "lambda_lp", failing("bound"))
+        monkeypatch.setattr(construct, "build_concentrated",
+                            failing("construction"))
+        cfg = parse_config({"experiment": "saturate", "parameters": {
+            "cases": [{"kind": "case2", "n": 2, "levels": [200, 400]}]}})
+        res = run(cfg, out_dir=tmp_path)
+        assert [f["error"] for f in res.summary["computational_failures"]] \
+            == ["RuntimeError: bound"] * 2
+
+    def test_finished_tube_level_frees_its_evaluator(self, monkeypatch,
+                                                     tmp_path):
+        # every level is planned before the first cell; a cell's evaluator,
+        # and with it its tables, is gone before the next cell measures
+        built, measured = [], []
+        real_build = construct.build_concentrated
+        real_ratio = construct.saturation_ratio
+
+        def build(*args, **kwargs):
+            rep = real_build(*args, **kwargs)
+            built.append(weakref.ref(rep.eigenfunction))
+            return rep
+
+        def ratio(rep, *args, **kwargs):
+            assert len(built) == 3
+            assert all(ref() is None for ref in measured)
+            measured.append(weakref.ref(rep.eigenfunction))
+            return real_ratio(rep, *args, **kwargs)
+
+        monkeypatch.setattr(construct, "build_concentrated", build)
+        monkeypatch.setattr(construct, "saturation_ratio", ratio)
+        cfg = parse_config({"experiment": "saturate", "parameters": {
+            "cases": [{"kind": "case2", "n": 2, "levels": [200, 400, 800]}]}})
+        assert run(cfg, out_dir=tmp_path).summary[
+            "computational_failures"] == []
+        assert [ref() for ref in built] == [None] * 3
+        assert len(measured) == 3
+
+    def test_failed_shared_recurrence_fails_the_experiment(self, monkeypatch,
+                                                           tmp_path):
+        def explode(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(spectral, "hermite_on_grids", explode)
+        cfg = parse_config({"experiment": "saturate", "parameters": {
+            "cases": [{"kind": "case2", "n": 2, "levels": [200, 400]}]}})
+        res = run(cfg, out_dir=tmp_path)
+        assert res.exit_code == 3
+        _, rows = read_csv(res.csv_path)
+        assert len(rows) == 1 and rows[0][-1] == "error: RuntimeError: boom"
+        assert res.summary["computational_failures"] == [
+            {"cell": "saturate", "error": "RuntimeError: boom"}]
 
     def test_phase_identities_crash_contained(self, tmp_path):
         cfg = load_config(str(Path(__file__).resolve().parents[1]

@@ -284,14 +284,15 @@ def _rescaled(xs, k):
 def _limit_steps(xs, k):
     """Of the recurrence steps to order k over xs: those that rescale,
     those whose largest rescale factor is under 1.2e120, and those that do
-    not rescale although the state's sum of squares exceeds 1e239."""
+    not rescale although the state's sum of squares fails the driver's
+    dot pre-test."""
     rescaled = just_over = near = 0
     last = None
     for _, log_scale, cur in _oracle_recurrence(np.asarray(xs, dtype=float), k):
         if last is not None and log_scale is not last:
             rescaled += 1
             just_over += np.max(log_scale - last) < math.log(1.2e120)
-        elif np.dot(cur, cur) > 1.0e239:
+        elif np.dot(cur, cur) > hm._RESCALE_DOT:
             near += 1
         last = log_scale
     return rescaled, just_over, near
@@ -300,9 +301,11 @@ def _limit_steps(xs, k):
 class TestDriver:
     # Three points whose states sit just under 1e120 for over a thousand
     # steps, and a grid whose states cross it by less than 20% on dozens.
+    # Each point is taken ten times, so that the sum of squares of states
+    # just under the limit fails the dot pre-test and the exact test runs.
     @pytest.mark.parametrize("xs,under,over", [
-        ([57.67, 52.62, 40.77], 1000, 0),
-        (np.linspace(20.0, 60.0, 81), 200, 30),
+        (np.repeat([57.67, 52.62, 40.77], 10), 1000, 0),
+        (np.repeat(np.linspace(20.0, 60.0, 81), 10), 200, 30),
     ])
     def test_rescales_exactly_where_a_state_exceeds_the_limit(
             self, stepped_points, xs, under, over):

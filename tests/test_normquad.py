@@ -328,6 +328,26 @@ class TestAxesIntegrands:
         assert a == b
         assert a.nodes == 37 * 37 + 75 * 75
 
+    @pytest.mark.parametrize("m", [37, 1100])
+    def test_integrand_gets_the_quadrature_axes(self, m):
+        # the coarse grid's axes, then the once-doubled grid's, every block
+        # getting the full axes
+        dom = NQ.Domain((0.3, -0.2), 1.1, NQ.TensorGrid(m))
+        seen = []
+
+        def f(*axes, lead=slice(None)):
+            seen.append(axes)
+            return np.ones((len(axes[0][lead]), len(axes[1])))
+
+        NQ.local_lp_norm(f, dom, 2.0, osc_scale=3.0)
+        grids = {len(axes[0]): axes for axes in (
+            NQ.quadrature_axes(dom), NQ.quadrature_axes(dom, 2 * m + 1))}
+        # above 1024 points the rule is whole 33-point panels
+        assert list(grids) == ([37, 75] if m == 37 else [1122, 2211])
+        assert {len(axes[0]) for axes in seen} == set(grids)
+        assert all(all(map(np.array_equal, axes, grids[len(axes[0])]))
+                   for axes in seen)
+
     @pytest.mark.parametrize("block, case", [
         pytest.param(block, case, id=f"{block}{suffix}")
         for case, suffix in [(dense_case, ""), (sparse_case_2d, "-sparse2"),
@@ -736,6 +756,48 @@ class TestExactChunkSum:
         # on 1.7e308 + 1.7e308 but not on 1.7e308 - 1.7e308 + 1.7e308
         a = np.array(values, dtype=float)
         assert fsum_outcome(chunk_sum(sizes), a) == fsum_outcome(math.fsum, a)
+
+    BELOW_995 = math.nextafter(2.0**995, 0.0)
+
+    @pytest.mark.parametrize("sizes, values", [
+        # negative terms, one exponent field and many
+        ([2, 1], [-1.5, -(2.0**-30), -3.0]),
+        ([1, CHUNK], [-(2.0**-1022)] + [-0.75] * CHUNK),
+        # subnormal terms (field 0), alone and with their neighbour field 1
+        ([3], [5e-324, 2.0**-1030, -(2.0**-1060)]),
+        ([1, 2], [2.0**-1022 - 5e-324, 5e-324, -(2.0**-1022)]),
+        ([CHUNK + 1], [3 * 2.0**-1070] * (CHUNK + 1)),
+        ([2, 2], [2.0**-1022, -5e-324, 0.0, -(2.0**-1023)]),
+        # zeros of both signs among other terms and on their own
+        ([2, 2], [0.0, -0.0, 1.0, -0.0]), ([1, 1, 1], [-0.0, 0.0, -0.0]),
+        ([1, 2], [-0.0, 2.0**-1074, -0.0]),
+        # one ulp below 2^995 is binned; 2^995 itself goes to fsum
+        ([2, 1], [BELOW_995, BELOW_995, -1.0]),
+        ([1, 1], [-BELOW_995, 3.0]),
+        ([CHUNK, 1], [BELOW_995] * CHUNK + [-BELOW_995]),
+        ([1, 2], [1.0, 2.0**995, -(2.0**995)]),
+        ([2, 1], [-(2.0**995), BELOW_995, 5e-324]),
+    ])
+    def test_signs_subnormals_zeros_and_the_limit(self, sizes, values):
+        a = np.array(values, dtype=float)
+        assert fsum_outcome(chunk_sum(sizes), a) == fsum_outcome(math.fsum, a)
+
+    def test_binned_up_to_one_ulp_below_2_995(self, monkeypatch):
+        # a term below 2^995 is summed from its bins; a term at 2^995
+        # sends every term to fsum, in their own order
+        fsum = math.fsum
+        seen = []
+        monkeypatch.setattr(NQ.math, "fsum",
+                            lambda xs: fsum(seen.append(list(xs)) or seen[-1]))
+        terms = [self.BELOW_995, -1.0, 1.25, 2.0**-1074, -0.0]
+        assert chunk_sum([5])(np.array(terms)) == fsum(terms)
+        # the nonzero bins: both halves of the top term, the hi halves of
+        # field 1023 and the lo half of the subnormal
+        assert len(seen) == 1 and len(seen[0]) == 4
+        seen.clear()
+        terms[0] = 2.0**995
+        assert chunk_sum([5])(np.array(terms)) == fsum(terms)
+        assert seen == [terms]
 
     def test_inf_minus_inf_in_other_chunks_raises(self):
         with pytest.raises(ValueError, match="-inf \\+ inf"):

@@ -410,6 +410,32 @@ class TestTileProduct:
         with pytest.raises(ValueError, match="one coefficient per index"):
             e.coefficients = e.coefficients[1:]
 
+    def test_tabulate_shares_one_recurrence(self, monkeypatch):
+        # three evaluators of different dims and levels: one recurrence
+        # fills every evaluator's tables, and each tile then has the bits
+        # of an evaluator that built its own tables
+        cases = [self._case(dim) for dim in (1, 2, 3)]
+        want = [e(*axes).tobytes() for e, axes in cases]
+        fresh = [(sp.Eigenfunction(e.dim, e.level, e.indices, e.coefficients),
+                  [a.tolist() for a in axes]) for e, axes in cases]
+        calls = []
+        real = sp.hermite_on_grids
+
+        def counted(orders, grids):
+            calls.append(len(grids))
+            return real(orders, grids)
+
+        monkeypatch.setattr(sp, "hermite_on_grids", counted)
+        sp.Eigenfunction.tabulate(fresh)
+        assert calls == [1 + 2 + 3]
+        monkeypatch.setattr(sp, "hermite_on_grids", None)  # no new tables
+        assert [e(*axes).tobytes() for e, axes in fresh] == want
+
+    def test_tabulate_needs_one_axis_per_dimension(self):
+        e, axes = self._case(2)
+        with pytest.raises(ValueError, match="one axis per dimension"):
+            sp.Eigenfunction.tabulate([(e, axes[:1])])
+
     def test_empty_cross_axis(self):
         e = sp.Eigenfunction(2, 3, [(1, 2), (3, 0)], [1.0, -0.5])
         tile = e(np.linspace(-1.0, 1.0, 4), np.array([]))
