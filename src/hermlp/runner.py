@@ -5,7 +5,8 @@ produces three files in the output directory:
 
   results.csv   raw per-cell measurements, row order fixed by the grid order
   summary.json  assertions with observed values and pass/fail, plus metrics
-  manifest.json config echo, library versions, wall-clock timing
+  manifest.json config echo, library versions (hermlp's is the
+                ``__version__`` of the code that ran), wall-clock timing
 
 ``results.csv`` and ``summary.json`` are deterministic functions of the
 config and seed: identical inputs at one BLAS setting give byte-identical
@@ -42,8 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (bounds, construct, hermite, mehler, normquad, phase, spectral,
-               stationary)
+from . import (__version__, bounds, construct, hermite, mehler, normquad,
+               phase, spectral, stationary)
 from ._blas import one_thread
 from .config import ConfigError, ExperimentConfig, plot_params
 
@@ -687,14 +688,6 @@ _RUNNERS = {
 
 # ------------------------------------------------------------- entry point
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("hermlp")
-    except Exception:
-        return "unknown"
-
-
 def run(config: ExperimentConfig, out_dir=None) -> RunResult:
     """Execute one experiment and write its artifacts.
 
@@ -742,7 +735,7 @@ def run(config: ExperimentConfig, out_dir=None) -> RunResult:
         "config": config.echo(),
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__,
-                     "hermlp": _package_version()},
+                     "hermlp": __version__},
         "timing": {"started_utc": stamp,
                    "duration_seconds": time.perf_counter() - started},
         "artifacts": {"results": "results.csv", "summary": "summary.json"},
