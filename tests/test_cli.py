@@ -544,17 +544,17 @@ class TestRunnerArtifacts:
         assert manifest["timing"]["duration_seconds"] >= 0.0
 
     def test_manifest_records_running_code_version(self, tmp_path):
-        # The manifest names the version of the code that ran, and finding
-        # it scans no installed distributions: that scan left 1.6-1.8 MB
-        # resident and wrote "unknown" from a source tree.  A subprocess,
+        # The manifest names the version of the code that ran without
+        # scanning installed distributions, a scan that would leave about
+        # 1.7 MB resident and find nothing in a source tree.  A subprocess,
         # since pytest's own plugins import importlib.metadata.
         repo = Path(hermlp.__file__).resolve().parents[2]
         code = "\n".join([
             "import sys, hermlp",
             "from hermlp.config import parse_config",
             "from hermlp.runner import run",
-            "res = run(parse_config({'experiment': 'bounds-table'}),",
-            f"          out_dir={str(tmp_path)!r})",
+            "run(parse_config({'experiment': 'bounds-table'}),",
+            f"    out_dir={str(tmp_path)!r})",
             "print(hermlp.__version__)",
             "print('importlib.metadata' in sys.modules)"])
         env = dict(os.environ, PYTHONPATH=str(repo / "src"))
