@@ -8,9 +8,9 @@ over phase bins).  On the tube all selected terms then add in phase,
 so the combination reaches amplitude lam**-0.5 * 2**(j/2) *
 delta**(-(n-1)/2) per unit of global L2 mass.
 
-The saturation measurement divides the measured local p-norm over a
-ball by the closed-form growth envelope; a lam-independent band near 1
-is what "the envelope is attained" means at desk scale.
+The saturate experiment divides ball_lp_norm per unit L2 mass by the
+closed-form growth envelope; a lam-independent band near 1 is what "the
+envelope is attained" means at desk scale.
 
 Parity note: every transverse order in the window is even, so the
 first-axis order has the parity of the total level across the whole
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import TubeSpec, lambda_lp
+from .bounds import TubeSpec
 from .hermite import decay_action, phase_action
 from .normquad import Domain, TensorGrid, local_lp_norm
 from .spectral import Eigenfunction
@@ -214,21 +214,3 @@ def ball_lp_norm(e, nu: tuple, r: float, p: float,
                          osc_scale=e.eigenvalue,
                          feature_scale=min(half_width, 1.0),
                          with_error=False).value
-
-
-def saturation_ratio(report: ConstructionReport, nu, r: float,
-                     p: float) -> float:
-    """Measured local p-norm per unit L2 mass, divided by the envelope.
-
-    nu is the ball center (sequence of length n).  The envelope value
-    comes from the closed-form local bound at the center's distance
-    parameters, so a ratio that stays in a fixed band across an
-    eigenvalue sweep certifies the bound is attained up to constants.
-    """
-    e = report.eigenfunction
-    nu = tuple(float(c) for c in np.atleast_1d(np.asarray(nu, dtype=float)))
-    if len(nu) != e.dim:
-        raise ValueError("ball center has wrong dimension")
-    measured = ball_lp_norm(e, nu, r, p, report.tube.half_width)
-    bound = lambda_lp(e.dim, report.tube.lam, r, math.hypot(*nu), p)
-    return (measured / e.global_l2_norm()) / bound.value

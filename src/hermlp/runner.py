@@ -557,24 +557,22 @@ def _run_construct(ctx: _Ctx):
 
 # --------------------------------------------------------------- saturate
 
-def _saturate_ball(case: dict, level: int) -> tuple:
-    """The tube, ball center, radius and bound value of one saturate
-    cell."""
-    tube, nu, r = bounds.saturate_cell(case, level)
-    bound = bounds.lambda_lp(len(nu), tube.lam, r, math.hypot(*nu), case["p"])
-    return tube, nu, r, bound.value
-
-
-def _plan_tube_cell(case: dict, level: int):
-    """:func:`_saturate_ball`, the construction and the ball quadrature
-    axes of one tube cell, or the first exception they raised."""
+def _plan_saturate_cell(case: dict, level: int):
+    """The tube, ball center, radius and bound value of one saturate cell,
+    its evaluator and its ball quadrature axes, or the first exception
+    they raised.  A tube case's evaluator is its construction; a random
+    case's is the dense eigenspace, its coefficients set per draw."""
     try:
-        ball = _saturate_ball(case, level)
-        tube, nu, r, _ = ball
-        rep = construct.build_concentrated(len(nu), level, tube.j, tube.delta)
-        dom = construct.ball_domain(rep.eigenfunction, nu, r,
-                                    rep.tube.half_width)
-        return (*ball, rep, normquad.quadrature_axes(dom))
+        tube, nu, r = bounds.saturate_cell(case, level)
+        bound = bounds.lambda_lp(len(nu), tube.lam, r, math.hypot(*nu),
+                                 case["p"]).value
+        if case["kind"] == "random":
+            e = spectral.DenseEigenfunction2D(level, np.zeros(level + 1))
+        else:
+            e = construct.build_concentrated(len(nu), level, tube.j,
+                                             tube.delta).eigenfunction
+        dom = construct.ball_domain(e, nu, r, tube.half_width)
+        return tube, nu, r, bound, e, normquad.quadrature_axes(dom)
     except Exception as exc:  # raised again by the level's own cell
         return exc
 
@@ -582,26 +580,24 @@ def _plan_tube_cell(case: dict, level: int):
 def _run_saturate(ctx: _Ctx):
     p = ctx.params
     ctx.header = SATURATE_HEADER[:-1]
-    plans = deque()  # a tube case's planned cells; each cell drops its own
+    plans = deque()  # the case's planned cells; each cell drops its own
 
     def cell(args):
         case_idx, level = args
         case = p["cases"][case_idx]
-        if case["kind"] == "random":
-            tube, nu, r, bound = _saturate_ball(case, level)
-        else:
-            plan = plans.popleft()
-            if isinstance(plan, Exception):
-                raise plan
-            tube, nu, r, bound, rep, _ = plan
-        n, p_norm = len(nu), case["p"]
-        geometry = [n, level, tube.lam, tube.j, tube.delta, _fmt_point(nu), r,
-                    p_norm]
+        plan = plans.popleft()
+        if isinstance(plan, Exception):
+            raise plan
+        tube, nu, r, bound, e, _ = plan
+        p_norm = case["p"]
+        geometry = [len(nu), level, tube.lam, tube.j, tube.delta,
+                    _fmt_point(nu), r, p_norm]
         if case["kind"] != "random":
-            ratio = construct.saturation_ratio(rep, nu, r, p_norm)
+            measured = construct.ball_lp_norm(e, nu, r, p_norm,
+                                              tube.half_width)
+            ratio = (measured / e.global_l2_norm()) / bound
             return [[case["kind"], *geometry, ratio * bound, bound, ratio]]
-        # one evaluator per level: every draw reuses its two axis tables
-        e = spectral.DenseEigenfunction2D(level, np.zeros(level + 1))
+        # every draw reuses the level's two axis tables
         rows = []
         for i in range(case["per_level"]):
             seed = _cell_seed(ctx.seed, case_idx, level, i)
@@ -616,17 +612,18 @@ def _run_saturate(ctx: _Ctx):
 
     all_ratios, sweep_ratios = [], []
     for case_idx, case in enumerate(p["cases"]):
-        cells = [(case_idx, level) for level in case["levels"]]
+        # a case plans every level before its first cell.  A tube case then
+        # builds all their ball axes' tables in one Hermite recurrence (a
+        # failure of that shared recurrence fails the experiment); a random
+        # case's dense tables are built in each level's own cell
+        plans.extend(_plan_saturate_cell(case, level)
+                     for level in case["levels"])
         if case["kind"] != "random":
-            # a tube case plans every level, then builds all their ball
-            # axes' tables in one Hermite recurrence; a failure of that
-            # shared recurrence fails the experiment
-            plans.extend(_plan_tube_cell(case, level)
-                         for level in case["levels"])
             spectral.Eigenfunction.tabulate(
-                [(plan[4].eigenfunction, plan[5]) for plan in plans
+                [plan[4:] for plan in plans
                  if not isinstance(plan, Exception)])
-        oks = _collect(ctx, cell, cells)
+        oks = _collect(ctx, cell,
+                       [(case_idx, level) for level in case["levels"]])
         ratios = [row[11] for row in oks]
         all_ratios += ratios
         if case["kind"] == "random" or not ratios:

@@ -738,23 +738,38 @@ class TestRunnerArtifacts:
     @pytest.mark.parametrize("per_level", [1, 4])
     def test_random_level_builds_axis_tables_once(self, monkeypatch, tmp_path,
                                                   stepped_points, per_level):
-        calls = []
-        real = spectral.hermite_on_grids
+        # both levels are planned before the first cell, but each level's
+        # tables are built in its own cell: one recurrence over both axes,
+        # each stepped to the level's order, that every draw reuses
+        events, points = [], []
+        real_tables = spectral.hermite_on_grids
+        real_norm = construct.ball_lp_norm
 
         def counted(orders, grids):
-            calls.append([len(g) for g in grids])
-            return real(orders, grids)
+            events.append(("tables", max(map(max, orders))))
+            points.append([len(g) for g in grids])
+            return real_tables(orders, grids)
+
+        def measured(e, *args, **kwargs):
+            events.append(("draw", e.level))
+            return real_norm(e, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "hermite_on_grids", counted)
+        monkeypatch.setattr(construct, "ball_lp_norm", measured)
+        levels = [60, 80]
         cfg = parse_config({"experiment": "saturate", "parameters": {
-            "cases": [{"kind": "random", "levels": [60],
+            "cases": [{"kind": "random", "levels": levels,
                        "per_level": per_level}]}})
         _, rows = read_csv(run(cfg, out_dir=tmp_path).csv_path)
-        # one recurrence over both axes, each stepped to order 60
-        assert len(calls) == 1 and len(calls[0]) == 2
-        assert stepped_points.steps == 60 * sum(calls[0])
-        assert [row[0] for row in rows] == [f"random-{i}"
-                                            for i in range(per_level)]
+        assert events == [
+            event for level in levels
+            for event in [("draw", level), ("tables", level)]
+            + [("draw", level)] * (per_level - 1)]
+        assert all(len(grids) == 2 for grids in points)
+        assert stepped_points.steps == sum(
+            level * sum(grids) for level, grids in zip(levels, points))
+        assert [row[0] for row in rows] == [
+            f"random-{i}" for _ in levels for i in range(per_level)]
         assert all(row[-1] == "ok" and float(row[9]) > 0.0 for row in rows)
 
     @pytest.mark.parametrize("case, axes", [
@@ -783,22 +798,28 @@ class TestRunnerArtifacts:
         # every axis steps only to its own highest order
         assert stepped_points.steps == sum(k * m for k, m in seen[0])
 
-    def test_failed_tube_plan_stays_in_its_cell(self, monkeypatch, tmp_path):
-        # the middle level's construction fails while the case is planned:
-        # its cell gives the error row, in place, and the other levels'
-        # rows are the clean run's
+    @pytest.mark.parametrize("case, module, attr", [
+        pytest.param({"kind": "case2", "n": 2}, construct,
+                     "build_concentrated", id="case2"),
+        pytest.param({"kind": "random", "per_level": 1}, bounds,
+                     "saturate_cell", id="random")])
+    def test_failed_tube_plan_stays_in_its_cell(self, monkeypatch, tmp_path,
+                                                case, module, attr):
+        # the middle level's plan fails while the case is planned: its cell
+        # gives the error row, in place, and the other levels' rows are the
+        # clean run's
         levels = [200, 400, 800]
         cfg = parse_config({"experiment": "saturate", "parameters": {
-            "cases": [{"kind": "case2", "n": 2, "levels": levels}]}})
+            "cases": [{**case, "levels": levels}]}})
         _, clean = read_csv(run(cfg, out_dir=tmp_path / "clean").csv_path)
-        real = construct.build_concentrated
+        real = getattr(module, attr)
 
-        def failing(n, level, *args, **kwargs):
+        def failing(first, level, *args, **kwargs):
             if level == 400:
                 raise RuntimeError("boom")
-            return real(n, level, *args, **kwargs)
+            return real(first, level, *args, **kwargs)
 
-        monkeypatch.setattr(construct, "build_concentrated", failing)
+        monkeypatch.setattr(module, attr, failing)
         res = run(cfg, out_dir=tmp_path / "failed")
         assert res.exit_code == 3
         _, rows = read_csv(res.csv_path)
@@ -826,29 +847,37 @@ class TestRunnerArtifacts:
         assert [f["error"] for f in res.summary["computational_failures"]] \
             == ["RuntimeError: bound"] * 2
 
+    @pytest.mark.parametrize("case, module, attr", [
+        pytest.param({"kind": "case2", "n": 2}, construct,
+                     "build_concentrated", id="case2"),
+        pytest.param({"kind": "random", "per_level": 2}, spectral,
+                     "DenseEigenfunction2D", id="random")])
     def test_finished_tube_level_frees_its_evaluator(self, monkeypatch,
-                                                     tmp_path):
+                                                     tmp_path, case, module,
+                                                     attr):
         # every level is planned before the first cell; a cell's evaluator,
         # and with it its tables, is gone before the next cell measures
         built, measured = [], []
-        real_build = construct.build_concentrated
-        real_ratio = construct.saturation_ratio
+        real_build = getattr(module, attr)
+        real_norm = construct.ball_lp_norm
 
         def build(*args, **kwargs):
-            rep = real_build(*args, **kwargs)
-            built.append(weakref.ref(rep.eigenfunction))
-            return rep
+            made = real_build(*args, **kwargs)
+            e = getattr(made, "eigenfunction", made)
+            built.append(weakref.ref(e))
+            return made
 
-        def ratio(rep, *args, **kwargs):
+        def norm(e, *args, **kwargs):
             assert len(built) == 3
-            assert all(ref() is None for ref in measured)
-            measured.append(weakref.ref(rep.eigenfunction))
-            return real_ratio(rep, *args, **kwargs)
+            assert all(ref() in (None, e) for ref in measured)
+            if not measured or measured[-1]() is not e:
+                measured.append(weakref.ref(e))
+            return real_norm(e, *args, **kwargs)
 
-        monkeypatch.setattr(construct, "build_concentrated", build)
-        monkeypatch.setattr(construct, "saturation_ratio", ratio)
+        monkeypatch.setattr(module, attr, build)
+        monkeypatch.setattr(construct, "ball_lp_norm", norm)
         cfg = parse_config({"experiment": "saturate", "parameters": {
-            "cases": [{"kind": "case2", "n": 2, "levels": [200, 400, 800]}]}})
+            "cases": [{**case, "levels": [200, 400, 800]}]}})
         assert run(cfg, out_dir=tmp_path).summary[
             "computational_failures"] == []
         assert [ref() for ref in built] == [None] * 3

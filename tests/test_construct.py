@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlp import construct as ct
-from hermlp.bounds import TubeSpec, classify_region
+from hermlp.bounds import TubeSpec, classify_region, lambda_lp, saturate_cell
 from hermlp.config import parse_config
 from hermlp.hermite import hermite_batch, phase_action
+from hermlp.runner import run
 
 
 def case2_report(level):
@@ -16,6 +18,15 @@ def case2_report(level):
     lam = math.sqrt(2 * level + 2)
     delta = (lam * math.sqrt(0.75)) ** -0.5
     return ct.build_concentrated(2, level, 0, delta)
+
+
+def saturation_ratio(rep, nu, r, p):
+    # a saturate tube row's ratio: the local p-norm over B(nu, r) per unit
+    # L2 mass, divided by the local bound at the ball's distance parameters
+    e = rep.eigenfunction
+    measured = ct.ball_lp_norm(e, nu, r, p, rep.tube.half_width)
+    bound = lambda_lp(e.dim, rep.tube.lam, r, math.hypot(*nu), p)
+    return (measured / e.global_l2_norm()) / bound.value
 
 
 class TestIndexSet:
@@ -238,15 +249,15 @@ class TestCoherenceInvariants:
 class TestSaturationRatio:
     def test_whole_space_bounded_by_one(self):
         rep = ct.build_concentrated(1, 60, 1, 2**-0.5)
-        ratio = ct.saturation_ratio(rep, (0.0,), rep.tube.lam, 2.0)
+        ratio = saturation_ratio(rep, (0.0,), rep.tube.lam, 2.0)
         assert 0.9 <= ratio <= 1.0
 
     def test_case_two_frozen_values(self):
         lam200 = math.sqrt(402)
-        r200 = ct.saturation_ratio(case2_report(200), (lam200 / 4, 0.0), 1.0, 2.0)
+        r200 = saturation_ratio(case2_report(200), (lam200 / 4, 0.0), 1.0, 2.0)
         assert r200 == pytest.approx(0.3103, abs=3e-3)
         lam800 = math.sqrt(1602)
-        r800 = ct.saturation_ratio(case2_report(800), (lam800 / 4, 0.0), 1.0, 2.0)
+        r800 = saturation_ratio(case2_report(800), (lam800 / 4, 0.0), 1.0, 2.0)
         assert r800 == pytest.approx(0.2675, abs=3e-3)
 
     def test_case_three_flat_in_level(self):
@@ -254,7 +265,7 @@ class TestSaturationRatio:
         for level in (800, 1600):
             lam = math.sqrt(2 * level + 1)
             rep = ct.build_concentrated(1, level, 1, 2**-0.5)
-            ratios.append(ct.saturation_ratio(rep, (lam * 0.75,), lam / 4, 2.0))
+            ratios.append(saturation_ratio(rep, (lam * 0.75,), lam / 4, 2.0))
         assert ratios[0] == pytest.approx(0.8078, abs=3e-3)
         assert ratios[1] == pytest.approx(0.8094, abs=3e-3)
         assert abs(math.log(ratios[1] / ratios[0])) < 0.05
@@ -266,10 +277,30 @@ class TestSaturationRatio:
         xc = rep.tube.x1_star
         for nu, r, p in [((xc, 0.0), 0.5, 2.0), ((xc, 0.0), 1.0, 4.0),
                          ((xc, 0.0), 1.0, math.inf)]:
-            ratio = ct.saturation_ratio(rep, nu, r, p)
+            ratio = saturation_ratio(rep, nu, r, p)
             assert 0.0 < ratio <= ceiling
 
     def test_center_dimension_checked(self):
         rep = case2_report(200)
-        with pytest.raises(ValueError):
-            ct.saturation_ratio(rep, (1.0, 2.0, 3.0), 1.0, 2.0)
+        with pytest.raises(ValueError, match="expected 2 axes, got 3"):
+            saturation_ratio(rep, (1.0, 2.0, 3.0), 1.0, 2.0)
+
+    @pytest.mark.parametrize("case", [
+        {"kind": "case2", "n": 2, "levels": [200]},
+        {"kind": "case3", "levels": [400]}])
+    def test_saturate_row_is_the_oracle(self, tmp_path, case):
+        # a saturate tube row's ratio and Lambda cells are the oracle's bits
+        cfg = parse_config({"experiment": "saturate",
+                            "parameters": {"cases": [case]}})
+        with open(run(cfg, out_dir=tmp_path).csv_path, newline="",
+                  encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        case = cfg.parameters["cases"][0]
+        tube, nu, r = saturate_cell(case, case["levels"][0])
+        rep = ct.build_concentrated(len(nu), case["levels"][0], tube.j,
+                                    tube.delta)
+        bound = lambda_lp(len(nu), rep.tube.lam, r, math.hypot(*nu),
+                          case["p"]).value
+        assert row["status"] == "ok"
+        assert row["ratio"] == repr(saturation_ratio(rep, nu, r, case["p"]))
+        assert row["Lambda"] == repr(bound)
