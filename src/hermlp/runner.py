@@ -612,18 +612,18 @@ def _run_saturate(ctx: _Ctx):
 
     all_ratios, sweep_ratios = [], []
     for case_idx, case in enumerate(p["cases"]):
-        # a case plans every level before its first cell.  A tube case then
-        # builds all their ball axes' tables in one Hermite recurrence (a
-        # failure of that shared recurrence fails the experiment); a random
-        # case's dense tables are built in each level's own cell
+        cells = [(case_idx, level) for level in case["levels"]]
+        # every level is planned before the case's first cell.  A tube case
+        # steps all its ball axes' tables in one Hermite recurrence, whose
+        # failure fails the experiment; a random level builds its dense
+        # tables in its own cell, so no two levels' tables are held at once
         plans.extend(_plan_saturate_cell(case, level)
                      for level in case["levels"])
         if case["kind"] != "random":
             spectral.Eigenfunction.tabulate(
                 [plan[4:] for plan in plans
                  if not isinstance(plan, Exception)])
-        oks = _collect(ctx, cell,
-                       [(case_idx, level) for level in case["levels"]])
+        oks = _collect(ctx, cell, cells)
         ratios = [row[11] for row in oks]
         all_ratios += ratios
         if case["kind"] == "random" or not ratios:

@@ -286,8 +286,8 @@ class TestSaturationRatio:
             saturation_ratio(rep, (1.0, 2.0, 3.0), 1.0, 2.0)
 
     @pytest.mark.parametrize("case", [
-        {"kind": "case2", "n": 2, "levels": [200]},
-        {"kind": "case3", "levels": [400]}])
+        pytest.param({"kind": "case2", "n": 2, "levels": [200]}, id="case2"),
+        pytest.param({"kind": "case3", "levels": [400]}, id="case3")])
     def test_saturate_row_is_the_oracle(self, tmp_path, case):
         # a saturate tube row's ratio and Lambda cells are the oracle's bits
         cfg = parse_config({"experiment": "saturate",
